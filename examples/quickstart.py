@@ -62,7 +62,7 @@ def main(n: int = 800) -> None:
 
         # ----- throughput serving: one plan, many feeds ----------------------
         feeds = [[A, T.random_general(n, seed=100 + i)] for i in range(8)]
-        batch = session.run_batch(f, feeds, workers=2)
+        batch = session.run_batch(f, feeds)
         print(f"run_batch   : {len(batch)} feed sets through one cached plan")
 
         # ----- what the session saw ------------------------------------------

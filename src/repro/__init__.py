@@ -12,7 +12,7 @@ every experiment:
 * :mod:`repro.tensor`      — dense tensors + matrix-property annotations
 * :mod:`repro.ir`          — computational-graph IR, tracing, interpreter
 * :mod:`repro.passes`      — Grappler-analogue optimizer + "aware" passes
-* :mod:`repro.runtime`     — compiled plans, plan cache, batched execution
+* :mod:`repro.runtime`     — compiled plans, plan cache, sharded execution
 * :mod:`repro.serve`       — async serving: coalescing, admission, SLO metrics
 * :mod:`repro.faults`      — deterministic fault injection (chaos testing)
 * :mod:`repro.chaos`       — scripted recovery drills (``laab chaos``)

@@ -11,7 +11,8 @@ The trace/optimize/plan-compile work itself lives in
 :meth:`Session._build` — the session owns the plan cache and the stats,
 the ``Compiled`` object owns only the per-signature concrete table and
 the user-facing conveniences (``interpret``, graph introspection,
-``last_report``).
+``last_report``).  Each :class:`Concrete` is its own executor: one way
+to run per arena mode, one recording pass, then the cached report.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 from ..errors import TracingError
 from ..ir.graph import Graph
 from ..ir.interpreter import ExecutionReport, Interpreter
-from ..runtime import Plan
+from ..runtime import PinnedBinding, Plan
 from ..runtime.singleflight import SingleFlight
 from ..tensor.tensor import Tensor
 from .registry import FrameworkProfile
@@ -48,37 +49,31 @@ def input_signature(args: Sequence[Tensor]) -> tuple:
 @dataclasses.dataclass
 class Concrete:
     """One traced+optimized+plan-compiled specialization of a compiled
-    function."""
+    function, and the one executor every call path (``__call__``,
+    ``Session.run``/``run_batch``, the shard inline fallback) runs it
+    through."""
 
     graph: Graph
     optimized: Graph
     plan: Plan
     trace_seconds: float
     pipeline_log: str
-    #: Preallocated execution buffers, present when the owning session
-    #: runs with ``Options(arena="preallocated")``.  Serialized calls
-    #: through this concrete reuse it; outputs are copied out before they
-    #: reach the caller, so user-visible results never alias arena
-    #: storage.
-    arena: "object | None" = None
-    #: Feed-donation mode resolved from the session options (``False``,
-    #: ``True`` or ``"fallback"``): passed through to ``plan.execute`` so
-    #: already-F-ordered feeds alias arena input slots instead of being
-    #: memcpy'd.
-    donate: "bool | str" = False
-    #: Guards the arena: one buffer set supports one execution at a time,
-    #: so concurrent calls in arena mode serialize (per-call mode stays
-    #: lock-free and fully concurrent).
-    arena_lock: threading.Lock = dataclasses.field(
-        default_factory=threading.Lock
-    )
-    #: Pinned-execution state (``Options(pin=True)``): when a call's feed
-    #: arrays are identical objects to ``pinned_key``, the cached
-    #: :class:`~repro.runtime.PinnedBinding` replays the serving loop
-    #: with zero binding work.  Rebound whenever the identity changes.
-    pin: bool = False
-    pinned_key: tuple | None = None
-    pinned_binding: "object | None" = None
+    #: Persistent slot table over this concrete's preallocated buffers,
+    #: present when the owning session runs with
+    #: ``Options(arena="preallocated")``: rebound in place per call
+    #: (alias a feed contiguous in its slot's order, else copy it into
+    #: the slot's buffer).  Outputs are copied out before they reach the
+    #: caller, so user-visible results never alias arena storage.
+    binding: PinnedBinding | None = None
+    #: The signature key fixes shapes, dtypes and props, so the
+    #: :class:`ExecutionReport` is a constant of the concrete: the first
+    #: execution records it, every later one runs without accounting and
+    #: hands this back.
+    report: ExecutionReport | None = None
+    #: Guards the binding: one buffer set supports one execution at a
+    #: time, so concurrent calls in arena mode serialize (per-call mode
+    #: stays lock-free and fully concurrent).
+    lock: threading.Lock = dataclasses.field(default_factory=threading.Lock)
     #: Autotune bookkeeping (set by ``Session._build`` when the session
     #: tunes): the plan-cache key hotness is tracked under, the plan-
     #: store trace key promotions re-alias, and whether this concrete is
@@ -87,6 +82,48 @@ class Concrete:
     cache_key: "tuple | None" = None
     trace_key: "str | None" = None
     autotune_done: bool = False
+
+    def install(self, plan: Plan) -> None:
+        """Swap in the plan an autotune race promoted: fresh buffers,
+        report re-recorded on the next call.  Caller holds
+        :attr:`lock`."""
+        self.plan = plan
+        if self.binding is not None:
+            self.binding = PinnedBinding(plan, plan.new_arena())
+        self.report = None
+
+    def execute(
+        self, feeds: Sequence[object]
+    ) -> tuple[list[np.ndarray], ExecutionReport]:
+        """Run one feed set: ``(outputs, report)``, the outputs
+        independent of later calls.  Exactly two ways to run — per-call
+        or through the arena binding — each recording once (the lock
+        orders that pass against :meth:`install`)."""
+        if self.binding is None:
+            report = self.report
+            if report is None:
+                with self.lock:
+                    outputs, report = self.plan.execute(feeds)
+                    self.report = report
+            else:
+                outputs, _ = self.plan.execute(feeds, record=False)
+        else:
+            with self.lock:
+                binding, report = self.binding, self.report
+                if report is None:
+                    # The recording pass also warms the arena, so the
+                    # binding's first serving pass is already turbo.
+                    outputs, report = binding.plan.execute(
+                        feeds, arena=binding.arena
+                    )
+                    self.report = report
+                else:
+                    binding.rebind(feeds)
+                    outputs = binding.execute()
+                # Detach results from arena storage: the next call
+                # rewrites the buffers these outputs alias.
+                outputs = [out.copy() for out in outputs]
+        return outputs, report
 
 
 class Compiled:
@@ -196,56 +233,11 @@ class Compiled:
         concrete = self._concrete_in(session, args)
         datas = [a.data for a in args]
         start = time.perf_counter()
-        if concrete.arena is None:
-            outputs, report = concrete.plan.execute(datas)
-        else:
-            with concrete.arena_lock:
-                if concrete.pin:
-                    outputs = self._execute_pinned(concrete, datas)
-                    report = ExecutionReport()
-                else:
-                    outputs, report = concrete.plan.execute(
-                        datas, arena=concrete.arena, donate=concrete.donate,
-                    )
-                    outputs = list(outputs)
-                # Detach results from arena storage: the next call
-                # rewrites the buffers these outputs alias.
-                outputs = [out.copy() for out in outputs]
+        outputs, report = concrete.execute(datas)
         session._record_exec(concrete.plan, time.perf_counter() - start)
         session._maybe_autotune(concrete, datas)
         self.last_report = report
         return self._wrap(outputs)
-
-    @staticmethod
-    def _execute_pinned(concrete: Concrete, datas: list):
-        """Arena execution through the concrete's cached PinnedBinding.
-
-        The steady-state hit is an identity comparison plus the serving
-        loop — no slot-table build, no feed binding, no donation layout
-        checks.  A new feed identity (or a layout the binding rejects)
-        rebinds; sustained identity churn just degrades to donated-
-        execution cost paid through a fresh binding per call.
-        """
-        key = tuple(map(id, datas))
-        binding = concrete.pinned_binding
-        if binding is None or concrete.pinned_key != key:
-            try:
-                binding = concrete.plan.bind_pinned(datas, concrete.arena)
-            except ValueError:
-                # Layout unsuited for aliasing (e.g. a strided view or a
-                # C-ordered feed for an F slot).  Strict donation keeps
-                # its contract — surface the layout error loudly —
-                # otherwise stay correct via the fallback-donation path.
-                if concrete.donate is True:
-                    raise
-                outputs, _ = concrete.plan.execute(
-                    datas, arena=concrete.arena, donate="fallback",
-                    record=False,
-                )
-                return list(outputs)
-            concrete.pinned_binding = binding
-            concrete.pinned_key = key
-        return list(binding.execute())
 
     def interpret(self, *args: Tensor):
         """Execute through the reference :class:`Interpreter` instead of

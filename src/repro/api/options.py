@@ -11,13 +11,11 @@ import dataclasses
 import os
 
 from ..errors import ConfigError
-from ..runtime.batch import ARENA_MODES
 
 #: Pipeline choices a backend profile understands.
 PIPELINES = ("default", "aware")
 
-# ARENA_MODES (re-exported from repro.runtime.batch, the single source of
-# truth shared with ``execute_batch``):
+#: Execution-buffer strategies:
 #: ``per-call``      every execution materializes fresh intermediates
 #:                   (the PR-1 behaviour — results are independent arrays);
 #: ``preallocated``  per-slot ndarray storage is allocated once and reused
@@ -25,6 +23,12 @@ PIPELINES = ("default", "aware")
 #:                   execution is allocation-free after warmup.  Results
 #:                   returned through the Session layer are copied out of
 #:                   the arena, so user-visible values stay independent.
+#: Both stay because each wins somewhere: feed staging and the F→C
+#: copy-out cost more than an O(n²) structured kernel, while GEMM chains
+#: and dispatch-bound graphs run faster through the arena (README,
+#: "Fusion & arena").
+ARENA_MODES = ("per-call", "preallocated")
+
 __all__ = ["ARENA_MODES", "PIPELINES", "VALIDATION_LEVELS", "Options"]
 
 #: Graph-validation levels applied around trace/optimize:
@@ -49,9 +53,6 @@ class Options:
         passes) or ``"aware"`` (the paper's linear-algebra-aware set).
     cache_capacity:
         Max entries of the session-owned :class:`~repro.runtime.PlanCache`.
-    batch_workers:
-        Default worker count for ``session.run_batch``; ``None``/``0``/``1``
-        executes sequentially, ``k > 1`` uses a thread pool.
     validation:
         Graph-validation level, one of :data:`VALIDATION_LEVELS`.
     fold_constants:
@@ -67,22 +68,17 @@ class Options:
         Execution-buffer strategy, one of :data:`ARENA_MODES`.
         ``"preallocated"`` executes every compiled function through a
         per-``Concrete`` :class:`~repro.runtime.PlanArena` — repeated
-        calls perform zero intermediate allocations after warmup.
-    donate_feeds:
-        Zero-copy feed binding (requires ``arena="preallocated"``).
-        ``True`` declares every fed array already Fortran-ordered and
-        the runtime's to alias for the duration of the call — the last
-        per-call feed memcpys disappear; a feed failing the layout check
-        raises ``ValueError`` naming the input (softened to a silent
-        copy under ``validation="full"``).  ``"fallback"`` is the
-        best-effort mode: alias what qualifies, copy the rest.
+        calls perform zero intermediate allocations after warmup, and
+        each feed is aliased when it is contiguous in its input slot's
+        order (Fortran for BLAS-fed slots — what ``Session.pin`` hands
+        out) and copied into the slot's buffer otherwise.
     shards:
         Multi-process sharded batching.  ``N >= 1`` routes
         ``session.run_batch`` through a per-plan
         :class:`~repro.runtime.ShardPool` of N worker processes
         (shared-memory feed rings, GIL-free dispatch; pools are cached
         on the session and torn down when it exits).  ``None`` keeps
-        the in-process executors.
+        the in-process loop.
     plan_store:
         Directory of a persistent :class:`~repro.runtime.PlanStore`
         (``None`` disables it).  When set, the session consults the
@@ -93,14 +89,6 @@ class Options:
         from the same directory.  The directory is created on session
         construction; concurrent sessions and processes may share it
         (writes are atomic).
-    pin:
-        Pinned steady-state execution (requires
-        ``arena="preallocated"``).  Calls whose feed arrays are
-        *identical objects* to the previous call's — the
-        ``Session.pin`` usage pattern: allocate once, rewrite contents
-        in place — skip feed binding and donation layout checks
-        entirely and replay a cached
-        :class:`~repro.runtime.PinnedBinding`.
     shard_respawn:
         Supervision policy of the session's shard pools: ``True``
         respawns a crashed/hung worker and replays its wave (bounded
@@ -114,7 +102,7 @@ class Options:
         What ``run_sharded`` does when its pool breaks mid-run:
         ``"error"`` (default) raises the
         :class:`~repro.runtime.ShardWorkerError`; ``"inline"``
-        completes the batch on the in-process fused-arena path and
+        completes the batch on the in-process loop and
         records the downgrade in ``SessionStats.shard_fallback_runs``
         — degraded throughput, but the caller still gets bit-correct
         results.
@@ -139,14 +127,11 @@ class Options:
     backend: str = "tfsim"
     pipeline: str = "default"
     cache_capacity: int = 256
-    batch_workers: int | None = None
     validation: str = "off"
     fold_constants: bool = False
     fusion: bool = False
     arena: str = "per-call"
-    donate_feeds: "bool | str" = False
     shards: int | None = None
-    pin: bool = False
     plan_store: str | None = None
     shard_respawn: bool = False
     shard_wave_deadline: float | None = None
@@ -166,10 +151,6 @@ class Options:
             raise ConfigError(
                 f"cache_capacity must be >= 1, got {self.cache_capacity}"
             )
-        if self.batch_workers is not None and self.batch_workers < 0:
-            raise ConfigError(
-                f"batch_workers must be >= 0 or None, got {self.batch_workers}"
-            )
         if self.validation not in VALIDATION_LEVELS:
             raise ConfigError(
                 f"validation must be one of {VALIDATION_LEVELS}, "
@@ -180,16 +161,6 @@ class Options:
         if self.arena not in ARENA_MODES:
             raise ConfigError(
                 f"arena must be one of {ARENA_MODES}, got {self.arena!r}"
-            )
-        if self.donate_feeds not in (False, True, "fallback"):
-            raise ConfigError(
-                "donate_feeds must be False, True or 'fallback', got "
-                f"{self.donate_feeds!r}"
-            )
-        if self.donate_feeds and self.arena != "preallocated":
-            raise ConfigError(
-                "donate_feeds requires arena='preallocated' — per-call "
-                "execution never copies feeds, so there is nothing to donate"
             )
         if self.shards is not None and (
             not isinstance(self.shards, int)
@@ -206,13 +177,6 @@ class Options:
             raise ConfigError(
                 "plan_store must be a non-empty directory path or None, "
                 f"got {self.plan_store!r}"
-            )
-        if not isinstance(self.pin, bool):
-            raise ConfigError(f"pin must be a bool, got {self.pin!r}")
-        if self.pin and self.arena != "preallocated":
-            raise ConfigError(
-                "pin requires arena='preallocated' — pinned bindings alias "
-                "feeds into arena slot storage"
             )
         if not isinstance(self.shard_respawn, bool):
             raise ConfigError(

@@ -37,11 +37,11 @@ from ..ir.tracing import trace
 from ..ir.validate import validate_graph
 from ..runtime import (
     BatchResult,
+    PinnedBinding,
     PlanCache,
     PlanStore,
     ShardPool,
     ShardWorkerError,
-    execute_batch,
 )
 from ..runtime import cache as _cache_module
 from ..runtime.autotune import Autotuner, AutotuneConfig, AutotuneStats
@@ -110,9 +110,7 @@ class SessionStats:
     #: renders them next to the counters they explain.
     fusion: bool = False
     arena: str = "per-call"
-    donate_feeds: "bool | str" = False
     shards: int | None = None
-    pin: bool = False
     #: Shard activity (satellite of the serving PR): live pools cached on
     #: the session, worker processes those pools own, and worker-waves
     #: dispatched over the session's lifetime (including pools since
@@ -170,13 +168,7 @@ class SessionStats:
         fusion = (
             f"on ({self.fused_sites} fused sites)" if self.fusion else "off"
         )
-        arena = self.arena
-        if self.donate_feeds:
-            mode = "fallback" if self.donate_feeds == "fallback" else "strict"
-            arena += f" | donated feeds ({mode})"
-        if self.pin:
-            arena += " | pinned"
-        exec_line = f"execution: fusion {fusion} | arena {arena}"
+        exec_line = f"execution: fusion {fusion} | arena {self.arena}"
         if self.shards is not None:
             exec_line += f" | {self.shards} shard processes"
         lines = [
@@ -390,48 +382,32 @@ class Session:
         return compiled._call_in(self, args)
 
     def run_batch(
-        self,
-        fn: Compiled,
-        feed_sets: Sequence[Sequence[Tensor]],
-        *,
-        workers: int | None = None,
-        record: bool = False,
+        self, fn: Compiled, feed_sets: Sequence[Sequence[Tensor]]
     ) -> BatchResult:
-        """One compiled plan over many feed sets (wraps ``execute_batch``).
+        """One compiled function over many feed sets.
 
         The first feed set fixes the trace signature; every set must bind
-        to the same plan (shape-checked by the plan itself).  ``workers``
-        defaults to ``options.batch_workers``.  With ``Options(shards=N)``
-        un-recorded batches route to :meth:`run_sharded` instead — the
-        multi-process path — unless the call names an explicit
-        ``workers=`` (a per-call ask for the in-process thread pool
-        always wins over the session default); ``record=True`` also
-        keeps the in-process executors, which are the only ones that
-        can account.
+        to the same plan (shape-checked by the plan itself).  A plain
+        loop over the same warm executor single calls use — its lock is
+        taken per feed, so a concurrent single call is not parked behind
+        the whole batch — with every entry of ``reports`` the concrete's
+        one cached report.  With ``Options(shards=N)`` the batch routes
+        to :meth:`run_sharded` instead, the multi-process path.
         """
         if not isinstance(fn, Compiled):
             raise TypeError(
                 f"run_batch needs a Compiled (from session.compile), got "
                 f"{type(fn).__name__}"
             )
-        if self.options.shards is not None and not record and workers is None:
+        if self.options.shards is not None:
             return self.run_sharded(fn, feed_sets)
         feed_sets = [list(feeds) for feeds in feed_sets]
         if not feed_sets:
             return BatchResult(outputs=[], reports=[])
         session = fn._session_for(self)
         concrete = fn._concrete_in(session, feed_sets[0])
-        if workers is None:
-            workers = self.options.batch_workers
         start = time.perf_counter()
-        result = execute_batch(
-            concrete.plan,
-            feed_sets,
-            workers=workers,
-            record=record,
-            arena=session.options.arena,
-            donate_feeds=session._donate_mode(),
-        )
+        result = _run_inline(concrete, feed_sets)
         self._record_exec(
             concrete.plan, time.perf_counter() - start, count=len(feed_sets)
         )
@@ -449,21 +425,18 @@ class Session:
 
         The returned tensor owns a Fortran-ordered zeroed buffer that
         lives for the session's lifetime; rewrite its ``.data`` in place
-        between calls and pass the *same tensor* each time.  Under
-        ``Options(pin=True)`` the runtime recognizes the repeated
-        identity, binds the buffer into the plan's arena slot once, and
-        steady-state calls skip feed binding and donation layout checks
-        entirely (the ``PinnedBinding`` fast path).  Re-pinning an
-        existing ``name`` returns the existing tensor when shape/dtype
-        agree and raises otherwise — two owners of one pin slot is
-        always a bug.
+        between calls.  Under ``Options(arena="preallocated")`` a pinned
+        tensor is aliased straight into its plan input slot on every
+        call — no staging copy — because it already has the layout the
+        slot declares.  Re-pinning an existing ``name`` returns the
+        existing tensor when shape/dtype agree and raises otherwise —
+        two owners of one pin slot is always a bug.
 
         Pins are Fortran-ordered (the layout of every BLAS-fed input
         slot).  The rare plan whose input slot is *C*-ordered — an
         input consumed only by the tridiagonal row-scaling kernel —
-        cannot alias an F pin; such calls stay correct through the
-        fallback-donation path but keep paying a per-call copy rather
-        than engaging the pinned fast path.
+        cannot alias an F pin and copies it per call; a default
+        C-contiguous ``Tensor`` is what aliases there.
         """
         if dtype is None:
             from ..config import config
@@ -499,9 +472,8 @@ class Session:
         ``options.shards``, else :func:`repro.runtime.default_shards`)
         through a session-cached :class:`~repro.runtime.ShardPool`;
         feeds stream through shared-memory rings, so workers execute
-        copy-free regardless of the session's donation settings.
-        Reports are empty (serving path): use ``run_batch`` for
-        recorded, in-process batches.
+        copy-free.  Reports are empty (workers never account): use
+        ``run_batch`` on an unsharded session for reported batches.
         """
         if not isinstance(fn, Compiled):
             raise TypeError(
@@ -532,19 +504,12 @@ class Session:
             if self.options.shard_fallback != "inline":
                 raise
             # Degraded mode: the pool broke mid-run and its retry budget
-            # is spent — complete the batch on the in-process
-            # fused-arena path so the caller still gets bit-correct
-            # results (a later run_sharded builds a fresh pool).
+            # is spent — complete the batch on the in-process loop so
+            # the caller still gets bit-correct results (a later
+            # run_sharded builds a fresh pool).
             with self._lock:
                 self._shard_fallback_runs += 1
-            result = execute_batch(
-                concrete.plan,
-                feed_sets,
-                workers=self.options.batch_workers,
-                record=False,
-                arena="preallocated",
-                donate_feeds=False,
-            )
+            result = _run_inline(concrete, feed_sets)
         self._record_exec(
             concrete.plan, time.perf_counter() - start, count=len(feed_sets)
         )
@@ -653,11 +618,7 @@ class Session:
             plans=plans,
             fusion=self.options.fusion,
             arena=self.options.arena,
-            # Report the mode executions actually run with (strict may
-            # soften to fallback under validation="full").
-            donate_feeds=self._donate_mode(),
             shards=self.options.shards,
-            pin=self.options.pin,
             shard_pools_open=shard_pools_open,
             shard_workers=shard_workers,
             shard_waves_served=shard_waves,
@@ -695,18 +656,6 @@ class Session:
         )
 
     # -- internals ---------------------------------------------------------------
-
-    def _donate_mode(self) -> "bool | str":
-        """The feed-donation mode executions actually run with.
-
-        ``validation="full"`` softens strict donation to ``"fallback"``
-        (copy feeds the layout check would reject) — the documented
-        escape hatch for callers who want the checks, not the crashes.
-        """
-        donate = self.options.donate_feeds
-        if donate is True and self.options.validation == "full":
-            return "fallback"
-        return donate
 
     def _build(
         self,
@@ -814,11 +763,9 @@ class Session:
             pipeline_log=pipeline_log,
             # One arena per concrete specialization: executions of this
             # function in this session reuse its preallocated buffers.
-            arena=plan.new_arena()
+            binding=PinnedBinding(plan, plan.new_arena())
             if self.options.arena == "preallocated"
             else None,
-            donate=self._donate_mode(),
-            pin=self.options.pin,
             cache_key=(
                 (graph_signature(optimized), build_fold, build_fusion)
                 if self._autotuner is not None
@@ -887,9 +834,9 @@ class Session:
 
         Called by the autotuner (possibly from its worker-driving
         thread).  The cache swap makes every *future* build of this
-        signature resolve to the winner; the concrete swap (under the
-        arena lock, paired with a fresh arena and cleared pinned
-        binding) moves the live serving path over atomically; the store
+        signature resolve to the winner; the concrete swap (under its
+        lock, paired with fresh buffers and a re-recorded report) moves
+        the live serving path over atomically; the store
         re-alias persists the winner plus its derivation record so a
         restarted process warm-starts straight onto it.
         """
@@ -899,12 +846,8 @@ class Session:
         canonical_plan = concrete.plan
         if concrete.cache_key is not None:
             self.plan_cache.promote(concrete.cache_key, winner_plan)
-        with concrete.arena_lock:
-            concrete.plan = winner_plan
-            if concrete.arena is not None:
-                concrete.arena = winner_plan.new_arena()
-            concrete.pinned_key = None
-            concrete.pinned_binding = None
+        with concrete.lock:
+            concrete.install(winner_plan)
         with self._lock:
             old = self._plan_stats.get(canonical_plan)
             if winner_plan not in self._plan_stats:
@@ -961,6 +904,16 @@ class Session:
             f"cache={len(self.plan_cache)}/{self.plan_cache.maxsize} "
             f"({s.hits}h/{s.misses}m)>"
         )
+
+
+def _run_inline(concrete: Concrete, feed_sets: list) -> BatchResult:
+    """``feed_sets`` one after another through ``concrete``'s executor
+    (``run_batch``, and ``run_sharded``'s degraded mode)."""
+    results = [concrete.execute(feeds) for feeds in feed_sets]
+    return BatchResult(
+        outputs=[outs for outs, _ in results],
+        reports=[rep for _, rep in results],
+    )
 
 
 # -- ambient session ------------------------------------------------------------

@@ -72,21 +72,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="timed repetitions")
     cache.add_argument("--threads", type=int, default=1,
                        help="BLAS threads (paper: 1)")
-    cache.add_argument(
-        "--save",
-        metavar="FILE",
-        default=None,
-        help="after the run, merge this session's plan signatures and "
-             "compile times into FILE (JSON accumulator across runs) and "
-             "print the cross-run dedup report",
-    )
-    cache.add_argument(
-        "--load",
-        metavar="FILE",
-        default=None,
-        help="print the cross-run dedup report accumulated in FILE "
-             "without running anything",
-    )
     _add_mode_flags(cache)
 
     serve = sub.add_parser(
@@ -116,7 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--json", default=None, metavar="FILE",
         help="merge the serve_* numbers into FILE (read-modify-write, so "
-             "BENCH_runtime.json keeps its runtime keys)",
+             "other keys already in FILE are kept)",
     )
 
     chaos = sub.add_parser(
@@ -216,13 +201,6 @@ def _add_mode_flags(parser: argparse.ArgumentParser) -> None:
              "storage (allocation-free after warmup)",
     )
     parser.add_argument(
-        "--donate-feeds",
-        action="store_true",
-        help="alias Fortran-ordered feeds straight into arena input slots "
-             "instead of copying (zero-copy binding; feeds another layout "
-             "check rejects are copied).  Requires --arena preallocated.",
-    )
-    parser.add_argument(
         "--shards",
         type=int,
         default=None,
@@ -304,19 +282,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     quiet = getattr(args, "quiet_tables", False)
     # Session-level knobs reach every decorated function without touching
     # a single experiment: the decorators compile into the ambient session.
-    if getattr(args, "donate_feeds", False) and \
-            getattr(args, "arena", "per-call") != "preallocated":
-        print("error: --donate-feeds requires --arena preallocated",
-              file=sys.stderr)
-        return 2
     with Session(
         fusion=getattr(args, "fusion", False),
         arena=getattr(args, "arena", "per-call"),
-        # The CLI's experiment tensors are whatever the generators built
-        # (usually C-ordered), so the flag maps to best-effort donation:
-        # alias what qualifies, copy the rest — never crash a run.
-        donate_feeds="fallback" if getattr(args, "donate_feeds", False)
-        else False,
         shards=getattr(args, "shards", None),
         plan_store=getattr(args, "store", None),
         autotune=getattr(args, "autotune", False) or None,
@@ -339,13 +307,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if session.plan_store is not None:
             print("\n== persistent plan store ==")
             print(session.plan_store.render())
-        save_path = getattr(args, "save_stats_path", None)
-        if save_path:
-            from ..runtime.persist import render_stats, save_stats
-
-            merged = save_stats(save_path, session.plan_cache.snapshot())
-            print(f"\n== cross-run plan-cache persistence ({save_path}) ==")
-            print(render_stats(merged))
     if args.json:
         import json
 
@@ -474,12 +435,6 @@ def _cmd_store_gc(args: argparse.Namespace) -> int:
 def _cmd_cache_stats(args: argparse.Namespace) -> int:
     """``laab cache-stats`` ≡ ``laab run --cache-stats`` with result
     tables suppressed — one code path, no drift between the two."""
-    if args.load:
-        # Pure report over the accumulated file: no run, no numpy spin-up.
-        from ..runtime.persist import load_stats, render_stats
-
-        print(render_stats(load_stats(args.load)))
-        return 0
     return _cmd_run(argparse.Namespace(
         experiment=args.experiment,
         n=args.n,
@@ -492,11 +447,9 @@ def _cmd_cache_stats(args: argparse.Namespace) -> int:
         quiet_tables=True,
         fusion=args.fusion,
         arena=args.arena,
-        donate_feeds=args.donate_feeds,
         shards=args.shards,
         store=args.store,
         autotune=args.autotune,
-        save_stats_path=args.save,
     ))
 
 

@@ -1,4 +1,4 @@
-"""Compiled execution runtime: plans, plan cache, fusion, batched execution.
+"""Compiled execution runtime: plans, plan cache, fusion, sharded execution.
 
 The reference :class:`~repro.ir.interpreter.Interpreter` re-walks the
 graph on *every* call — recomputing topological order and liveness and
@@ -25,20 +25,18 @@ This package is that compile-once / execute-many layer:
                :class:`PlanArena` — preallocated per-slot ndarray storage
                driven through the kernels' destination-aware (``out=``)
                variants, making repeated execution allocation-free after
-               warmup.  Execution is output- and report-parity with the
-               Interpreter in every fusion × arena combination (verified
-               by ``tests/test_runtime_plans.py``).
+               warmup — with feeds bound by one rule (alias when
+               contiguous in the slot's order, else copy) through
+               :class:`PinnedBinding` slot tables.  Execution is output-
+               and report-parity with the Interpreter in every fusion ×
+               arena combination (verified by
+               ``tests/test_runtime_plans.py``).
 ``cache``      :class:`PlanCache` — signature-keyed LRU of compiled
                plans (the fold/fusion knobs key separately) with
                hit/miss/eviction stats and single-flight concurrent
                compilation.  Caches are instance-scoped and owned by
                :class:`repro.api.Session`; the process-wide default
-               instance survives as the default session's cache (reaching
-               it via ``default_plan_cache`` is deprecated).
-``batch``      One plan over many feed sets, sequentially or via a
-               thread pool (BLAS kernels release the GIL), optionally
-               through one reused arena per worker, or — ``shards=N`` —
-               through a multi-process :class:`ShardPool`.
+               instance survives as the default session's cache.
 ``shard``      :class:`ShardPool` — N worker processes, each compiling
                the plan once (plans pickle *by reconstruction* via
                ``serialize``) and serving feed waves through
@@ -48,13 +46,10 @@ This package is that compile-once / execute-many layer:
                memory.  The GIL-free dispatch path.
 ``serialize``  Structural graph payloads — what crosses the process
                boundary (and what ``Plan.__reduce__`` pickles).
-``persist``    On-disk accumulation of plan-cache signatures + compile
-               times across runs (``laab cache-stats --save/--load``) —
-               the real-world trace-dedup observability layer.
 ``store``      :class:`PlanStore` — the persistent, content-addressed
-               on-disk plan store the persist layer priced out:
-               versioned artifacts (optimized-graph payload + compile
-               knobs, large consts as mmap-loaded ``.npy`` sidecars)
+               on-disk plan store: versioned artifacts (optimized-graph
+               payload + compile knobs, large consts as mmap-loaded
+               ``.npy`` sidecars)
                keyed by signature digest, with trace-signature aliases
                so a cold ``Session`` skips the optimization pipeline
                and shard workers warm-start instead of recompiling.
@@ -67,18 +62,23 @@ This package is that compile-once / execute-many layer:
 """
 
 from .autotune import AutotuneConfig, AutotuneStats, Autotuner
-from .batch import ARENA_MODES, BatchResult, execute_batch
-from .cache import CacheStats, PlanCache, default_plan_cache
+from .cache import CacheStats, PlanCache
 from .compiler import compile_plan
 from .fusion import FusionStats, fuse_instructions
-from .plan import Instruction, PinnedBinding, Plan, PlanArena, SlotDescriptor
+from .plan import (
+    BatchResult,
+    Instruction,
+    PinnedBinding,
+    Plan,
+    PlanArena,
+    SlotDescriptor,
+)
 from .serialize import graph_from_payload, graph_to_payload
 from .shard import ShardPool, ShardWorkerError, default_shards
 from .signature import graph_signature
 from .store import GCStats, PlanStore, StoreStats, runtime_fingerprint
 
 __all__ = [
-    "ARENA_MODES",
     "AutotuneConfig",
     "AutotuneStats",
     "Autotuner",
@@ -97,9 +97,7 @@ __all__ = [
     "SlotDescriptor",
     "StoreStats",
     "compile_plan",
-    "default_plan_cache",
     "default_shards",
-    "execute_batch",
     "fuse_instructions",
     "graph_from_payload",
     "graph_signature",

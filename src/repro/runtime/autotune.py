@@ -653,7 +653,7 @@ class Autotuner:
             config=self.config,
         )
         candidates[0].plan = concrete.plan
-        use_arena = concrete.arena is not None
+        use_arena = concrete.binding is not None
         if self.config.mode == "worker" and len(candidates) > 1:
             rows = self._race_in_worker(candidates, feeds, use_arena)
             if rows is not None:

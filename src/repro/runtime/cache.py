@@ -8,9 +8,8 @@ compile exactly once.  Graphs that differ in any attr (a ``trans_a`` flag,
 a property annotation on an input, a constant's payload) key differently.
 
 Caches are **instance-scoped**: every :class:`repro.api.Session` owns one.
-The process-wide instance that backed PR 1 survives as the *default
-session's* cache; reaching it directly through :func:`default_plan_cache`
-is deprecated in favour of ``repro.api.Session``.
+The process-wide instance that backed PR 1 survives only as the *default
+session's* cache.
 
 Thread-safety (audited for the instance-scoped design): every LRU
 mutation — lookup bookkeeping, insertion, eviction, ``move_to_end`` —
@@ -25,7 +24,6 @@ from __future__ import annotations
 
 import dataclasses
 import threading
-import warnings
 from collections import OrderedDict
 
 from ..ir.graph import Graph
@@ -68,11 +66,9 @@ class PlanCache:
         self.maxsize = maxsize
         self.stats = CacheStats()
         self._plans: OrderedDict[tuple, Plan] = OrderedDict()
-        #: Per-key lookup accounting that *survives eviction* — what the
-        #: cross-run persistence layer (``laab cache-stats --save``)
-        #: snapshots: key → [hits, compiles, total compile seconds,
-        #: store loads, executions].  The last entry is the hotness
-        #: signal :meth:`note_execution` feeds the autotuner.
+        #: Per-key hotness that *survives eviction*: key → [lookup
+        #: hits, executions] — what :meth:`note_execution` reports to
+        #: the autotuner.
         self._key_stats: dict[tuple, list] = {}
         self._lock = threading.Lock()
         #: Single-flights concurrent compiles of one key (shares _lock so
@@ -155,12 +151,7 @@ class PlanCache:
             if self._epoch != leader_epoch[0]:
                 return  # clear() happened mid-compile — don't repopulate
             self._plans[key] = plan
-            rec = self._key_stats.setdefault(key, [0, 0, 0.0, 0, 0])
-            if via_store:
-                rec[3] += 1
-            else:
-                rec[1] += 1
-                rec[2] += plan.compile_seconds
+            self._key_stats.setdefault(key, [0, 0])
             while len(self._plans) > self.maxsize:
                 self._plans.popitem(last=False)
                 self.stats.evictions += 1
@@ -181,11 +172,9 @@ class PlanCache:
         with serving traffic.
         """
         with self._lock:
-            rec = self._key_stats.setdefault(key, [0, 0, 0.0, 0, 0])
-            while len(rec) < 5:  # rows created by older publishes
-                rec.append(0)
-            rec[4] += count
-            return rec[0] + rec[4]
+            rec = self._key_stats.setdefault(key, [0, 0])
+            rec[1] += count
+            return rec[0] + rec[1]
 
     def promote(self, key: tuple, plan: Plan) -> None:
         """Atomically swap ``plan`` in as the cached entry for ``key``.
@@ -203,38 +192,6 @@ class PlanCache:
             while len(self._plans) > self.maxsize:
                 self._plans.popitem(last=False)
                 self.stats.evictions += 1
-
-    def snapshot(self) -> list[dict]:
-        """Per-signature accounting rows for the persistence layer.
-
-        One row per plan key ever compiled through this cache (evicted
-        keys included — eviction is a capacity event, not a statistics
-        reset): a stable hex digest of the structural signature, the
-        fold/fusion knobs, cumulative hits/compiles, and compile
-        seconds.  Digests — not raw signatures — cross the process
-        boundary, so saved files stay compact and diff-able.
-        """
-        from .persist import signature_digest
-
-        with self._lock:
-            items = list(self._key_stats.items())
-        rows = []
-        for (sig, fold_constants, fusion), rec in items:
-            hits, compiles, secs = rec[0], rec[1], rec[2]
-            rows.append({
-                "signature": signature_digest(sig),
-                "fold_constants": fold_constants,
-                "fusion": fusion,
-                "hits": hits,
-                "compiles": compiles,
-                "compile_seconds": secs,
-                # Plans re-lowered from a persistent-store artifact
-                # rather than cold-compiled (0 on storeless sessions).
-                "store_loads": rec[3] if len(rec) > 3 else 0,
-                # Executions noted by the session layer (autotune hotness).
-                "executions": rec[4] if len(rec) > 4 else 0,
-            })
-        return rows
 
     def contains(
         self,
@@ -274,36 +231,8 @@ class PlanCache:
 
 _default_cache = PlanCache(maxsize=256)
 
-_deprecation_warned = False
-_deprecation_lock = threading.Lock()
-
 
 def _default_plan_cache() -> PlanCache:
-    """The process-wide cache instance, warning-free — internal use only
-    (the default :class:`repro.api.Session` adopts it)."""
-    return _default_cache
-
-
-def default_plan_cache() -> PlanCache:
-    """Deprecated: the process-wide cache shared by the simulated
-    frameworks.
-
-    Cache ownership is now explicit — use ``repro.api.Session`` (its
-    ``plan_cache`` attribute and ``stats()``) instead.  The warning fires
-    once per process.
-    """
-    global _deprecation_warned
-    if _deprecation_warned:
-        return _default_cache
-    with _deprecation_lock:
-        if _deprecation_warned:
-            return _default_cache
-        _deprecation_warned = True
-        warnings.warn(
-            "default_plan_cache() is deprecated; use repro.api.Session — "
-            "each session owns its own PlanCache (the process-wide default "
-            "session keeps this instance)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
+    """The process-wide cache instance the default
+    :class:`repro.api.Session` adopts."""
     return _default_cache

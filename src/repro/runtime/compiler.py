@@ -286,10 +286,10 @@ def _compile_loop(node: Node, fusion: bool) -> _Op:
         # child arenas, so the carried value (living in the *other*
         # arena's buffers, or the outer arena's for iteration 0) and the
         # loop-invariant captures (outer-arena buffers, F-ordered) are
-        # donated — aliased, never copied — into each iteration's feeds.
-        # "fallback" keeps odd layouts (e.g. a promoted-dtype carried
-        # value from the general path) correct by copying them.  After
-        # both child arenas warm, a trip is allocation- and copy-free.
+        # aliased, never copied, into each iteration's feeds; the
+        # binding rule copies odd layouts (e.g. a promoted-dtype carried
+        # value from the general path).  After both child arenas warm, a
+        # trip is allocation- and copy-free.
         carried = args[0]
         captured = args[1:]
         arenas = state.arenas
@@ -301,7 +301,7 @@ def _compile_loop(node: Node, fusion: bool) -> _Op:
             idx[0, 0] = i
             outs, _ = sub_plan.execute(
                 [idx, carried, *captured], report=report, record=record,
-                arena=arenas[i & 1], donate="fallback",
+                arena=arenas[i & 1],
             )
             carried = outs[0]
             if carried is idx:

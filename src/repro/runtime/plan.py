@@ -32,24 +32,21 @@ The **arena** never affects the report: it changes where results are
 materialized (preallocated per-slot storage, written through the
 ``out=``-aware kernels), not what is modelled.  Arena-mode outputs alias
 the arena's buffers — the next execution through the same arena
-overwrites them; copy what you need to keep (``execute_batch`` and the
-Session layer do this for you).
+overwrites them; copy what you need to keep (the Session layer does
+this for you).
 
-Donated feeds
--------------
-``execute(..., donate=True)`` is the caller's declaration that the fed
-arrays are already Fortran-ordered and theirs to hand over for the call:
-instead of staging each feed into an arena input slot with a memcpy, the
-plan aliases the arrays into the slot table directly.  Input slots are
-never written by instructions (inputs stay live for the whole run), so
-the arrays are read, never mutated — "donation" buys the zero-copy
-aliasing, and in exchange the caller must not mutate the arrays during
-the call and must not assume outputs are independent of later reuse of
-the arena.  A feed that is not Fortran-contiguous would silently put
-downstream kernels back on numpy's mixed-layout buffering paths, so
-strict donation *raises* ``ValueError`` naming the offending input;
-``donate="fallback"`` copies such feeds instead (the mode the Session
-layer uses under ``validation="full"``).
+Feed binding: one rule
+----------------------
+Arena execution binds every feed the same way, wherever it comes from
+(a Session call, a loop body's carried value, a shard worker's
+shared-memory view): **alias the array when it is contiguous in its
+slot's declared order, otherwise copy it into that slot's persistent
+arena buffer**.  Input slots are never written by instructions (inputs
+stay live for the whole run), so an aliased array is read, never
+mutated; the caller must not mutate it during the call.  A feed in the
+wrong layout would silently put downstream kernels back on numpy's
+mixed-layout buffering paths, which is why it is staged instead —
+:attr:`PlanArena.bytes_copied` counts exactly those staging bytes.
 
 Slot layouts
 ------------
@@ -59,21 +56,21 @@ C-ordered when every instruction writing them measurably prefers a
 C destination: the tridiagonal row-scaling kernel updates *row slices*
 of its result, which against an F-ordered buffer degenerate into
 strided inner loops roughly twice as slow as the allocating path.  The
-per-slot order lives in :attr:`Plan.slot_orders`; donation checks feeds
-against the slot's declared order (a C-ordered input slot accepts —
-and aliases — the C-contiguous arrays tensors carry by default).
+per-slot order lives in :attr:`Plan.slot_orders`; the binding rule
+checks feeds against the slot's declared order (a C-ordered input slot
+aliases the C-contiguous arrays tensors carry by default).
 
-Pinned bindings
----------------
-Donation still pays per-call feed binding: the dict/positional walk of
-``_bind``, a layout flag check per input, and a fresh ``num_slots``-long
-slot list.  :meth:`Plan.bind_pinned` moves all of that to a one-time
-step: the caller's (already layout-correct) arrays are aliased into a
-*persistent* slot table and the resulting :class:`PinnedBinding` replays
-the serving loop with zero per-call binding work — the steady-state
-shape of a server that owns its input buffers and rewrites them in
-place between calls.  Used by ``Session.pin`` / ``Options(pin=True)``
-and by the shard workers' shared-memory input slots.
+Persistent bindings
+-------------------
+A :class:`PinnedBinding` is a *persistent* slot table over one arena:
+:meth:`PinnedBinding.rebind` applies the binding rule in place and
+:meth:`PinnedBinding.execute` replays the serving loop with no slot-list
+build and no accounting.  A Session keeps one per ``Concrete`` and
+rebinds it on every call; :meth:`Plan.bind_pinned` is the strict
+front door for callers that bind once and only rewrite the arrays'
+*contents* afterwards (the shard workers' shared-memory input slots) —
+there a feed the rule would have to copy is an error, because the copy
+would never be refreshed.
 """
 
 from __future__ import annotations
@@ -102,6 +99,30 @@ OutFn = Callable[[list, np.ndarray], np.ndarray]
 #: ``state`` (ping-pong child arenas + index buffer) so iterative
 #: workloads stay allocation-free after warmup.
 LoopFn = Callable[[list, np.ndarray, "LoopState", ExecutionReport, bool], np.ndarray]
+
+
+#: One execution's feeds: positional, or keyed by input name/position.
+FeedSet = Sequence[object] | Mapping[object, object]
+
+
+@dataclasses.dataclass
+class BatchResult:
+    """Outputs and per-feed reports of one plan run over many feed sets
+    (``Session.run_batch`` / ``ShardPool.run``)."""
+
+    outputs: list[list[np.ndarray]]
+    reports: list[ExecutionReport]
+
+    def __len__(self) -> int:
+        return len(self.outputs)
+
+    @property
+    def total_flops(self) -> int:
+        return sum(r.total_flops for r in self.reports)
+
+    def first_outputs(self) -> list[np.ndarray]:
+        """Column of each feed set's first graph output."""
+        return [outs[0] for outs in self.outputs]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -187,13 +208,18 @@ class SlotDescriptor:
     nbytes: int
 
 
+def _in_order(arr: np.ndarray, order: str) -> bool:
+    """Whether ``arr`` is contiguous in memory order ``order`` ("F"/"C")."""
+    return arr.flags.f_contiguous if order == "F" else arr.flags.c_contiguous
+
+
 class LoopState:
     """Persistent per-arena execution state of one ``loop`` instruction.
 
     Two child arenas, used ping-pong (iteration *i* executes through
     ``arenas[i & 1]``): the carried value coming out of one iteration
-    lives in one arena's buffers and can therefore be *donated* — aliased,
-    not copied — into the next iteration's feeds, because that iteration
+    lives in one arena's buffers and is therefore *aliased*, not copied,
+    into the next iteration's feeds, because that iteration
     writes only the other arena's (disjoint) buffers.  After both child
     arenas warm up, the loop performs zero ndarray allocations and zero
     carried-value copies per trip.  ``idx`` is the persistent ``(1, 1)``
@@ -241,8 +267,9 @@ class PlanArena:
     measurably prefers the opposite layout.
 
     An arena belongs to one execution stream: two threads must not
-    execute through the same arena concurrently (use one arena per
-    worker, as :func:`repro.runtime.batch.execute_batch` does).
+    execute through the same arena concurrently (the Session layer
+    guards each ``Concrete``'s arena with a lock; shard workers own one
+    arena per process).
     """
 
     __slots__ = ("buffers", "allocations", "bytes_copied", "loops",
@@ -262,9 +289,9 @@ class PlanArena:
         #: warm (asserted by the allocation-free regression test).
         self.allocations = 0
         #: Bytes memcpy'd into arena storage so far (feed staging, const
-        #: staging, compute-then-copy landings).  Donated feeds skip the
-        #: staging copies, which is what the ``bytes_copied_per_call``
-        #: benchmark metric measures.
+        #: staging, compute-then-copy landings).  Feeds the binding rule
+        #: aliases add nothing here, which is what the
+        #: ``bytes_copied_per_call`` benchmark metric measures.
         self.bytes_copied = 0
         #: ``id(instruction)`` → :class:`LoopState` for the plan's loop
         #: instructions (the state pins the instruction, keeping the id
@@ -273,7 +300,7 @@ class PlanArena:
         # Turbo-eligibility: the input-dtype tuple of the last completed
         # execution that needed no mixed-dtype fallback.  A later call
         # whose bound feeds match it can skip every per-instruction
-        # dtype/warmth check (see Plan.execute).
+        # dtype/warmth check (see PinnedBinding.execute).
         self._turbo_sig: tuple | None = None
         self._mixed = False
 
@@ -308,10 +335,7 @@ class PlanArena:
         external buffer.
         """
         order = self._orders[slot]
-        contiguous = (
-            array.flags.f_contiguous if order == "F" else array.flags.c_contiguous
-        )
-        if not contiguous:
+        if not _in_order(array, order):
             raise ValueError(
                 f"arena slot {slot} expects {order}-contiguous storage; "
                 f"got strides {array.strides} for shape {array.shape}"
@@ -500,36 +524,25 @@ class Plan:
     def bind_pinned(
         self, feeds: Sequence[np.ndarray], arena: PlanArena
     ) -> "PinnedBinding":
-        """Bind ``feeds`` into a persistent slot table (see *Pinned
-        bindings* in the module docstring).  Validates length, shapes
-        and per-slot layout once; the returned binding executes with no
-        per-call binding work.  The caller keeps ownership of the arrays
-        and may rewrite their *contents* between calls — identity and
-        layout are fixed for the binding's lifetime."""
-        # Same normalization as every other feed path (Tensor unwrap,
-        # 0-d/1-D promotion via reshape *views* — aliasing is preserved).
-        feeds = [_normalize_feed(f) for f in feeds]
-        if len(feeds) != len(self.inputs):
-            raise GraphError(
-                f"plan has {len(self.inputs)} inputs, got {len(feeds)} feeds"
-            )
-        for spec, arr in zip(self.inputs, feeds):
-            if tuple(arr.shape) != spec.shape:
-                raise GraphError(
-                    f"feed for {spec.name!r} has shape {arr.shape}, "
-                    f"input declares {spec.shape}"
-                )
+        """Bind ``feeds`` permanently into a persistent slot table (see
+        *Persistent bindings* in the module docstring).  Validates
+        length, shapes and per-slot layout once; the returned binding
+        executes with no per-call binding work.  The caller keeps
+        ownership of the arrays and may rewrite their *contents* between
+        calls — which is why a feed the binding rule would have to copy
+        raises here instead: the staged copy would go stale."""
+        binding = PinnedBinding(self, arena)
+        self._bind(feeds, binding.slots)
+        for spec in self.inputs:
             order = self.slot_orders[spec.slot]
-            contiguous = (
-                arr.flags.f_contiguous if order == "F" else arr.flags.c_contiguous
-            )
-            if not contiguous:
+            if not _in_order(binding.slots[spec.slot], order):
                 raise ValueError(
                     f"pinned feed for input {spec.name!r} must be "
                     f"{order}-contiguous — allocate it with "
                     f"np.empty(..., order={order!r}) (Session.pin does)"
                 )
-        return PinnedBinding(self, arena, feeds)
+        binding._sig = self._input_dtypes(binding.slots)
+        return binding
 
     # -- feed binding ---------------------------------------------------------
 
@@ -571,6 +584,27 @@ class Plan:
                     f"feed for {spec.name!r} has shape {arr.shape}, "
                     f"input declares {spec.shape}"
                 )
+
+    def _stage(self, slots: list, arena: PlanArena) -> None:
+        """The binding rule over already-bound input slots: arrays in
+        their slot's declared order stay aliased; the rest are copied
+        into the slot's persistent arena buffer — one memcpy that keeps
+        every downstream ufunc on the single-layout no-buffering path
+        and hands BLAS operands it can use without f2py's hidden
+        copies.  Values are unchanged, so outputs stay bit-identical."""
+        orders = self.slot_orders
+        for spec in self.inputs:
+            src = slots[spec.slot]
+            if _in_order(src, orders[spec.slot]):
+                continue
+            buf = arena.buffer(spec.slot, src.shape, src.dtype)
+            np.copyto(buf, src)
+            arena.bytes_copied += src.nbytes
+            slots[spec.slot] = buf
+
+    def _input_dtypes(self, slots: list) -> tuple:
+        """The turbo-certification signature of the bound feeds."""
+        return tuple(slots[spec.slot].dtype for spec in self.inputs)
 
     # -- execution ------------------------------------------------------------
 
@@ -636,150 +670,69 @@ class Plan:
         report: ExecutionReport | None = None,
         record: bool = True,
         arena: PlanArena | None = None,
-        donate: "bool | str" = False,
     ) -> tuple[list[np.ndarray], ExecutionReport]:
         """Run the plan; returns ``(outputs, report)`` like Interpreter.run.
 
         ``arena`` switches execution onto preallocated per-slot buffers
-        (see :class:`PlanArena`); outputs then alias arena storage and are
-        only valid until the next execution through the same arena.
-
-        ``donate`` (arena mode only) aliases already-Fortran-ordered
-        feeds straight into the slot table instead of memcpy'ing them
-        into arena input buffers — see *Donated feeds* in the module
-        docstring.  ``True`` raises :class:`ValueError` on a feed whose
-        layout would defeat the aliasing; ``"fallback"`` copies such
-        feeds instead.
+        (see :class:`PlanArena`) with feeds bound by the alias-else-copy
+        rule (module docstring); outputs then alias arena storage and
+        are only valid until the next execution through the same arena.
         """
         report = report if report is not None else ExecutionReport()
+        if arena is not None and not record:
+            # The serving loop lives in one place: a throwaway binding
+            # here, a persistent one per Concrete / shard ring entry.
+            binding = PinnedBinding(self, arena)
+            binding.rebind(feeds)
+            return binding.execute(), report
         slots: list = [None] * self.num_slots
         self._bind(feeds, slots)
-        if arena is not None:
-            if donate:
-                orders = self.slot_orders
-                for spec in self.inputs:
-                    src = slots[spec.slot]
-                    order = orders[spec.slot]
-                    if (src.flags.f_contiguous if order == "F"
-                            else src.flags.c_contiguous):
-                        continue  # aliased in place — the zero-copy path
-                    if donate != "fallback":
-                        kind, hint = (
-                            ("Fortran", "np.asfortranarray(...)")
-                            if order == "F"
-                            else ("C", "np.ascontiguousarray(...)")
-                        )
-                        raise ValueError(
-                            f"donate=True: feed for input {spec.name!r} is "
-                            f"not {kind}-contiguous — pass {hint} (or "
-                            "donate='fallback' to copy feeds the layout "
-                            "check rejects)"
-                        )
-                    buf = arena.buffer(spec.slot, src.shape, src.dtype)
-                    np.copyto(buf, src)
-                    arena.bytes_copied += src.nbytes
-                    slots[spec.slot] = buf
-            else:
-                # Stage feeds into the arena's F-ordered input buffers:
-                # one memcpy per input that (a) keeps every downstream
-                # ufunc on the single-layout no-buffering path and (b)
-                # hands BLAS F-contiguous operands it can use without
-                # f2py's hidden copies.  Values are unchanged, so outputs
-                # stay bit-identical.
-                for spec in self.inputs:
-                    src = slots[spec.slot]
-                    buf = arena.buffer(spec.slot, src.shape, src.dtype)
-                    np.copyto(buf, src)
-                    arena.bytes_copied += src.nbytes
-                    slots[spec.slot] = buf
-        elif donate:
-            raise GraphError(
-                "donate= only applies to arena execution; pass arena= "
-                "(per-call mode never copies feeds)"
-            )
-        bufs = arena.buffers if arena is not None else None
-        if record:
-            if bufs is not None:
-                # A recording pass can still (re)warm buffers, so it must
-                # take part in the turbo certification protocol (see the
-                # serving branch below): invalidate first, certify after.
-                sig = tuple(slots[spec.slot].dtype for spec in self.inputs)
-                arena._turbo_sig = None
-                arena._mixed = False
-            calls = report.calls
-            for inst in self.instructions:
-                args = [slots[s] for s in inst.arg_slots]
-                if bufs is None:
-                    result = inst.fn(args, report, record)
-                else:
-                    result = self._run_arena(inst, args, arena, bufs,
-                                             report, record)
-                slots[inst.out_slot] = result
-                if inst.calls:
-                    calls.extend(inst.calls)
-                if inst.fused_events is None:
-                    report.alloc(result.nbytes)
-                    for s in inst.free_slots:
-                        report.free(slots[s].nbytes)
-                        slots[s] = None
-                else:
-                    # Replay the fused members' original alloc/free
-                    # sequence so peak/live bytes match the Interpreter.
-                    isz = result.itemsize
-                    for e in inst.fused_events:
-                        if e >= 0:
-                            report.alloc(e * isz)
-                        else:
-                            report.free(-e * isz)
-                    for s in inst.free_slots:
-                        slots[s] = None
-            if bufs is not None and not arena._mixed:
-                arena._turbo_sig = sig
-        elif bufs is None:
+        if not record:
             for inst in self.instructions:
                 args = [slots[s] for s in inst.arg_slots]
                 slots[inst.out_slot] = inst.fn(args, report, record)
                 for s in inst.free_slots:
                     slots[s] = None
-        else:
-            # Serving path (arena, no accounting).  Once a full pass has
-            # completed with no mixed-dtype fallback, every buffer's
-            # shape/dtype is a pure function of the input dtypes — so a
-            # call whose bound feeds match that signature can run the
-            # *turbo* loop: precompiled fast dispatch, no per-instruction
-            # dtype/warmth checks, no slot clearing (arena buffers
-            # persist regardless).
-            sig = tuple(slots[spec.slot].dtype for spec in self.inputs)
-            if sig == arena._turbo_sig:
-                for fast, out_slot, arg_slots, inst, scratch in self._turbo_ops:
-                    args = [slots[s] for s in arg_slots]
-                    if fast is not None:
-                        if scratch is None:
-                            slots[out_slot] = fast(args, bufs[out_slot])
-                        else:
-                            slots[out_slot] = fast(
-                                args, bufs[out_slot], bufs[scratch]
-                            )
-                    else:
-                        slots[out_slot] = self._exec_into(
-                            inst, args, arena, report, record
-                        )
+            return [slots[s] for s in self.output_slots], report
+        bufs = None
+        if arena is not None:
+            self._stage(slots, arena)
+            bufs = arena.buffers
+            # A recording pass can (re)warm buffers, so it takes part in
+            # the turbo certification protocol (PinnedBinding.execute):
+            # invalidate first, certify after.
+            sig = self._input_dtypes(slots)
+            arena._turbo_sig = None
+            arena._mixed = False
+        calls = report.calls
+        for inst in self.instructions:
+            args = [slots[s] for s in inst.arg_slots]
+            if bufs is None:
+                result = inst.fn(args, report, record)
             else:
-                # General pass: per-instruction checks, and (re)warming
-                # as needed.  Invalidate the turbo signature first so an
-                # exception mid-pass can't leave a stale one pointing at
-                # half-rewarmed buffers; certify at the end.
-                arena._turbo_sig = None
-                arena._mixed = False
-                for inst in self.instructions:
-                    args = [slots[s] for s in inst.arg_slots]
-                    slots[inst.out_slot] = self._run_arena(
-                        inst, args, arena, bufs, report, record
-                    )
-                    for s in inst.free_slots:
-                        slots[s] = None
-                if not arena._mixed:
-                    arena._turbo_sig = sig
+                result = self._run_arena(inst, args, arena, bufs,
+                                         report, record)
+            slots[inst.out_slot] = result
+            if inst.calls:
+                calls.extend(inst.calls)
+            if inst.fused_events is None:
+                report.alloc(result.nbytes)
+                for s in inst.free_slots:
+                    report.free(slots[s].nbytes)
+                    slots[s] = None
+            else:
+                # Replay the fused members' original alloc/free
+                # sequence so peak/live bytes match the Interpreter.
+                isz = result.itemsize
+                for e in inst.fused_events:
+                    if e >= 0:
+                        report.alloc(e * isz)
+                    else:
+                        report.free(-e * isz)
+                for s in inst.free_slots:
+                    slots[s] = None
+        if bufs is not None and not arena._mixed:
+            arena._turbo_sig = sig
         return [slots[s] for s in self.output_slots], report
 
     def _run_arena(self, inst, args, arena, bufs, report, record):
@@ -853,34 +806,46 @@ def _rebuild_plan(payload: dict, fold_constants: bool, fusion: bool) -> Plan:
 
 
 class PinnedBinding:
-    """A plan + arena + permanently bound feed arrays (see *Pinned
-    bindings* in the module docstring).
+    """A plan + arena + persistent slot table (see *Persistent bindings*
+    in the module docstring).
 
-    The slot table is built once and **reused across calls**: inputs
-    stay aliased at their slots, and every other slot is rewritten by
-    its producing instruction before anything reads it (the schedule
+    The slot table is built once and **reused across calls**: inputs are
+    (re)bound at their slots, and every other slot is rewritten by its
+    producing instruction before anything reads it (the schedule
     guarantees write-before-read within a pass), so no per-call
-    clearing is needed.  Execution is the serving path (``record=False``)
+    clearing is needed.  Execution is the serving path (no accounting)
     — outputs alias arena storage and are valid until the next call.
     """
 
     __slots__ = ("plan", "arena", "slots", "_sig", "_report")
 
-    def __init__(
-        self, plan: Plan, arena: PlanArena, feeds: list[np.ndarray]
-    ) -> None:
+    def __init__(self, plan: Plan, arena: PlanArena) -> None:
         self.plan = plan
         self.arena = arena
         self.slots: list = [None] * plan.num_slots
-        for spec, arr in zip(plan.inputs, feeds):
-            self.slots[spec.slot] = arr
-        self._sig = tuple(arr.dtype for arr in feeds)
+        self._sig: tuple | None = None
         # One reusable report: the serving loop never records into it.
         self._report = ExecutionReport()
 
+    def rebind(
+        self, feeds: Sequence[object] | Mapping[object, object]
+    ) -> None:
+        """Bind this call's feeds in place by the alias-else-copy rule
+        (count and shapes validated as in :meth:`Plan.execute`)."""
+        plan = self.plan
+        plan._bind(feeds, self.slots)
+        plan._stage(self.slots, self.arena)
+        self._sig = plan._input_dtypes(self.slots)
+
     def execute(self) -> list[np.ndarray]:
         """One serving pass over the bound feeds; returns the outputs
-        (aliasing arena storage — copy what you keep)."""
+        (aliasing arena storage — copy what you keep).
+
+        Once a full pass has completed with no mixed-dtype fallback,
+        every buffer's shape/dtype is a pure function of the input
+        dtypes — so a call whose bound feeds match that signature runs
+        the *turbo* loop: precompiled fast dispatch, no per-instruction
+        dtype/warmth checks."""
         plan = self.plan
         arena = self.arena
         slots = self.slots

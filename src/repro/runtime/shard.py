@@ -1,11 +1,10 @@
 """Multi-process sharded plan execution: the GIL-free dispatch path.
 
-The thread-pooled :func:`~repro.runtime.batch.execute_batch` overlaps
-BLAS time (kernels release the GIL) but not *dispatch* time — on the
-dispatch-bound workloads this repo benchmarks, four threads run barely
-better than serial because every instruction step re-acquires the GIL.
-A :class:`ShardPool` removes the interpreter from the contention path
-entirely:
+Threads overlap BLAS time (kernels release the GIL) but not *dispatch*
+time — on the dispatch-bound workloads this repo benchmarks a thread
+pool ran slower than a plain loop, because every instruction step
+re-acquires the GIL.  A :class:`ShardPool` removes the interpreter from
+the contention path entirely:
 
 * **N worker processes**, each receiving the plan *by reconstruction*
   (a structural graph payload plus the compile knobs — see
@@ -72,8 +71,7 @@ import numpy as np
 from .. import faults
 from ..errors import GraphError
 from ..ir.interpreter import ExecutionReport, _normalize_feed
-from .batch import BatchResult, FeedSet
-from .plan import Plan
+from .plan import BatchResult, FeedSet, Plan
 
 __all__ = ["ShardPool", "ShardWorkerError", "default_shards"]
 
@@ -120,11 +118,7 @@ class _WaveTimeout(Exception):
 
 
 def default_shards() -> int:
-    """Shard count used when callers pass ``shards=True``-style defaults:
-    ``REPRO_BENCH_SHARDS`` if set, else CPU count capped at 4."""
-    env = os.environ.get("REPRO_BENCH_SHARDS")
-    if env:
-        return max(1, int(env))
+    """Shard count used when callers give none: CPU count capped at 4."""
     return max(1, min(4, os.cpu_count() or 1))
 
 
@@ -550,7 +544,7 @@ class ShardPool:
         streamed through the rings in waves of up to ``ring_slots``
         each; the parent writes every feed straight into the target
         shard's input slots and reads results straight out of its output
-        slots.  Returns a :class:`~repro.runtime.batch.BatchResult`
+        slots.  Returns a :class:`~repro.runtime.plan.BatchResult`
         whose outputs are parent-owned copies (reports are empty — the
         shard path is the serving path, ``record=False``).
         """

@@ -12,6 +12,10 @@ The topological order of :meth:`Graph.topological` is deterministic given
 structure (iterative DFS from the outputs in declaration order), so the
 per-node index assignment is canonical and no graph isomorphism search is
 needed.
+
+:func:`signature_digest` reduces a signature to a hex digest that is
+stable across processes — what the persistent plan store names its
+artifacts by.
 """
 
 from __future__ import annotations
@@ -67,3 +71,31 @@ def graph_signature(graph: Graph) -> tuple:
     )
     outputs = tuple(index_of[id(o)] for o in graph.outputs)
     return (nodes, inputs, outputs)
+
+
+def _canonical(value: Any) -> Any:
+    """Process-independent form of one signature component.
+
+    Signatures are nested tuples of primitives — except the property-
+    annotation *frozensets*, whose iteration (and hence ``repr``) order
+    follows per-process hash randomization.  Sorting their elements by
+    canonical repr makes the digest identical across runs, which is the
+    whole point of persisting it.
+    """
+    if isinstance(value, tuple):
+        return tuple(_canonical(v) for v in value)
+    if isinstance(value, frozenset):
+        return ("frozenset",) + tuple(
+            sorted(repr(_canonical(v)) for v in value)
+        )
+    return value
+
+
+def signature_digest(signature: tuple) -> str:
+    """Stable hex digest of a structural plan signature.
+
+    ndarray payloads are already reduced to content digests inside the
+    signature and set-valued attrs are canonicalized here, so equal
+    signatures digest equally in every process and across runs.
+    """
+    return hashlib.sha1(repr(_canonical(signature)).encode()).hexdigest()

@@ -1,9 +1,9 @@
 """Persistent content-addressed plan store — cross-run warm starts.
 
 The in-process :class:`~repro.runtime.cache.PlanCache` dedupes traces
-*within* a run; :mod:`repro.runtime.persist` proved the same signatures
-recur *across* runs and priced the recompiles.  This module closes that
-loop: compiled plans are persisted as versioned on-disk artifacts, so a
+*within* a run, but the same signatures recur *across* runs.  This
+module closes that loop: compiled plans are persisted as versioned
+on-disk artifacts, so a
 cold ``Session`` (or a freshly spawned shard worker) rebuilds a plan
 from the store instead of re-deriving it.
 
@@ -18,7 +18,7 @@ bench workload is ~3/4 of a cold build.  Artifacts are addressed two
 ways:
 
 * ``objects/<digest>-<fold><fuse>.plan`` — the canonical artifact,
-  keyed by :func:`~repro.runtime.persist.signature_digest` of the
+  keyed by :func:`~repro.runtime.signature.signature_digest` of the
   *optimized* graph's signature (exactly the :class:`PlanCache` key),
   holding a header (format version, runtime fingerprint, knobs, the
   creator's build cost) and the structural payload with large ndarray
@@ -62,7 +62,6 @@ import numpy as np
 from .. import faults
 from ..ir.graph import Graph
 from .compiler import compile_plan
-from .persist import signature_digest
 from .plan import Plan
 from .serialize import (
     PAYLOAD_VERSION,
@@ -71,7 +70,7 @@ from .serialize import (
     join_payload_consts,
     split_payload_consts,
 )
-from .signature import graph_signature
+from .signature import graph_signature, signature_digest
 
 __all__ = ["PlanStore", "StoreStats", "GCStats", "runtime_fingerprint",
            "STORE_FORMAT_VERSION", "DEFAULT_MMAP_THRESHOLD",

@@ -1,7 +1,7 @@
 """repro.serve — the async serving front-end over the compiled runtime.
 
 PRs 1–5 built the engine: compile-once plans, fused allocation-free
-arenas, zero-copy donation, pinned bindings and GIL-free multi-process
+arenas, alias-else-copy feed binding and GIL-free multi-process
 sharding.  This package is the *service* on top — the layer that turns
 independent caller requests into the feed waves that engine is fast at:
 

@@ -1,7 +1,7 @@
 """The serve bench: coalesced serving vs one-request-at-a-time.
 
-One function, :func:`serve_bench`, drives the same dispatch-bound
-workload the runtime bench uses (a chain of small GEMMs — the regime
+One function, :func:`serve_bench`, drives a dispatch-bound workload (a
+chain of small GEMMs — the regime
 where per-request overhead dominates and coalescing pays) through two
 configurations of the same :class:`~repro.serve.Server`:
 
@@ -21,9 +21,8 @@ executor hop and the result fan-out, so the measured ratio isolates
 what wave formation buys — and stays meaningful on a single-core CI
 runner, where cross-process sharding cannot add parallel speedup.
 
-Numbers are returned as a flat ``serve_*`` dict, merged into
-``BENCH_runtime.json`` by ``benchmarks/test_serve_bench.py`` and
-printed by ``laab serve-bench``.
+Numbers are returned as a flat ``serve_*`` dict, printed (and with
+``--json`` written) by ``laab serve-bench``.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ __all__ = ["ServeBenchResult", "serve_bench"]
 class ServeBenchResult:
     """Everything one serve-bench run produced."""
 
-    #: Flat ``serve_*`` keys for ``BENCH_runtime.json``.
+    #: Flat ``serve_*`` keys.
     numbers: dict
     sequential: LoadReport
     coalesced: LoadReport
@@ -78,7 +77,7 @@ class ServeBenchResult:
 
 
 def _workload(loops: int):
-    """The runtime bench's dispatch-bound chain, as serve feeds."""
+    """A dispatch-bound chain of small GEMMs, as serve feeds."""
     feeds = [random_general(16, seed=s) for s in (1, 2, 3)]
 
     def model(a, b, c):

@@ -20,8 +20,7 @@ streaming estimators that cost O(1) per request:
 * :class:`ServeMetrics` — the one bundle a :class:`~repro.serve.Server`
   owns: request/reject/cancel counters, end-to-end latency, coalesce
   queue wait, wave occupancy and queue depth, with ``snapshot()`` (flat
-  dict, JSON-ready — merged into ``BENCH_runtime.json`` by the serve
-  bench) and ``render()`` (human table, printed by ``laab serve-bench``
+  dict, JSON-ready — what the serve bench reads) and ``render()`` (human table, printed by ``laab serve-bench``
   next to the session's plan-cache stats).
 
 Everything takes a lock per record: recording happens on the event loop
@@ -258,8 +257,8 @@ class ServeMetrics:
         self.failure_causes[cause] = self.failure_causes.get(cause, 0) + 1
 
     def snapshot(self) -> dict:
-        """Flat JSON-ready dict (the serve bench merges this into
-        ``BENCH_runtime.json`` under ``serve_*`` keys)."""
+        """Flat JSON-ready dict (the serve bench reports it under
+        ``serve_*`` keys)."""
         return {
             "submitted": self.submitted,
             "completed": self.completed,

@@ -3,12 +3,10 @@
 The redesign reworked ``frameworks.common.CompiledFunction`` into a thin
 shim over ``repro.api``; these tests pin that the shim is *bit-identical*
 to the PR-1 behaviour — outputs and ``ExecutionReport`` s — and that the
-deprecation of ``default_plan_cache`` fires exactly once.
+deprecated ``default_plan_cache`` accessor is gone.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 import pytest
@@ -147,52 +145,17 @@ class TestShimSurface:
         assert f.last_report is not None
         assert f.profile is TF_PROFILE
 
-    def test_no_production_default_plan_cache_imports(self):
-        """Acceptance criterion: no production call site of
-        ``default_plan_cache`` outside the deprecation shim itself."""
-        import pathlib
-        import re
-
-        src = pathlib.Path(__file__).resolve().parents[1] / "src"
-        offenders = []
-        for path in src.rglob("*.py"):
-            if path.name == "cache.py" and path.parent.name == "runtime":
-                continue  # the shim's home
-            text = path.read_text()
-            for lineno, line in enumerate(text.splitlines(), 1):
-                if re.search(r"\bdefault_plan_cache\b", line) and \
-                        "_default_plan_cache" not in line:
-                    # the runtime package re-export stays (API surface)
-                    if path.name == "__init__.py" and \
-                            path.parent.name == "runtime":
-                        continue
-                    offenders.append(f"{path}:{lineno}: {line.strip()}")
-        assert not offenders, "\n".join(offenders)
-
-
-class TestDeprecation:
-    def test_default_plan_cache_warns_exactly_once(self, monkeypatch):
-        from repro.runtime import cache as cache_module
-        from repro.runtime import default_plan_cache
-
-        monkeypatch.setattr(cache_module, "_deprecation_warned", False)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            first = default_plan_cache()
-            second = default_plan_cache()
-        assert first is second is cache_module._default_plan_cache()
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert "Session" in str(deprecations[0].message)
-
-    def test_internal_accessor_never_warns(self):
+    def test_public_default_plan_cache_is_gone(self):
+        """The deprecated process-wide accessor finished its deprecation:
+        cache ownership is the Session's, and the default session adopts
+        the one process-wide instance through the internal accessor."""
+        import repro.runtime
+        from repro.api import default_session
         from repro.runtime import cache as cache_module
 
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            cache_module._default_plan_cache()
-        assert not caught
+        assert not hasattr(repro.runtime, "default_plan_cache")
+        assert not hasattr(cache_module, "default_plan_cache")
+        assert default_session().plan_cache is cache_module._default_plan_cache()
 
 
 class TestMeasureModeRegression:
@@ -222,7 +185,7 @@ class TestMeasureModeRegression:
 
     def test_reports_identical_across_shim_and_session_batch(self, operands):
         """ExecutionReports from the decorator path and session.run_batch
-        (record=True) agree call-for-call."""
+        agree call-for-call."""
         a, b = operands["A"], operands["B"]
 
         @tfsim.function
@@ -233,6 +196,6 @@ class TestMeasureModeRegression:
         session = api.Session()
         g = session.compile(lambda p, q: (p.T @ q).T @ (p.T @ q),
                             backend="tfsim")
-        batch = session.run_batch(g, [[a, b]] * 2, record=True)
+        batch = session.run_batch(g, [[a, b]] * 2)
         for report in batch.reports:
             assert report == f.last_report

@@ -65,7 +65,6 @@ class TestOptions:
         [
             {"pipeline": "turbo"},
             {"cache_capacity": 0},
-            {"batch_workers": -1},
             {"validation": "paranoid"},
             {"backend": ""},
         ],
@@ -73,6 +72,23 @@ class TestOptions:
     def test_bad_values_rejected(self, overrides):
         with pytest.raises(ConfigError):
             api.Options(**overrides).validate()
+
+    def test_retired_mode_knobs_are_gone(self):
+        """One call path: 14 fields, none selecting an execution mode
+        beyond ``fusion``/``arena``."""
+        import dataclasses
+        import inspect
+
+        names = [f.name for f in dataclasses.fields(api.Options)]
+        assert len(names) == 14
+        assert not {"donate_feeds", "pin", "batch_workers"} & set(names)
+        for gone in ({"donate_feeds": True}, {"pin": True},
+                     {"batch_workers": 2}):
+            with pytest.raises(TypeError):
+                api.Options(**gone)
+        assert list(inspect.signature(api.Session.run_batch).parameters) == [
+            "self", "fn", "feed_sets"
+        ]
 
     def test_replace_validates(self):
         with pytest.raises(ConfigError):
@@ -325,18 +341,12 @@ class TestRunBatch:
         session = api.Session()
         f = session.compile(gram, backend="tfsim")
         single = f(a, b)
-        batch = session.run_batch(f, [[a, b]] * 3, record=True)
+        batch = session.run_batch(f, [[a, b]] * 3)
         assert len(batch) == 3
         for outs in batch.outputs:
             assert outs[0].tobytes() == single.numpy().tobytes()
         assert len(batch.reports) == 3
-
-    def test_workers_from_options(self, operands):
-        a, b = operands["A"], operands["B"]
-        session = api.Session(batch_workers=2)
-        f = session.compile(gram)
-        batch = session.run_batch(f, [[a, b]] * 4)
-        assert len(batch) == 4
+        assert all(r is f.last_report for r in batch.reports)
 
     def test_empty_feed_sets(self, operands):
         session = api.Session()
@@ -520,18 +530,58 @@ class TestFusionArenaOptions:
     @pytest.mark.parametrize("arena", ["per-call", "preallocated"])
     def test_all_mode_combinations_match_interpreter(self, operands, fusion,
                                                      arena):
+        """The whole parity matrix: outputs bit-identical on every call,
+        and the report — recorded on call 1, cached afterwards — the
+        same object after calls 1, 2 and 5 and equal to the
+        interpreter's."""
         a, b = operands["A"], operands["B"]
         session = api.Session(fusion=fusion, arena=arena)
         f = session.compile(gram)
-        out = f(a, b)
-        report = f.last_report
+        outs, reports = [], []
+        for _ in range(5):
+            outs.append(f(a, b).numpy().tobytes())
+            reports.append(f.last_report)
         via_interp = f.interpret(a, b)
         interp_report = f.last_report
-        assert out.numpy().tobytes() == via_interp.numpy().tobytes()
+        assert set(outs) == {via_interp.numpy().tobytes()}
+        report = reports[0]
+        assert reports[1] is report and reports[4] is report
+        assert report.calls  # not the empty report the pinned path had
         assert report.total_flops == interp_report.total_flops
         assert report.peak_bytes == interp_report.peak_bytes
+        assert report.kernel_counts()["gemm"] == \
+            interp_report.kernel_counts()["gemm"]
         if not fusion:
-            assert report.calls == interp_report.calls
+            assert report == interp_report
+
+    @pytest.mark.parametrize("fusion", [False, True])
+    @pytest.mark.parametrize("arena", ["per-call", "preallocated"])
+    def test_only_the_first_call_accounts(self, operands, monkeypatch,
+                                          fusion, arena):
+        """One recording pass per Concrete: calls 2…N (single and
+        batched) never touch the report's memory model."""
+        from repro.ir.interpreter import ExecutionReport
+
+        a, b = operands["A"], operands["B"]
+        session = api.Session(fusion=fusion, arena=arena)
+        f = session.compile(gram)
+        events = []
+        real_alloc, real_free = ExecutionReport.alloc, ExecutionReport.free
+        monkeypatch.setattr(
+            ExecutionReport, "alloc",
+            lambda self, n: (events.append("alloc"), real_alloc(self, n))[1],
+        )
+        monkeypatch.setattr(
+            ExecutionReport, "free",
+            lambda self, n: (events.append("free"), real_free(self, n))[1],
+        )
+        f(a, b)
+        assert "alloc" in events and "free" in events
+        del events[:]
+        for _ in range(4):
+            f(a, b)
+        session.run_batch(f, [[a, b]] * 3)
+        assert events == []
 
     def test_repeated_arena_calls_return_independent_results(self, operands):
         """Arena buffers are reused internally, but results handed to the
@@ -590,7 +640,7 @@ class TestFusionArenaOptions:
             for i in range(4)
         ]
         ref = per_call.run_batch(per_call.compile(gram), feed_sets)
-        got = arena.run_batch(arena.compile(gram), feed_sets, workers=2)
+        got = arena.run_batch(arena.compile(gram), feed_sets)
         for r, g in zip(ref.outputs, got.outputs):
             assert r[0].tobytes() == g[0].tobytes()
 

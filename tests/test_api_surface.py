@@ -6,6 +6,7 @@ break the documented API.
 """
 
 import importlib
+import inspect
 
 import pytest
 
@@ -82,8 +83,8 @@ class TestPublicExports:
                            "available_backends", "current_session",
                            "default_session", "SessionStats", "PlanStats"]),
             ("repro.runtime", ["Plan", "PlanCache", "CacheStats",
-                               "compile_plan", "execute_batch",
-                               "graph_signature", "default_plan_cache"]),
+                               "compile_plan", "BatchResult",
+                               "PinnedBinding", "graph_signature"]),
             ("repro.bench", ["measure", "bootstrap_compare", "TimingSample",
                              "ExperimentTable", "format_seconds"]),
         ],
@@ -133,3 +134,70 @@ class TestPublicExports:
             obj = getattr(k, name)
             if callable(obj):
                 assert obj.__doc__, f"repro.kernels.{name} lacks a docstring"
+
+
+class TestBenchmarkProbeSurface:
+    """``benchmarks/e2e/laab_e2e/layers.py`` attributes a call's time to
+    layers by calling these runtime entry points with these keywords; a
+    later collapse must not silently null the per-layer metrics."""
+
+    @staticmethod
+    def _params(fn):
+        return inspect.signature(fn).parameters
+
+    def _assert_keywords(self, fn, positional, keywords):
+        params = self._params(fn)
+        assert list(params)[:len(positional)] == positional
+        for name in keywords:
+            assert params[name].kind is inspect.Parameter.KEYWORD_ONLY, name
+
+    def test_compile_and_cache(self):
+        from repro.runtime import PlanCache, compile_plan
+
+        self._assert_keywords(compile_plan, ["graph"], ["fusion"])
+        self._assert_keywords(PlanCache.get, ["self", "graph"], ["fusion"])
+
+    def test_plan_execution(self):
+        from repro.runtime import PinnedBinding, Plan, PlanArena
+
+        self._assert_keywords(Plan.execute, ["self", "feeds"],
+                              ["record", "arena"])
+        # Feeds bind by one rule; there is no mode to ask for.
+        assert "donate" not in self._params(Plan.execute)
+        assert list(self._params(Plan.new_arena)) == ["self"]
+        assert list(self._params(Plan.bind_pinned)) == ["self", "feeds", "arena"]
+        assert list(self._params(PinnedBinding.execute)) == ["self"]
+        assert "slot_orders" in Plan.__slots__
+        assert "bytes_copied" in PlanArena.__slots__
+
+    def test_plan_store(self):
+        from repro.runtime import PlanStore
+
+        self._assert_keywords(
+            PlanStore.trace_key, ["self", "graph"],
+            ["backend", "pipeline", "fold_constants", "fusion"],
+        )
+        assert list(self._params(PlanStore.put_plan))[:2] == ["self", "plan"]
+        assert list(self._params(PlanStore.put_alias))[:3] == [
+            "self", "trace_key", "plan_key"
+        ]
+        assert list(self._params(PlanStore.load_graph))[:2] == [
+            "self", "trace_key"
+        ]
+
+    def test_shard_pool(self):
+        from repro.runtime import ShardPool
+
+        self._assert_keywords(ShardPool.__init__, ["self", "plan"],
+                              ["shards", "dtype"])
+        assert list(self._params(ShardPool.run)) == ["self", "feed_sets"]
+
+    def test_retired_entry_points_do_not_import(self):
+        import repro.runtime
+
+        for name in ("execute_batch", "default_plan_cache"):
+            assert not hasattr(repro.runtime, name)
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.runtime.persist")
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.runtime.batch")

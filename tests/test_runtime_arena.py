@@ -135,7 +135,7 @@ class TestLoopBodies:
         tracemalloc.stop()
         assert sum(s.size for s in snap.statistics("lineno")) == 0
 
-    def test_loop_carried_value_is_donated_not_copied(self):
+    def test_loop_carried_value_is_aliased_not_copied(self):
         """After warmup an iteration stages nothing: the carried value and
         the captures alias arena buffers across the loop boundary."""
         graph, feeds = self._power_iteration()
@@ -200,8 +200,12 @@ class TestStructuredKernels:
         )
         tracemalloc.stop()
         assert sum(s.size for s in snap.statistics("lineno")) == 0
-        # No compute-then-copy landings: the only copies are feed staging.
-        per_call = sum(f.nbytes for f in feeds)
+        # No compute-then-copy landings: the only copies stage the feeds
+        # whose (C) layout differs from their slot's declared order.
+        per_call = sum(
+            f.nbytes for spec, f in zip(plan.inputs, feeds)
+            if plan.slot_orders[spec.slot] == "F"
+        )
         assert arena.bytes_copied == staged + 5 * per_call
 
 

@@ -218,6 +218,28 @@ class TestPromotion:
         assert at.speedup_pct > 0.0
         assert np.array_equal(out.data, want)
 
+    @pytest.mark.parametrize("arena", ["per-call", "preallocated"])
+    def test_promotion_re_records_the_cached_report(self, arena):
+        """The report is a constant of (concrete, plan): swapping the
+        plan in must drop the canonical report, or ``last_report`` would
+        keep advertising the FLOPs the promotion just removed."""
+        (a, b, x), want = _int_chain()
+        with api.Session(arena=arena, autotune={
+            "hot_threshold": 3, "budget_seconds": 0.05,
+        }) as session:
+            chain = session.compile(_chain_fn)
+            chain(a, b, x)
+            canonical = chain.last_report
+            for _ in range(4):
+                chain(a, b, x)
+            assert session.stats().autotune.promotions == 1
+            out = chain(a, b, x)
+            tuned = chain.last_report
+            assert chain(a, b, x) is not None and chain.last_report is tuned
+        assert np.array_equal(out.data, want)
+        assert tuned is not canonical
+        assert tuned.total_flops < canonical.total_flops
+
     def test_below_threshold_never_tunes(self):
         (a, b, x), _ = _int_chain(n=16)
         with api.Session(autotune={"hot_threshold": 50}) as session:

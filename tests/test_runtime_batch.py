@@ -1,162 +1,164 @@
-"""Batched execution of one plan over many feed sets."""
+"""``Session.run_batch``: one compiled function over many feed sets — a
+plain loop over the same warm executor single calls use."""
 
 from __future__ import annotations
+
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from repro import api
 from repro.errors import GraphError
-from repro.ir import trace
-from repro.passes import default_pipeline
-from repro.runtime import compile_plan, execute_batch
+from repro.runtime import PinnedBinding
 from repro.tensor import random_general
 
+ARENAS = ["per-call", "preallocated"]
 
-@pytest.fixture
-def plan_and_feeds():
-    fn = lambda a, b: (a.T @ b).T @ (a.T @ b)  # noqa: E731
-    a0 = random_general(12, seed=1)
-    b0 = random_general(12, seed=2)
-    graph = default_pipeline().run(trace(fn, [a0, b0]))
-    plan = compile_plan(graph)
-    feed_sets = [
-        [random_general(12, seed=100 + i).data,
-         random_general(12, seed=200 + i).data]
-        for i in range(6)
+
+def gram(a, b):
+    return (a.T @ b).T @ (a.T @ b)
+
+
+def _feed_sets(count=6, n=12):
+    return [
+        [random_general(n, seed=100 + i), random_general(n, seed=200 + i)]
+        for i in range(count)
     ]
-    return plan, feed_sets
 
 
-def test_sequential_matches_single_runs(plan_and_feeds):
-    plan, feed_sets = plan_and_feeds
-    batch = execute_batch(plan, feed_sets)
+def _expected(feed_sets):
+    with api.Session() as plain:
+        f = plain.compile(gram)
+        return [f(*feeds).data.tobytes() for feeds in feed_sets]
+
+
+@pytest.fixture(params=ARENAS)
+def session(request):
+    with api.Session(arena=request.param, fusion=True) as s:
+        yield s
+
+
+def test_matches_single_runs(session):
+    feed_sets = _feed_sets()
+    batch = session.run_batch(session.compile(gram), feed_sets)
     assert len(batch) == len(feed_sets)
-    for feeds, outs in zip(feed_sets, batch.outputs):
-        single, _ = plan.execute(feeds, record=False)
-        assert outs[0].tobytes() == single[0].tobytes()
+    assert [outs[0].tobytes() for outs in batch.outputs] == _expected(feed_sets)
+    # Outputs are detached copies, not views of shared arena storage.
+    assert batch.outputs[0][0].base is None
 
 
-def test_threaded_matches_sequential(plan_and_feeds):
-    plan, feed_sets = plan_and_feeds
-    seq = execute_batch(plan, feed_sets, workers=1)
-    par = execute_batch(plan, feed_sets, workers=4)
-    for s, p in zip(seq.outputs, par.outputs):
-        assert s[0].tobytes() == p[0].tobytes()
+def test_reports_are_the_one_cached_report(session):
+    feed_sets = _feed_sets(3)
+    f = session.compile(gram)
+    f(*feed_sets[0])
+    batch = session.run_batch(f, feed_sets)
+    assert all(r is f.last_report for r in batch.reports)
+    assert f.last_report.calls
+    assert batch.total_flops == f.last_report.total_flops * len(feed_sets)
 
 
-def test_recorded_batch_reports_match_single(plan_and_feeds):
-    plan, feed_sets = plan_and_feeds
-    batch = execute_batch(plan, feed_sets, workers=3, record=True)
-    _, ref = plan.execute(feed_sets[0])
-    for report in batch.reports:
-        assert report.calls == ref.calls
-        assert report.peak_bytes == ref.peak_bytes
-    assert batch.total_flops == ref.total_flops * len(feed_sets)
-
-
-def test_record_off_by_default(plan_and_feeds):
-    plan, feed_sets = plan_and_feeds
-    batch = execute_batch(plan, feed_sets[:2])
-    assert all(r.calls == [] for r in batch.reports)
-
-
-def test_first_outputs_helper(plan_and_feeds):
-    plan, feed_sets = plan_and_feeds
-    batch = execute_batch(plan, feed_sets[:3])
+def test_first_outputs_helper(session):
+    batch = session.run_batch(session.compile(gram), _feed_sets(3))
     firsts = batch.first_outputs()
     assert len(firsts) == 3
     assert all(isinstance(f, np.ndarray) for f in firsts)
 
 
-def test_empty_batch(plan_and_feeds):
-    plan, _ = plan_and_feeds
-    batch = execute_batch(plan, [])
+def test_empty_batch(session):
+    batch = session.run_batch(session.compile(gram), [])
     assert len(batch) == 0 and batch.total_flops == 0
-
-
-def test_negative_workers_rejected(plan_and_feeds):
-    plan, feed_sets = plan_and_feeds
-    with pytest.raises(GraphError):
-        execute_batch(plan, feed_sets, workers=-1)
-
-
-def test_unknown_arena_mode_rejected(plan_and_feeds):
-    plan, feed_sets = plan_and_feeds
-    with pytest.raises(GraphError):
-        execute_batch(plan, feed_sets, arena="bogus")
-
-
-# -- preallocated-arena batches -----------------------------------------------
-
-
-@pytest.mark.parametrize("workers", [None, 4], ids=["sequential", "threaded"])
-def test_arena_batch_matches_per_call(plan_and_feeds, workers):
-    """One reused arena per worker must not let feeds bleed into each
-    other: every feed's outputs are bit-identical to a standalone run."""
-    plan, feed_sets = plan_and_feeds
-    batch = execute_batch(plan, feed_sets, workers=workers,
-                          arena="preallocated")
-    for feeds, outs in zip(feed_sets, batch.outputs):
-        single, _ = plan.execute(feeds, record=False)
-        assert outs[0].tobytes() == single[0].tobytes()
-    # Outputs are detached copies, not views of shared arena storage.
-    assert batch.outputs[0][0].base is None
-
-
-def test_arena_batch_reports_match(plan_and_feeds):
-    plan, feed_sets = plan_and_feeds
-    ref = execute_batch(plan, feed_sets, record=True)
-    arena = execute_batch(plan, feed_sets, record=True, arena="preallocated")
-    for r, a in zip(ref.reports, arena.reports):
-        assert r.calls == a.calls
-        assert r.peak_bytes == a.peak_bytes
 
 
 # -- failure paths ------------------------------------------------------------
 #
 # A feed set that raises mid-batch must surface the error and leave the
-# system reusable: earlier/other feeds' results untouched, worker arenas
-# uncorrupted (every slot is fully rewritten by the next run).
+# system reusable: results handed out earlier untouched, the executor's
+# slot table and buffers valid (every slot is rewritten by the next run).
 
 
-def _bad_feed_sets(feed_sets):
+def test_bad_feed_surfaces_and_leaves_executor_valid(session):
+    feed_sets = _feed_sets()
+    expected = _expected(feed_sets)
+    f = session.compile(gram)
+    earlier = session.run_batch(f, feed_sets)
     bad = list(feed_sets)
-    bad[3] = [random_general(5, seed=9).data, random_general(5, seed=10).data]
-    return bad
-
-
-@pytest.mark.parametrize("workers", [None, 4], ids=["sequential", "threaded"])
-@pytest.mark.parametrize("arena", ["per-call", "preallocated"])
-def test_raising_feed_surfaces_error(plan_and_feeds, workers, arena):
-    plan, feed_sets = plan_and_feeds
+    bad[3] = [random_general(5, seed=9), random_general(5, seed=10)]
     with pytest.raises(GraphError):
-        execute_batch(plan, _bad_feed_sets(feed_sets), workers=workers,
-                      arena=arena)
+        session.run_batch(f, bad)
+    assert [outs[0].tobytes() for outs in earlier.outputs] == expected
+    again = session.run_batch(f, feed_sets)
+    assert [outs[0].tobytes() for outs in again.outputs] == expected
+    assert f(*feed_sets[2]).data.tobytes() == expected[2]
 
 
-@pytest.mark.parametrize("workers", [None, 4], ids=["sequential", "threaded"])
-@pytest.mark.parametrize("arena", ["per-call", "preallocated"])
-def test_failed_batch_does_not_corrupt_later_runs(plan_and_feeds, workers,
-                                                  arena):
-    plan, feed_sets = plan_and_feeds
-    expected = [plan.execute(feeds, record=False)[0][0].tobytes()
-                for feeds in feed_sets]
-    with pytest.raises(GraphError):
-        execute_batch(plan, _bad_feed_sets(feed_sets), workers=workers,
-                      arena=arena)
-    # The same call path, rerun with good feeds, yields pristine results.
-    batch = execute_batch(plan, feed_sets, workers=workers, arena=arena)
-    assert [outs[0].tobytes() for outs in batch.outputs] == expected
+def test_failure_inside_execution_releases_the_executor(monkeypatch):
+    """An error raised *inside* the serving pass (after the feeds were
+    bound, under the executor's lock) propagates and leaves the lock
+    free and the buffers reusable."""
+    feed_sets = _feed_sets()
+    expected = _expected(feed_sets)
+    with api.Session(arena="preallocated", fusion=True) as s:
+        f = s.compile(gram)
+        f(*feed_sets[0])  # the recording pass; later calls serve
+        real = PinnedBinding.execute
+        calls = []
+
+        def flaky(binding):
+            calls.append(binding)
+            if len(calls) == 3:
+                raise RuntimeError("kernel blew up")
+            return real(binding)
+
+        monkeypatch.setattr(PinnedBinding, "execute", flaky)
+        with pytest.raises(RuntimeError, match="blew up"):
+            s.run_batch(f, feed_sets)
+        monkeypatch.setattr(PinnedBinding, "execute", real)
+        assert f.get_concrete(*feed_sets[0]).lock.acquire(blocking=False)
+        f.get_concrete(*feed_sets[0]).lock.release()
+        batch = s.run_batch(f, feed_sets)
+        assert [outs[0].tobytes() for outs in batch.outputs] == expected
 
 
-def test_mid_execution_failure_in_threaded_batch(plan_and_feeds):
-    """An error raised *inside* plan execution (not at bind time) also
-    propagates cleanly out of the pool."""
-    plan, feed_sets = plan_and_feeds
-    poisoned = list(feed_sets)
-    poisoned[2] = {"nope": feed_sets[2][0]}
-    with pytest.raises(GraphError):
-        execute_batch(plan, poisoned, workers=3, arena="preallocated")
-    batch = execute_batch(plan, feed_sets, workers=3, arena="preallocated")
-    single, _ = plan.execute(feed_sets[2], record=False)
-    assert batch.outputs[2][0].tobytes() == single[0].tobytes()
+# -- concurrency --------------------------------------------------------------
+
+
+def test_batches_and_single_calls_interleave_on_one_executor():
+    """The executor's lock is taken per feed, so batches and single
+    calls from more threads than cores share one slot table without
+    ever seeing each other's feeds."""
+    threads_n = 4
+    per_thread = [_feed_sets(4, n=12) for _ in range(threads_n)]
+    for t, sets in enumerate(per_thread):  # distinct data per thread
+        for feeds in sets:
+            feeds[0].data[...] += t
+    expected = [_expected(sets) for sets in per_thread]
+    errors: list = []
+    with api.Session(arena="preallocated", fusion=True) as s:
+        f = s.compile(gram)
+
+        def worker(t):
+            try:
+                for _ in range(15):
+                    batch = s.run_batch(f, per_thread[t])
+                    got = [outs[0].tobytes() for outs in batch.outputs]
+                    single = f(*per_thread[t][1]).data.tobytes()
+                    if got != expected[t] or single != expected[t][1]:
+                        errors.append(t)
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(t,))
+                       for t in range(threads_n)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(th.is_alive() for th in threads)
+    assert errors == []

@@ -12,7 +12,8 @@ import pytest
 
 from repro.frameworks import pytsim, tfsim
 from repro.ir import Graph, builder, trace
-from repro.runtime import PlanCache, default_plan_cache, graph_signature
+from repro.runtime import PlanCache, compile_plan, graph_signature
+from repro.runtime.signature import signature_digest
 from repro.tensor import random_general
 from repro.tensor.properties import Property
 
@@ -92,6 +93,37 @@ class TestGraphSignature:
         g_one = Graph([total], inputs=[a, b])
         g_two = Graph([prod, total], inputs=[a, b])
         assert graph_signature(g_one) != graph_signature(g_two)
+
+
+class TestSignatureDigest:
+    """The digest the plan store names artifacts by must be stable
+    across processes, i.e. independent of hash randomization."""
+
+    @staticmethod
+    def _graph(scale=2.0):
+        ops = [random_general(8, seed=1), random_general(8, seed=2)]
+        return trace(lambda a, b: scale * (a @ b) + a, ops)
+
+    def test_equal_signatures_equal_digests(self):
+        s1 = compile_plan(self._graph()).signature
+        s2 = compile_plan(self._graph()).signature
+        assert s1 == s2
+        assert signature_digest(s1) == signature_digest(s2)
+
+    def test_different_graphs_differ(self):
+        s1 = compile_plan(self._graph(scale=2.0)).signature
+        s2 = compile_plan(self._graph(scale=3.0)).signature
+        assert signature_digest(s1) != signature_digest(s2)
+
+    def test_frozenset_order_independent(self):
+        # Property sets iterate in hash-randomized order; the digest must
+        # not depend on it (this is what makes digests stable across
+        # interpreter invocations).
+        a = ("x", frozenset({Property.SPD, Property.SYMMETRIC,
+                             Property.SQUARE}))
+        b = ("x", frozenset({Property.SQUARE, Property.SYMMETRIC,
+                             Property.SPD}))
+        assert signature_digest(a) == signature_digest(b)
 
 
 class TestPlanCache:
@@ -305,9 +337,6 @@ class TestFrameworkIntegration:
         plan_tf = f.get_concrete(a, b).plan
         plan_pyt = g.get_concrete(a, b).plan
         assert plan_tf is plan_pyt
-
-    def test_default_cache_is_processwide(self):
-        assert default_plan_cache() is default_plan_cache()
 
     def test_call_results_unchanged_by_cache_hits(self, operands):
         @tfsim.function

@@ -1,5 +1,5 @@
 """Pinned storage: PinnedBinding, Plan.pin_slot/arena.install, per-slot
-layout orders, and the Session.pin / Options(pin=True) fast path.
+layout orders, and Session.pin tensors through the arena binding.
 
 Contracts under test:
 
@@ -11,11 +11,12 @@ Contracts under test:
   instructions write the slot's value straight into it, and a pinned
   slot refuses to be silently reallocated away.
 * The compiler's per-slot memory orders: BLAS destinations stay "F",
-  tridiagonal destinations/operands go "C", and donation checks feeds
-  against the slot's declared order.
-* ``Session.pin`` + ``Options(pin=True)``: repeated same-identity calls
-  ride one cached binding; a new identity rebinds; results always match
-  the unpinned session.
+  tridiagonal destinations/operands go "C", and the binding rule checks
+  feeds against the slot's declared order.
+* ``Session.pin``: pinned tensors already have their slot's layout, so
+  every call aliases them (``bytes_copied`` never grows) and in-place
+  rewrites flow into the next call; results always match a per-call
+  session.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from repro.ir import Interpreter, trace
 from repro.passes import aware_pipeline, default_pipeline
 from repro.runtime import compile_plan
 from repro.tensor import (
+    Tensor,
     random_general,
     random_lower_triangular,
     random_tridiagonal,
@@ -140,26 +142,39 @@ class TestSlotOrdersAndPinning:
         plan = compile_plan(graph, fusion=True)
         assert set(plan.slot_orders) == {"F"}
 
-    def test_donation_respects_slot_order(self):
+    def test_binding_rule_respects_slot_order(self):
         graph, feeds = _structured_workload()
         plan = compile_plan(graph, fusion=True)
         arena = plan.new_arena()
         ordered = _ordered_feeds(plan, feeds)
         out_ref, _ = plan.execute(feeds, record=False)
-        outs, _ = plan.execute(ordered, record=False, arena=arena,
-                               donate=True)
-        assert np.array_equal(outs[0], out_ref[0])
-        before = arena.bytes_copied
-        plan.execute(ordered, record=False, arena=arena, donate=True)
-        assert arena.bytes_copied == before
-        # The tridiagonal RHS slot is C-ordered: an F-only array fails
-        # strict donation with the C hint.
+        for _ in range(2):
+            outs, _ = plan.execute(ordered, record=False, arena=arena)
+            assert np.array_equal(outs[0], out_ref[0])
+        assert arena.bytes_copied == 0
+        # The tridiagonal RHS slot is C-ordered: an F-only array there is
+        # the one that gets staged.
         wrong = list(ordered)
-        b_spec = plan.inputs[2]
         wrong[2] = np.asfortranarray(feeds[2])
-        with pytest.raises(ValueError, match="C-contiguous"):
-            plan.execute(wrong, record=False, arena=arena, donate=True)
-        del b_spec
+        outs, _ = plan.execute(wrong, record=False, arena=arena)
+        assert np.array_equal(outs[0], out_ref[0])
+        assert arena.bytes_copied == feeds[2].nbytes
+
+    def test_c_slot_aliases_default_tensor(self):
+        """A tridiagonal input's slot is C-ordered, so the C-contiguous
+        array a ``Tensor`` carries by default is aliased, not staged —
+        while the same tensor against TRMM's F slot is copied."""
+        graph, feeds = _structured_workload()
+        plan = compile_plan(graph, fusion=True)
+        tensors = [Tensor(f) for f in feeds]
+        assert all(t.data.flags.c_contiguous for t in tensors)
+        arena = plan.new_arena()
+        plan.execute(tensors, record=False, arena=arena)
+        l_spec, t_spec, b_spec = plan.inputs
+        assert arena.buffers[t_spec.slot] is None
+        assert arena.buffers[b_spec.slot] is None
+        assert arena.buffers[l_spec.slot] is not None
+        assert arena.bytes_copied == feeds[0].nbytes
 
     def test_pin_slot_writes_through_external_buffer(self):
         graph, feeds = _dispatch_workload()
@@ -213,13 +228,8 @@ class TestSlotOrdersAndPinning:
 
 
 class TestSessionPin:
-    def test_options_validation(self):
-        with pytest.raises(ConfigError, match="pin"):
-            api.Options(pin=True).validate()
-        api.Options(pin=True, arena="preallocated").validate()
-
     def test_pin_registry(self):
-        with api.Session(arena="preallocated", pin=True) as s:
+        with api.Session(arena="preallocated") as s:
             t1 = s.pin("x", (8, 8))
             t2 = s.pin("x", (8, 8))
             assert t1 is t2
@@ -228,16 +238,17 @@ class TestSessionPin:
             with pytest.raises(ConfigError, match="already exists"):
                 s.pin("x", (4, 4))
 
-    def test_pinned_calls_match_unpinned_session(self):
+    def test_pinned_calls_alias_and_match_per_call_session(self):
         A, B, C = (random_general(16, seed=s) for s in (1, 2, 3))
 
         def fn(a, b, c):
             return (a @ b + c) @ a.T
 
-        with api.Session(fusion=True, arena="preallocated") as plain:
-            ref = plain.run(plain.compile(fn), A, B, C)
+        with api.Session() as plain:
+            g = plain.compile(fn)
+            ref, ref2 = g(A, B, C), g(C, B, C)
 
-        with api.Session(fusion=True, arena="preallocated", pin=True) as s:
+        with api.Session(fusion=True, arena="preallocated") as s:
             f = s.compile(fn)
             a = s.pin("a", (16, 16))
             b = s.pin("b", (16, 16))
@@ -245,59 +256,30 @@ class TestSessionPin:
             np.copyto(a.data, A.data)
             np.copyto(b.data, B.data)
             np.copyto(c.data, C.data)
-            r1 = f(a, b, c)
-            r2 = f(a, b, c)  # steady state: cached binding
             concrete = f.get_concrete(a, b, c)
-            assert concrete.pinned_binding is not None
-            binding = concrete.pinned_binding
-            assert np.array_equal(r1.data, ref.data)
-            assert np.array_equal(r2.data, ref.data)
+            binding = concrete.binding
+            for _ in range(3):
+                assert np.array_equal(f(a, b, c).data, ref.data)
             # In-place rewrite flows into the next call.
             np.copyto(a.data, C.data)
-            with api.Session(fusion=True, arena="preallocated") as plain:
-                ref2 = plain.run(plain.compile(fn), C, B, C)
             assert np.array_equal(f(a, b, c).data, ref2.data)
-            assert concrete.pinned_binding is binding  # no rebind
+            # One persistent slot table, and pins never staged a byte.
+            assert concrete.binding is binding
+            assert binding.arena.bytes_copied == 0
+            assert binding.slots[concrete.plan.inputs[0].slot] is a.data
 
-    def test_identity_change_rebinds(self):
+    def test_strided_feed_is_copied_and_correct(self):
         A, B = random_general(8, seed=1), random_general(8, seed=2)
-
-        def fn(a, b):
-            return a @ b
-
-        with api.Session(fusion=True, arena="preallocated", pin=True) as s:
-            f = s.compile(fn)
-            r1 = f(A, B)
-            concrete = f.get_concrete(A, B)
-            first = concrete.pinned_binding
-            other = random_general(8, seed=3)
-            r2 = f(other, B)
-            assert concrete.pinned_binding is not first or \
-                concrete.pinned_key != tuple(map(id, [A.data, B.data]))
-            assert np.array_equal(r1.data, (A @ B).data)
-            assert np.array_equal(r2.data, (other @ B).data)
-
-    def test_strict_donation_surfaces_layout_error(self):
-        A, B = random_general(8, seed=1), random_general(8, seed=2)
-
-        with api.Session(fusion=True, arena="preallocated", pin=True,
-                         donate_feeds=True) as s:
-            f = s.compile(lambda a, b: a @ b + a)
-            # Tensor data is C-ordered against F slots: under *strict*
-            # donation the pinned path must raise, not silently copy.
-            with pytest.raises(ValueError, match="contiguous"):
-                f(A, B)
-
-    def test_non_contiguous_feed_falls_back_correctly(self):
-        A, B = random_general(8, seed=1), random_general(8, seed=2)
+        wide = np.zeros((8, 16), dtype=A.dtype)
+        wide[:, ::2] = A.data
 
         def fn(a, b):
             return a @ b + a
 
-        with api.Session(fusion=True, arena="preallocated", pin=True) as s:
+        with api.Session(fusion=True, arena="preallocated") as s:
             f = s.compile(fn)
-            # Tensors wrap ascontiguousarray'd data, so feeds here are
-            # C-ordered against F slots: the pinned path must fall back
-            # to fallback-donation and stay correct.
-            r = f(A, B)
-            assert np.array_equal(r.data, (A @ B + A).data)
+            strided = Tensor(wide[:, ::2])
+            assert not strided.data.flags.c_contiguous
+            for _ in range(2):
+                r = f(strided, B)
+                assert np.array_equal(r.data, (A @ B + A).data)

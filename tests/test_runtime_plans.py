@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import api
 from repro.frameworks import tfsim
 from repro.ir import Interpreter, trace
 from repro.passes import aware_pipeline, default_pipeline
@@ -262,3 +263,70 @@ def test_compiled_function_call_matches_interpret(operands):
     assert via_plan.numpy().tobytes() == via_interp.numpy().tobytes()
     assert report_plan.calls == report_interp.calls
     assert report_plan.peak_bytes == report_interp.peak_bytes
+
+
+# -- the Session call path over the same suite ---------------------------------
+
+
+def _as_bytes(result) -> list[bytes]:
+    tensors = result if isinstance(result, tuple) else (result,)
+    return [t.numpy().tobytes() for t in tensors]
+
+
+@pytest.mark.parametrize("mode", MODES, ids=list(MODES))
+@pytest.mark.parametrize("pipe", ["default", "aware"])
+@pytest.mark.parametrize("case", CASES, ids=list(CASES))
+def test_session_call_path_matches_interpreter(case, pipe, mode, operands):
+    """A ``Concrete`` has one way to run per arena mode: call 1 records,
+    later calls (and ``run_batch``) serve and hand the cached report
+    back — bit- and report-identical to the interpreter on every
+    workload shape, in the whole ``fusion × arena`` matrix."""
+    fn, keys = CASES[case]
+    args = [operands[k] for k in keys]
+    fusion, use_arena = MODES[mode]
+    with api.Session(
+        pipeline=pipe, fusion=fusion,
+        arena="preallocated" if use_arena else "per-call",
+    ) as session:
+        f = session.compile(fn)
+        want = _as_bytes(f.interpret(*args))
+        rep_i = f.last_report
+        for _ in range(3):  # the recording pass, then two serving passes
+            assert _as_bytes(f(*args)) == want
+        rep = f.last_report
+        batch = session.run_batch(f, [args] * 2)
+    for outs in batch.outputs:
+        assert [np.ascontiguousarray(o).tobytes() for o in outs] == want
+    assert all(r is rep for r in batch.reports)
+    assert rep.total_flops == rep_i.total_flops
+    assert rep.peak_bytes == rep_i.peak_bytes
+    assert rep.live_bytes == rep_i.live_bytes
+    if fusion:
+        assert len(rep.calls) <= len(rep_i.calls)
+    else:
+        assert rep == rep_i
+
+
+@pytest.mark.parametrize("mode", MODES, ids=list(MODES))
+def test_session_loop_parity(mode, operands):
+    """Loop bodies ride the same rule (carried values alias the other
+    child arena) under the cached-report call path."""
+    a, b = operands["A"], operands["B"]
+
+    def body(i, acc, aa, bb):
+        return acc + aa @ bb
+
+    def fn(p, q):
+        return tfsim.fori_loop(3, body, tfsim.zeros(*p.shape), [p, q])
+
+    fusion, use_arena = MODES[mode]
+    with api.Session(
+        fusion=fusion, arena="preallocated" if use_arena else "per-call",
+    ) as session:
+        f = session.compile(fn)
+        want = _as_bytes(f.interpret(a, b))
+        rep_i = f.last_report
+        for _ in range(4):
+            assert _as_bytes(f(a, b)) == want
+        assert f.last_report.total_flops == rep_i.total_flops
+        assert f.last_report.peak_bytes == rep_i.peak_bytes

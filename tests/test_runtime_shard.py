@@ -39,7 +39,6 @@ from repro.runtime import (
     ShardPool,
     ShardWorkerError,
     compile_plan,
-    execute_batch,
     graph_from_payload,
     graph_to_payload,
     graph_signature,
@@ -201,17 +200,6 @@ class TestShardPool:
             bad = [feeds[0], feeds[1], np.ones((3, 3), dtype=np.float32)]
             with pytest.raises(GraphError, match="shape"):
                 pool.run([bad])
-
-    def test_execute_batch_shards_round_trip(self, plan, workload):
-        _, feeds = workload
-        ref, _ = plan.execute(feeds, record=False)
-        result = execute_batch(plan, [feeds] * 5, shards=2)
-        assert all(np.array_equal(o[0], ref[0]) for o in result.outputs)
-
-    def test_execute_batch_shards_rejects_record(self, plan, workload):
-        _, feeds = workload
-        with pytest.raises(GraphError, match="record"):
-            execute_batch(plan, [feeds] * 2, shards=2, record=True)
 
     def test_shard_count_validated(self, plan):
         with pytest.raises(GraphError, match="shards"):
@@ -485,16 +473,6 @@ class TestSessionSharding:
             assert len(s._shard_pools) == 1
             assert first._closed
             assert next(iter(s._shard_pools.values())) is not first
-
-    def test_recorded_batches_stay_in_process(self):
-        A, B = random_general(8, seed=1), random_general(8, seed=2)
-
-        with api.Session(shards=2) as s:
-            f = s.compile(lambda a, b: a @ b)
-            result = s.run_batch(f, [[A, B]] * 2, record=True)
-            # In-process path records real reports; the shard path can't.
-            assert all(r.calls for r in result.reports)
-            assert not s._shard_pools
 
 
 class TestSessionCloseLifecycle:

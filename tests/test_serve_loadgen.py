@@ -9,7 +9,9 @@ Contracts under test:
   report separates rejections from failures, and a seeded run is
   deterministic in its arrival schedule;
 * admission shedding shows up as ``rejected`` in the report, not as an
-  exception out of the generator.
+  exception out of the generator;
+* ``serve_bench`` (what ``laab serve-bench`` prints) completes both of
+  its runs and reports structurally sane numbers.
 """
 
 from __future__ import annotations
@@ -160,3 +162,26 @@ class TestOpenLoop:
                     )
 
         run(main())
+
+
+class TestServeBench:
+    """The structural half of the retired ``benchmarks/test_serve_bench``
+    (its throughput-ratio assert is ``BENCHMARK.json``'s business)."""
+
+    def test_both_runs_complete_with_sane_numbers(self):
+        from repro.serve.bench import serve_bench
+
+        result = serve_bench(requests=48, concurrency=4, max_wave=4, loops=2)
+        for report in (result.sequential, result.coalesced):
+            assert report.completed == 48
+            assert report.rejected == 0 and report.failed == 0
+        n = result.numbers
+        assert n["serve_requests"] == 48 and n["serve_shards"] == 0
+        assert 1.0 < n["serve_wave_occupancy_mean"]
+        assert n["serve_wave_occupancy_max"] <= n["serve_max_wave"] == 4
+        assert 0.0 < n["serve_p50_latency_seconds"] \
+            <= n["serve_p99_latency_seconds"] \
+            <= n["serve_p999_latency_seconds"]
+        # Closed-loop depth is bounded by the client count.
+        assert n["serve_queue_depth_high_water"] <= 4
+        assert "coalescing speedup" in result.render()
