@@ -62,7 +62,7 @@ class Concrete:
     #: present when the owning session runs with
     #: ``Options(arena="preallocated")``: rebound in place per call
     #: (alias a feed contiguous in its slot's order, else copy it into
-    #: the slot's buffer).  Outputs are copied out before they reach the
+    #: the slot's buffer).  Outputs are handed off before they reach the
     #: caller, so user-visible results never alias arena storage.
     binding: PinnedBinding | None = None
     #: The signature key fixes shapes, dtypes and props, so the
@@ -96,7 +96,8 @@ class Concrete:
         self, feeds: Sequence[object]
     ) -> tuple[list[np.ndarray], ExecutionReport]:
         """Run one feed set: ``(outputs, report)``, the outputs
-        independent of later calls.  Exactly two ways to run — per-call
+        independent of later calls and in the layout their producer
+        wrote (F for BLAS results).  Exactly two ways to run — per-call
         or through the arena binding — each recording once (the lock
         orders that pass against :meth:`install`)."""
         if self.binding is None:
@@ -120,9 +121,9 @@ class Concrete:
                 else:
                     binding.rebind(feeds)
                     outputs = binding.execute()
-                # Detach results from arena storage: the next call
-                # rewrites the buffers these outputs alias.
-                outputs = [out.copy() for out in outputs]
+                # The next call rewrites the arena: hand the result
+                # buffers over instead of copying out of them.
+                outputs = binding.hand_off(outputs)
         return outputs, report
 
 
@@ -251,7 +252,7 @@ class Compiled:
 
     @staticmethod
     def _wrap(outputs):
-        tensors = [Tensor(np.ascontiguousarray(o)) for o in outputs]
+        tensors = [Tensor(o) for o in outputs]
         if len(tensors) == 1:
             return tensors[0]
         return tuple(tensors)

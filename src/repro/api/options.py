@@ -70,8 +70,11 @@ class Options:
         per-``Concrete`` :class:`~repro.runtime.PlanArena` — repeated
         calls perform zero intermediate allocations after warmup, and
         each feed is aliased when it is contiguous in its input slot's
-        order (Fortran for BLAS-fed slots — what ``Session.pin`` hands
-        out) and copied into the slot's buffer otherwise.
+        order (Fortran where BLAS reads the feed as a matrix — what
+        ``Session.pin`` hands out; the C order tensors carry where only
+        elementwise kernels read it; either where no kernel cares) and
+        copied into the slot's buffer otherwise.  Results come back in
+        the layout their producer wrote (Fortran for BLAS results).
     shards:
         Multi-process sharded batching.  ``N >= 1`` routes
         ``session.run_batch`` through a per-plan

@@ -432,11 +432,12 @@ class Session:
         existing tensor when shape/dtype agree and raises otherwise —
         two owners of one pin slot is always a bug.
 
-        Pins are Fortran-ordered (the layout of every BLAS-fed input
-        slot).  The rare plan whose input slot is *C*-ordered — an
-        input consumed only by the tridiagonal row-scaling kernel —
-        cannot alias an F pin and copies it per call; a default
-        C-contiguous ``Tensor`` is what aliases there.
+        Pins are Fortran-ordered: they alias every input slot a BLAS
+        routine reads as a matrix and every slot no kernel's layout
+        depends on.  An input only elementwise kernels read has a
+        *C*-ordered slot (the kernels compute in the order tensors
+        carry); an F pin is copied there per call, a default
+        C-contiguous ``Tensor`` is what aliases.
         """
         if dtype is None:
             from ..config import config

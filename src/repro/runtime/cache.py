@@ -144,7 +144,8 @@ class PlanCache:
             # Compile outside the lock: compilation can be slow and must
             # not serialize concurrent lookups of other graphs.
             return compile_plan(
-                graph, fold_constants=fold_constants, fusion=fusion
+                graph, fold_constants=fold_constants, fusion=fusion,
+                signature=key[0],
             )
 
         def publish(plan: Plan) -> None:

@@ -15,11 +15,21 @@ call:
   additionally carry an ``fn_out`` closure writing into a caller-provided
   buffer — the hook :class:`~repro.runtime.plan.PlanArena` execution uses
   to stay allocation-free.
+* **Layout plan** — every ``_compile_*`` declares what its kernel needs
+  of each operand's memory order ("F" where BLAS reads it as a matrix,
+  abstain, or "same as my peers" for elementwise kernels) and what order
+  it writes; one worklist propagation (:func:`_plan_layouts`) turns
+  that into an order per value and per input slot, and a ``relayout``
+  instruction — one C→F copy — where a C-computed value meets an
+  F-demanding consumer.  No BLAS call, flag or operand value changes:
+  the plan only decides where the copies f2py would otherwise make
+  happen, and that each happens once.
 * **Buffer table** — liveness analysis assigns every value a slot; slots
-  of dead temporaries are recycled *shape-aware* (a slot only ever holds
-  values of one shape — what lets an arena back each slot with a single
-  preallocated buffer; inputs, constants and graph outputs stay live for
-  the whole run, matching the interpreter's memory model).
+  of dead temporaries are recycled *shape- and order-aware* (a slot only
+  ever holds values of one shape and memory order — what lets an arena
+  back each slot with a single preallocated buffer; inputs, constants
+  and graph outputs stay live for the whole run, matching the
+  interpreter's memory model).
 * **Fusion** (opt-in, ``fusion=True``) — a post-schedule pass over the
   finished instruction stream (:mod:`repro.runtime.fusion`): adjacent
   single-consumer elementwise chains collapse into one fused closure, and
@@ -80,16 +90,28 @@ class _Op:
     #: The destination-aware kernel needs a result-shaped workspace; the
     #: scheduler assigns a shared per-shape scratch slot.
     needs_scratch: bool = False
-    #: Preferred memory order of the destination (and scratch) buffer.
-    #: "F" is BLAS's layout; the tridiagonal row-scaling kernel declares
-    #: "C" — its offset row slices degenerate into strided inner loops
-    #: against an F destination (measured ~2x slower than allocating).
+    #: Memory order the kernel writes its result (and scratch) in: "F"
+    #: (BLAS's layout), "C" (the tridiagonal row-scaling kernel — its
+    #: offset row slices degenerate into strided inner loops against an
+    #: F destination, measured ~2x slower than allocating), or
+    #: :data:`_PEERS` (an elementwise kernel: whatever order the operands
+    #: marked :data:`_PEERS` share).
     out_order: str = "F"
-    #: Per-operand layout preference used to pick *input-slot* staging
-    #: order: "F"/"C" votes, ``None`` abstains.  ``None`` for the whole
-    #: tuple means "vote F for every operand" (the safe default — mixed
-    #: layouts put ufuncs on buffering paths).
-    arg_orders: tuple | None = None
+    #: Per-operand layout demand, the layout plan's input (see
+    #: :func:`_plan_layouts`): "F" only where a BLAS routine reads the
+    #: operand *as a matrix* (f2py would otherwise copy it), ``None``
+    #: abstains (slices, diagonal/band extraction, vectors, operands the
+    #: kernel copies anyway), :data:`_PEERS` ties the operand to the
+    #: result's order.  Empty means every operand abstains.
+    arg_orders: tuple = ()
+
+
+#: Layout marker of elementwise kernels: result and marked operands share
+#: one order — C when every operand is C-laid, F as soon as one is.
+_PEERS = "="
+_EW_ORDERS = dict(out_order=_PEERS, arg_orders=(_PEERS, _PEERS))
+#: Both operands of a two-matrix BLAS-3 call.
+_BLAS_ORDERS = ("F", "F")
 
 
 # -- per-op compilation -------------------------------------------------------
@@ -104,7 +126,9 @@ def _compile_const(node: Node) -> _Op:
     def run(args, report, record):
         return value
 
-    return _Op(run, (), kind="const")
+    # "C" until a consumer demands F: a constant is staged once, directly
+    # in the order it is read in.
+    return _Op(run, (), kind="const", out_order="C")
 
 
 def _compile_transpose(node: Node) -> _Op:
@@ -131,6 +155,7 @@ def _compile_add(node: Node) -> _Op:
         run_out,
         kind="ew",
         params=("add",),
+        **_EW_ORDERS,
     )
 
 
@@ -147,6 +172,7 @@ def _compile_sub(node: Node) -> _Op:
         run_out,
         kind="ew",
         params=("sub",),
+        **_EW_ORDERS,
     )
 
 
@@ -163,6 +189,7 @@ def _compile_neg(node: Node) -> _Op:
         run_out,
         kind="ew",
         params=("neg",),
+        **_EW_ORDERS,
     )
 
 
@@ -182,6 +209,7 @@ def _compile_scale(node: Node) -> _Op:
         run_out,
         kind="ew",
         params=("scale", alpha),
+        **_EW_ORDERS,
     )
 
 
@@ -261,14 +289,22 @@ def _compile_tridiagonal_matmul(node: Node) -> _Op:
         run_out,
         needs_scratch=True,
         out_order="C",
-        arg_orders=("C", "C"),
     )
 
 
 def _compile_loop(node: Node, fusion: bool) -> _Op:
     body: Graph = node.attrs["body"]
     trip: int = node.attrs["trip_count"]
-    sub_plan = compile_plan(body, fusion=fusion)
+    # The body's feeds are outer-arena values handed over trip after
+    # trip: it is compiled against F-laid feeds, and the loop demands F
+    # of exactly the operands whose body slot cares (a slot no body
+    # kernel reads as a matrix takes any layout), so the outer plan
+    # converts once per call and every trip aliases.
+    sub_plan = _compile(body, fusion=fusion, feed_order="F")
+    arg_orders = tuple(
+        None if sub_plan.slot_orders[spec.slot] == "A" else "F"
+        for spec in sub_plan.inputs[1:]
+    )
 
     def run(args, report, record):
         carried = args[0]
@@ -285,11 +321,11 @@ def _compile_loop(node: Node, fusion: bool) -> _Op:
         # Arena mode: iterations ping-pong between the LoopState's two
         # child arenas, so the carried value (living in the *other*
         # arena's buffers, or the outer arena's for iteration 0) and the
-        # loop-invariant captures (outer-arena buffers, F-ordered) are
-        # aliased, never copied, into each iteration's feeds; the
-        # binding rule copies odd layouts (e.g. a promoted-dtype carried
-        # value from the general path).  After both child arenas warm, a
-        # trip is allocation- and copy-free.
+        # loop-invariant captures (outer-arena buffers, in the order the
+        # body's slots declare) are aliased, never copied, into each
+        # iteration's feeds; the binding rule copies odd layouts (e.g. a
+        # promoted-dtype carried value from the general path).  After
+        # both child arenas warm, a trip is allocation- and copy-free.
         carried = args[0]
         captured = args[1:]
         arenas = state.arenas
@@ -318,7 +354,9 @@ def _compile_loop(node: Node, fusion: bool) -> _Op:
             np.copyto(out, carried)
         return out
 
-    return _Op(run, (), fn_loop=run_loop, sub_plan=sub_plan)
+    return _Op(
+        run, (), fn_loop=run_loop, sub_plan=sub_plan, arg_orders=arg_orders
+    )
 
 
 def make_gemm_fns(
@@ -480,12 +518,14 @@ def _compile_matmul(node: Node) -> _Op:
         return _Op(
             run, (_call("gemv", (a_node.shape[0], a_node.shape[1]), node.op),),
             run_out,
+            arg_orders=("F", None),
         )
     if m == 1 and n > 1:
         run, run_out = _gemv_fns(1, 0, not trans_b)
         return _Op(
             run, (_call("gemv", (b_node.shape[0], b_node.shape[1]), node.op),),
             run_out,
+            arg_orders=(None, "F"),
         )
 
     run, run_out = make_gemm_fns(trans_a, trans_b)
@@ -495,6 +535,7 @@ def _compile_matmul(node: Node) -> _Op:
         run_out,
         kind="gemm",
         params=(trans_a, trans_b, 1.0),
+        arg_orders=_BLAS_ORDERS,
     )
 
 
@@ -553,9 +594,12 @@ def _compile_structured_matmul(
         def run_out(args, out):
             return special.diag_matmul(args[0], args[1], out=out)
 
+        # D is read through its diagonal; the row scaling itself is
+        # elementwise over B, so the plain form computes in B's order.
         return _Op(
             run, (_call("diag_matmul", (k, n), node.op),),
             run_out if plain else None,
+            **(dict(out_order=_PEERS, arg_orders=(None, _PEERS)) if plain else {}),
         )
     if hint == "tridiagonal_matmul":
         def run(args, report, record):
@@ -571,7 +615,6 @@ def _compile_structured_matmul(
             run_out if plain else None,
             needs_scratch=plain,
             out_order="C" if plain else "F",
-            arg_orders=("C", "C") if plain else None,
         )
     if hint == "trmm":
         lower = opts.get("lower", True)
@@ -583,9 +626,12 @@ def _compile_structured_matmul(
         def run_out(args, out):
             return blas3.trmm(args[0], args[1], lower=lower, out=out)
 
+        # The out= form copies B into the destination before BLAS
+        # overwrites it there: only the triangle is read as a matrix.
         return _Op(
             run, (_call("trmm", (m, n), node.op),),
             run_out if plain else None,
+            arg_orders=("F", None) if plain else _BLAS_ORDERS,
         )
     if hint == "trmm_right":
         lower = opts.get("lower", True)
@@ -602,6 +648,7 @@ def _compile_structured_matmul(
         return _Op(
             run, (_call("trmm", (n, m), node.op),),
             run_out if plain else None,
+            arg_orders=(None, "F") if plain else _BLAS_ORDERS,
         )
     if hint == "symm":
         def run(args, report, record):
@@ -613,6 +660,7 @@ def _compile_structured_matmul(
         return _Op(
             run, (_call("symm", (m, n), node.op),),
             run_out if plain else None,
+            arg_orders=_BLAS_ORDERS,
         )
     if hint == "syrk":
         if trans_b == trans_a:
@@ -625,7 +673,10 @@ def _compile_structured_matmul(
         def run_out(args, out):
             return blas3.syrk(args[0], trans=trans, out=out)
 
-        return _Op(run, (_call("syrk", (m, k), node.op),), run_out)
+        return _Op(
+            run, (_call("syrk", (m, k), node.op),), run_out,
+            arg_orders=_BLAS_ORDERS,
+        )
     raise KernelError(f"unknown matmul kernel hint {hint!r}")
 
 
@@ -644,20 +695,160 @@ _COMPILERS: dict[str, Callable[[Node], _Op]] = {
 }
 
 
+# -- the layout plan ----------------------------------------------------------
+
+
+def _relayout_instruction(
+    node: Node, src_slot: int, out_slot: int
+) -> Instruction:
+    """The one C→F conversion of ``node``'s value, placed right behind
+    its producer: every consumer then reads the F copy, the C original
+    dies here.  It models nothing — the value merely changes layout — so
+    it records no kernel call and no alloc/free (``fused_events=()``) and
+    the report stays equal to the Interpreter's.  ``kind="relayout"``
+    makes it opaque to the fusion pass (a chain cannot span it) and lets
+    arena execution count its bytes (``Plan._exec_into``)."""
+
+    def run(args, report, record):
+        return np.asfortranarray(args[0])
+
+    return Instruction(
+        out_slot=out_slot,
+        arg_slots=(src_slot,),
+        fn=run,
+        calls=(),
+        free_slots=(src_slot,),
+        op="relayout",
+        label=node.name,
+        out_shape=node.shape,
+        kind="relayout",
+        fused_events=(),
+    )
+
+
+def _plan_layouts(
+    order: list[Node], ops: dict[int, _Op], feed_order: str
+) -> tuple[dict[int, str], dict[int, str]]:
+    """Decide every value's memory order from the kernels' demands.
+
+    Returns ``(natural, effective)`` keyed by ``id(node)``: ``natural``
+    is the order of the value's slot — what the producer writes and its
+    arena buffer is allocated in; for an input, the order feeds are
+    bound against, "A" when no consumer's layout depends on it — and
+    ``effective`` the order consumers read.  They differ exactly where a
+    relayout instruction converts a C-computed value for an F-demanding
+    consumer.
+
+    Everything starts in ``feed_order`` (inputs), the kernel's declared
+    order, or C (elementwise results), and can only ever flip C→F:
+
+    * an operand a BLAS routine reads as a matrix is demanded F;
+    * an elementwise kernel computes in F as soon as one peer operand is
+      F, and then demands F of its other peers — numpy's mixed-layout
+      path is several times slower than either pure one;
+    * an F demand on an *input* makes its slot F (the binding rule
+      stages a C feed once, and an F feed aliases); on a constant it
+      picks the order the payload is staged in; on a C-computed value it
+      asks for the relayout.
+
+    A value flips at most once and each flip visits its elementwise
+    consumers once, so the worklist is O(nodes + edges).  Values with a
+    unit dimension are contiguous in both orders and take no part.
+    """
+    natural: dict[int, str] = {}
+    effective: dict[int, str] = {}
+    cared: set[int] = set()
+    peer_consumers: dict[int, list[Node]] = {}
+    work: list[Node] = []
+    hard: list[Node] = []
+    for node in order:
+        key = id(node)
+        if node.op == "input":
+            natural[key] = effective[key] = feed_order
+            if feed_order == "F":
+                work.append(node)
+            continue
+        op = ops[key]
+        nat = op.out_order
+        if nat == _PEERS:
+            nat = "C"
+        elif nat == "F" and 1 not in node.shape:
+            work.append(node)
+        natural[key] = effective[key] = nat
+        for inp, pref in zip(node.inputs, op.arg_orders):
+            if pref is None or 1 in inp.shape:
+                continue
+            cared.add(id(inp))
+            if pref == "F":
+                hard.append(inp)
+            else:
+                peer_consumers.setdefault(id(inp), []).append(node)
+    for node in hard:
+        if effective[id(node)] == "C":
+            effective[id(node)] = "F"
+            work.append(node)
+    while work:
+        value = work.pop()
+        for consumer in peer_consumers.get(id(value), ()):
+            key = id(consumer)
+            if natural[key] == "F":
+                continue
+            natural[key] = "F"
+            if effective[key] == "C":
+                effective[key] = "F"
+                work.append(consumer)
+            op = ops[key]
+            for inp, pref in zip(consumer.inputs, op.arg_orders):
+                if pref == _PEERS and effective[id(inp)] == "C":
+                    effective[id(inp)] = "F"
+                    work.append(inp)
+    for node in order:
+        key = id(node)
+        if node.op == "input":
+            natural[key] = effective[key] if key in cared else "A"
+        elif ops[key].kind == "const":
+            # Staged once, straight into the order its consumers read.
+            natural[key] = effective[key]
+    return natural, effective
+
+
 # -- the compiler proper ------------------------------------------------------
 
 
 def compile_plan(
-    graph: Graph, *, fold_constants: bool = False, fusion: bool = False
+    graph: Graph,
+    *,
+    fold_constants: bool = False,
+    fusion: bool = False,
+    signature: tuple | None = None,
 ) -> Plan:
     """Compile ``graph`` into an executable :class:`Plan`.
 
     ``fusion=True`` runs the post-schedule fusion stage (see
     :mod:`repro.runtime.fusion`): elementwise chains collapse into single
     fused instructions and trailing scales fold into GEMM's alpha.
+    ``signature`` is ``graph_signature(graph)`` when the caller already
+    holds it (the plan cache keys on it); computed here otherwise.
     """
+    return _compile(
+        graph, fold_constants=fold_constants, fusion=fusion, signature=signature
+    )
+
+
+def _compile(
+    graph: Graph,
+    *,
+    fold_constants: bool = False,
+    fusion: bool = False,
+    signature: tuple | None = None,
+    feed_order: str = "C",
+) -> Plan:
+    """:func:`compile_plan` plus ``feed_order``: the layout feeds are
+    assumed to arrive in — C, the order Tensors carry, for a top-level
+    plan; F for a loop body, whose feeds are outer-arena values."""
     start = time.perf_counter()
-    signature = graph_signature(graph)
+    if signature is None:
+        signature = graph_signature(graph)
     if fold_constants:
         from ..passes.constant_folding import ConstantFolding
 
@@ -665,22 +856,37 @@ def compile_plan(
 
     order = graph.topological()
     last_use: dict[int, int] = {}
+    ops: dict[int, _Op] = {}
     for idx, node in enumerate(order):
         for inp in node.inputs:
             last_use[id(inp)] = idx
+        if node.op == "input":
+            continue
+        if node.op == "loop":
+            ops[id(node)] = _compile_loop(node, fusion)
+        else:
+            compiler = _COMPILERS.get(node.op)
+            if compiler is None:
+                raise GraphError(f"runtime has no compiler for op {node.op!r}")
+            ops[id(node)] = compiler(node)
     for out in graph.outputs:
         last_use[id(out)] = len(order)  # outputs stay live
+    natural, effective = _plan_layouts(order, ops, feed_order)
 
     # Slot assignment: inputs first (positional feed order), then one slot
-    # per executed node.  Recycling is shape-aware — a dead temporary's
-    # slot is only reused for a value of the same shape, so every slot has
-    # exactly one static shape and an arena can back it with one buffer.
+    # per executed node.  Recycling is shape- and order-aware — a dead
+    # temporary's slot is only reused for a value of the same shape laid
+    # out the same way, so every slot has exactly one static shape and
+    # order and an arena can back it with one buffer.
     slot_of: dict[int, int] = {}
     inputs: list[PlanInput] = []
+    slot_orders: list[str] = []
     for i, node in enumerate(graph.inputs):
         slot_of[id(node)] = i
         inputs.append(PlanInput(node.name, node.shape, i))
-    num_slots = len(inputs)
+        # "A" (also for a declared input nothing reaches): no kernel's
+        # layout depends on it, the binding rule aliases any contiguous feed.
+        slot_orders.append(natural.get(id(node), "A"))
     free_pool: dict[tuple, list[int]] = {}
     # Workspace slots for destination-aware kernels that need one
     # (tridiagonal row scalings).  Shared per (shape, order): a scratch
@@ -688,36 +894,30 @@ def compile_plan(
     # can reuse one buffer.  Never fed from (or released into) the value
     # pool — a pooled slot could alias a live operand.
     scratch_pool: dict[tuple, int] = {}
-    # Per-slot layout votes (see _Op.out_order/arg_orders).  A slot's
-    # arena buffer is C-ordered only when the preference is unanimous:
-    # every writer votes "C" (value slots), or every consumer votes "C"
-    # (input slots, which have no writer) — any "F" vote wins, because a
-    # mixed-layout operand pair costs more (ufunc buffering, hidden f2py
-    # copies) than a C-preferring kernel reading an F buffer.
-    writer_votes: dict[int, set] = {}
-    consumer_votes: dict[int, set] = {}
-    scratch_orders: dict[int, str] = {}
+
+    def take_slot(shape: tuple, slot_order: str, pooled: bool = True) -> int:
+        pool = free_pool.get((shape, slot_order)) if pooled else None
+        if pool:
+            return pool.pop()
+        slot_orders.append(slot_order)
+        return len(slot_orders) - 1
+
+    def release_slot(shape: tuple, slot: int) -> None:
+        free_pool.setdefault((shape, slot_orders[slot]), []).append(slot)
 
     instructions: list[Instruction] = []
     for idx, node in enumerate(order):
+        key = id(node)
         if node.op == "input":
-            if id(node) not in slot_of:
+            if key not in slot_of:
                 raise GraphError(f"reachable input {node.name!r} not declared")
             continue
-        if node.op == "loop":
-            op = _compile_loop(node, fusion)
-        else:
-            compiler = _COMPILERS.get(node.op)
-            if compiler is None:
-                raise GraphError(f"runtime has no compiler for op {node.op!r}")
-            op = compiler(node)
-        pool = free_pool.get(node.shape)
-        if pool:
-            out_slot = pool.pop()
-        else:
-            out_slot = num_slots
-            num_slots += 1
-        slot_of[id(node)] = out_slot
+        op = ops[key]
+        slot_order = natural[key]
+        # A constant is staged once, so never into a recycled slot: the
+        # temporary that owned it would overwrite the payload every call.
+        out_slot = take_slot(node.shape, slot_order, pooled=op.kind != "const")
+        slot_of[key] = out_slot
         frees: list[int] = []
         seen: set[int] = set()
         for inp in node.inputs:
@@ -726,20 +926,15 @@ def compile_plan(
             seen.add(id(inp))
             if last_use.get(id(inp)) == idx and inp.op not in ("input", "const"):
                 frees.append(slot_of[id(inp)])
-                free_pool.setdefault(inp.shape, []).append(slot_of[id(inp)])
+                release_slot(inp.shape, slot_of[id(inp)])
         scratch = None
         if op.needs_scratch:
-            scratch_key = (node.shape, op.out_order)
+            scratch_key = (node.shape, slot_order)
             scratch = scratch_pool.get(scratch_key)
             if scratch is None:
-                scratch = scratch_pool[scratch_key] = num_slots
-                scratch_orders[scratch] = op.out_order
-                num_slots += 1
-        writer_votes.setdefault(out_slot, set()).add(op.out_order)
-        arg_orders = op.arg_orders or (("F",) * len(node.inputs))
-        for inp, pref in zip(node.inputs, arg_orders):
-            if pref is not None:
-                consumer_votes.setdefault(slot_of[id(inp)], set()).add(pref)
+                scratch = scratch_pool[scratch_key] = take_slot(
+                    node.shape, slot_order, pooled=False
+                )
         instructions.append(
             Instruction(
                 out_slot=out_slot,
@@ -758,6 +953,13 @@ def compile_plan(
                 sub_plan=op.sub_plan,
             )
         )
+        if effective[key] != slot_order:
+            # A C-computed value some consumer demands in F: convert it
+            # once, here, and let every consumer read the F copy.
+            f_slot = take_slot(node.shape, "F")
+            instructions.append(_relayout_instruction(node, out_slot, f_slot))
+            release_slot(node.shape, out_slot)
+            slot_of[key] = f_slot
 
     fusion_stats = None
     if fusion:
@@ -766,21 +968,11 @@ def compile_plan(
         instructions, fusion_stats = fuse_instructions(tuple(instructions), inputs)
         instructions = list(instructions)
 
-    slot_orders = ["F"] * num_slots
-    for slot, votes in writer_votes.items():
-        if votes == {"C"}:
-            slot_orders[slot] = "C"
-    for slot in range(len(inputs)):  # input slots: consumer-decided
-        if consumer_votes.get(slot) == {"C"}:
-            slot_orders[slot] = "C"
-    for slot, order in scratch_orders.items():
-        slot_orders[slot] = order
-
     return Plan(
         instructions=tuple(instructions),
         inputs=tuple(inputs),
         output_slots=tuple(slot_of[id(o)] for o in graph.outputs),
-        num_slots=num_slots,
+        num_slots=len(slot_orders),
         signature=signature,
         compile_seconds=time.perf_counter() - start,
         fusion_stats=fusion_stats,

@@ -36,6 +36,13 @@ list (slots, liveness and kernel selection already resolved):
    materializes one array (or writes straight into the arena slot), every
    later step runs in place on it.  Intermediates are never materialized.
 
+A ``relayout`` instruction (the compiler's one C→F conversion of a
+C-computed value, see :func:`repro.runtime.compiler._plan_layouts`) is
+neither "ew" nor "gemm": it is a barrier no chain or fold spans, so the
+members of a fused site always share one memory order, and the
+slot-level legality checks of the fold-aware scheduler treat it like any
+other opaque instruction.
+
 Parity contract (verified case-by-case by the runtime parity suite):
 
 * **Outputs** are bit-identical to the unfused plan and the Interpreter —

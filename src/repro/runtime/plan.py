@@ -30,10 +30,12 @@ arena preallocated/per-call.  The report contract has two levels:
 
 The **arena** never affects the report: it changes where results are
 materialized (preallocated per-slot storage, written through the
-``out=``-aware kernels), not what is modelled.  Arena-mode outputs alias
-the arena's buffers — the next execution through the same arena
-overwrites them; copy what you need to keep (the Session layer does
-this for you).
+``out=``-aware kernels), not what is modelled.  Neither does the layout
+plan: a ``relayout`` instruction changes a value's memory order, not the
+value, and records nothing.  Arena-mode outputs alias the arena's
+buffers — the next execution through the same arena overwrites them;
+keep what you need via :meth:`PinnedBinding.hand_off` (the Session layer
+does this for you) or copy it.
 
 Feed binding: one rule
 ----------------------
@@ -46,27 +48,46 @@ stay live for the whole run), so an aliased array is read, never
 mutated; the caller must not mutate it during the call.  A feed in the
 wrong layout would silently put downstream kernels back on numpy's
 mixed-layout buffering paths, which is why it is staged instead —
-:attr:`PlanArena.bytes_copied` counts exactly those staging bytes.
+:attr:`PlanArena.bytes_copied` counts exactly the bytes staged or
+converted: feeds, constants (once), relayout instructions, and results
+of kernels without an ``out=`` form landing in their slot.
 
 Slot layouts
 ------------
-Arena buffers are Fortran-ordered by default (BLAS's native layout — see
-:class:`PlanArena`), but the compiler may mark individual slots
-C-ordered when every instruction writing them measurably prefers a
-C destination: the tridiagonal row-scaling kernel updates *row slices*
-of its result, which against an F-ordered buffer degenerate into
-strided inner loops roughly twice as slow as the allocating path.  The
-per-slot order lives in :attr:`Plan.slot_orders`; the binding rule
-checks feeds against the slot's declared order (a C-ordered input slot
-aliases the C-contiguous arrays tensors carry by default).
+Every slot has one memory order, :attr:`Plan.slot_orders`, decided at
+compile time by the layout plan (:func:`repro.runtime.compiler._plan_layouts`)
+from what each kernel declares about its operands:
+
+* ``"F"`` — an input some BLAS routine reads *as a matrix* (GEMM/SYMM/
+  SYRK operands, GEMV's matrix, TRMM's triangle: f2py would copy a
+  C-ordered array on every call) or that an F-computing elementwise
+  kernel combines with a BLAS result; and every BLAS destination.  A
+  C-ordered feed there pays one staging copy — the price of C feeds —
+  an F-ordered one aliases at zero bytes.
+* ``"C"`` — an input only elementwise kernels read, which then compute in
+  the C order ``Tensor`` s carry (the feed aliases); their results; and
+  the tridiagonal row-scaling kernel's destination (its row-slice
+  updates degenerate into strided inner loops against an F buffer).
+* ``"A"`` (input slots only) — no kernel's layout depends on the feed
+  (slices, diagonal/band extraction, vectors, the operand TRMM copies
+  into its destination anyway): any contiguous array aliases.
+
+Where a C-computed value meets an F-demanding consumer the compiler
+emits **one** ``relayout`` instruction right behind the producer — a
+single C→F copy, counted in ``bytes_copied`` — instead of staging every
+operand of the producer.
 
 Persistent bindings
 -------------------
 A :class:`PinnedBinding` is a *persistent* slot table over one arena:
 :meth:`PinnedBinding.rebind` applies the binding rule in place and
 :meth:`PinnedBinding.execute` replays the serving loop with no slot-list
-build and no accounting.  A Session keeps one per ``Concrete`` and
-rebinds it on every call; :meth:`Plan.bind_pinned` is the strict
+build and no accounting.  A Session keeps one per ``Concrete``, rebinds
+it on every call and takes the results with
+:meth:`PinnedBinding.hand_off` — the buffers the final kernels wrote
+become the caller's, in the layout they were written in, and the slots
+get fresh ones; nothing is copied or transposed on the way out.
+:meth:`Plan.bind_pinned` is the strict
 front door for callers that bind once and only rewrite the arrays'
 *contents* afterwards (the shard workers' shared-memory input slots) —
 there a feed the rule would have to copy is an error, because the copy
@@ -152,7 +173,10 @@ class Instruction:
     fn_out: OutFn | None = None
     #: Semantic tag the fusion pass dispatches on: "ew" (add/sub/neg/
     #: scale), "gemm" (plain dense matmul, alpha-foldable), "const"
-    #: (result is an aliased compile-time payload), or ``None`` (opaque).
+    #: (result is an aliased compile-time payload), "relayout" (the
+    #: layout plan's C→F copy of its one operand — opaque to fusion,
+    #: invisible to the report via empty ``fused_events``), or ``None``
+    #: (opaque).
     kind: str | None = None
     #: Fusion-relevant parameters: ``("add",)``/``("sub",)``/``("neg",)``/
     #: ``("scale", alpha)`` for "ew"; ``(trans_a, trans_b, alpha)`` for
@@ -209,8 +233,20 @@ class SlotDescriptor:
 
 
 def _in_order(arr: np.ndarray, order: str) -> bool:
-    """Whether ``arr`` is contiguous in memory order ``order`` ("F"/"C")."""
-    return arr.flags.f_contiguous if order == "F" else arr.flags.c_contiguous
+    """Whether ``arr`` is contiguous in slot order ``order``: "F", "C",
+    or "A" (either — an input slot no kernel's layout depends on)."""
+    flags = arr.flags
+    if order == "F":
+        return flags.f_contiguous
+    if order == "C":
+        return flags.c_contiguous
+    return flags.c_contiguous or flags.f_contiguous
+
+
+def _storage_order(order: str) -> str:
+    """The numpy allocation order backing a slot of order ``order``
+    (an "A" slot stages the rare non-contiguous feed in C)."""
+    return "F" if order == "F" else "C"
 
 
 class LoopState:
@@ -254,17 +290,16 @@ class PlanArena:
     zero/identity hints), and compute-then-copy for the rest.
 
     Every buffer — including the staged copies of feeds and constants —
-    is **Fortran-ordered** unless the compiler marked the slot
-    C-ordered (see *Slot layouts* in the module docstring).  The F
-    default is deliberate, not cosmetic: GEMM's in-place ``C`` argument
-    must be F-contiguous, f2py silently copies any C-ordered operand
-    before calling BLAS, and numpy's ufunc machinery falls back to
-    allocating iteration buffers the moment operand layouts mix.  A
-    uniformly-F arena keeps every hot path — the elementwise ufuncs,
-    GEMM/GEMV, the staged feeds — on the no-copy/no-buffering fast path
-    (measured, not assumed: the allocation regression test pins this
-    down); the C exceptions exist only where a row-structured kernel
-    measurably prefers the opposite layout.
+    is allocated in its slot's order (see *Slot layouts* in the module
+    docstring).  The orders are a plan, not a preference: GEMM's
+    in-place ``C`` argument must be F-contiguous, f2py silently copies
+    any C-ordered operand before calling BLAS, and numpy's ufunc
+    machinery falls back to allocating iteration buffers the moment
+    operand layouts mix.  The layout plan keeps every kernel's operands
+    and destination in one order, so every hot path — the elementwise
+    ufuncs, GEMM/GEMV, the staged feeds — stays on the no-copy/
+    no-buffering fast path (measured, not assumed: the allocation
+    regression test pins this down).
 
     An arena belongs to one execution stream: two threads must not
     execute through the same arena concurrently (the Session layer
@@ -289,9 +324,10 @@ class PlanArena:
         #: warm (asserted by the allocation-free regression test).
         self.allocations = 0
         #: Bytes memcpy'd into arena storage so far (feed staging, const
-        #: staging, compute-then-copy landings).  Feeds the binding rule
-        #: aliases add nothing here, which is what the
-        #: ``bytes_copied_per_call`` benchmark metric measures.
+        #: staging, relayouts, compute-then-copy landings).  Feeds the
+        #: binding rule aliases and results handed off add nothing here,
+        #: which is what the ``bytes_copied_per_call`` benchmark metric
+        #: measures.
         self.bytes_copied = 0
         #: ``id(instruction)`` → :class:`LoopState` for the plan's loop
         #: instructions (the state pins the instruction, keeping the id
@@ -319,7 +355,9 @@ class PlanArena:
                     f"needs {shape} {dtype} — unpin or rebuild the "
                     "backing buffer"
                 )
-            buf = np.empty(shape, dtype=dtype, order=self._orders[slot])
+            buf = np.empty(
+                shape, dtype=dtype, order=_storage_order(self._orders[slot])
+            )
             self.buffers[slot] = buf
             self.allocations += 1
         return buf
@@ -337,8 +375,9 @@ class PlanArena:
         order = self._orders[slot]
         if not _in_order(array, order):
             raise ValueError(
-                f"arena slot {slot} expects {order}-contiguous storage; "
-                f"got strides {array.strides} for shape {array.shape}"
+                f"arena slot {slot} expects storage contiguous in order "
+                f"{order!r}; got strides {array.strides} for shape "
+                f"{array.shape}"
             )
         self.buffers[slot] = array
         if pin:
@@ -369,6 +408,7 @@ class Plan:
         "_by_name",
         "_by_pos",
         "_turbo_ops",
+        "_written_slots",
         # Weakly referenceable so per-plan accounting (Session._plan_stats)
         # can key on plans without pinning evicted ones in memory.
         "__weakref__",
@@ -395,8 +435,9 @@ class Plan:
         #: :class:`~repro.runtime.fusion.FusionStats` when the plan was
         #: compiled with ``fusion=True``, else ``None``.
         self.fusion_stats = fusion_stats
-        #: Per-slot memory order ("F" default; "C" where every writer is
-        #: a row-structured kernel that prefers C destinations).
+        #: Per-slot memory order, decided by the compiler's layout plan:
+        #: "F" or "C" — plus, for input slots only, "A": no kernel's
+        #: layout depends on the feed, any contiguous array binds.
         self.slot_orders = slot_orders or ("F",) * num_slots
         # (graph, fold_constants, fusion) — what pickling reconstructs
         # the plan from (see __reduce__).  None for hand-built plans.
@@ -422,6 +463,13 @@ class Plan:
         # arena certifies, so the slot index is all the call needs.
         # Purely structural, so resolved once here instead of per
         # instruction per execution.
+        # Output slots an instruction (re)writes on every call — the ones
+        # whose arena buffer can be handed to the caller outright (see
+        # PinnedBinding.hand_off).  Passed-through feeds and constants
+        # (staged once, never rewritten) are not among them.
+        self._written_slots = frozenset(
+            inst.out_slot for inst in instructions if inst.kind != "const"
+        ).intersection(output_slots)
         self._turbo_ops = tuple(
             (
                 inst.fn_out
@@ -487,7 +535,7 @@ class Plan:
                 name=spec.name,
                 slot=spec.slot,
                 shape=spec.shape,
-                order=self.slot_orders[spec.slot],
+                order=_storage_order(self.slot_orders[spec.slot]),
                 dtype=dtype,
                 nbytes=int(np.prod(spec.shape)) * dtype.itemsize,
             )
@@ -501,7 +549,7 @@ class Plan:
                     name=f"output[{i}]",
                     slot=slot,
                     shape=shape,
-                    order=self.slot_orders[slot],
+                    order=_storage_order(self.slot_orders[slot]),
                     dtype=dtype,
                     nbytes=int(np.prod(shape)) * dtype.itemsize,
                 )
@@ -537,9 +585,9 @@ class Plan:
             order = self.slot_orders[spec.slot]
             if not _in_order(binding.slots[spec.slot], order):
                 raise ValueError(
-                    f"pinned feed for input {spec.name!r} must be "
-                    f"{order}-contiguous — allocate it with "
-                    f"np.empty(..., order={order!r}) (Session.pin does)"
+                    f"pinned feed for input {spec.name!r} is not contiguous "
+                    f"in its slot's order {order!r} — allocate it as "
+                    "buffer_descriptors() lays the slot out"
                 )
         binding._sig = self._input_dtypes(binding.slots)
         return binding
@@ -625,14 +673,23 @@ class Plan:
         what a fresh allocation would cost.
         """
         if inst.kind == "const":
-            # Constant payloads never change: stage them into arena (F-
-            # order) storage once, when the slot buffer is first created.
+            # Constant payloads never change: stage them into arena
+            # storage (the order their consumers read) once, when the
+            # slot buffer is first created.
             value = inst.fn(args, report, record)
             buf = arena.buffers[inst.out_slot]
             if buf is None or buf.shape != value.shape or buf.dtype != value.dtype:
                 buf = arena.buffer(inst.out_slot, value.shape, value.dtype)
                 np.copyto(buf, value)
                 arena.bytes_copied += value.nbytes
+            return buf
+        if inst.kind == "relayout":
+            # The layout plan's one C→F conversion of this value: a copy
+            # like feed staging, and counted like it.
+            src = args[0]
+            buf = arena.buffer(inst.out_slot, src.shape, src.dtype)
+            np.copyto(buf, src)
+            arena.bytes_copied += src.nbytes
             return buf
         dtype = args[0].dtype if args else np.dtype(np.float64)
         if inst.fn_loop is not None:
@@ -880,3 +937,37 @@ class PinnedBinding:
         return [slots[s] for s in plan.output_slots]
 
     __call__ = execute
+
+    def hand_off(self, outputs: list[np.ndarray]) -> list[np.ndarray]:
+        """Make one pass's ``outputs`` the caller's: valid after any
+        later call, sharing memory with no arena buffer, no feed and no
+        other result — in the layout their producer wrote.
+
+        Nothing is transposed and, for a result an instruction wrote
+        into its slot's buffer, nothing is copied either: the buffer
+        itself is handed over and the slot gets a fresh one of the same
+        shape, dtype and order for the next call (so the turbo
+        certification stands, and a kernel with an ``out=`` form has in
+        effect written straight into a per-call destination).  What no
+        instruction rewrites per call — a passed-through feed, a staged
+        constant, a result a kernel returned outside its buffer, the
+        second listing of one slot, a slot pinned to external storage —
+        is copied out in its own layout.  This is the Session layer's
+        hand-off (``Concrete.execute``); callers that execute the plan
+        or a binding directly keep arena-aliased outputs and the
+        zero-allocation guarantee."""
+        arena = self.arena
+        bufs = arena.buffers
+        written = self.plan._written_slots
+        handed = []
+        for slot, out in zip(self.plan.output_slots, outputs):
+            if out is bufs[slot] and slot in written \
+                    and slot not in arena.pinned:
+                bufs[slot] = np.empty_like(out)
+                # The slot table must not keep the caller's array alive
+                # (its producer rewrites the entry before anything reads).
+                self.slots[slot] = None
+                handed.append(out)
+            else:
+                handed.append(out.copy(order="K"))
+        return handed

@@ -10,9 +10,11 @@ Contracts under test:
 * ``Plan.pin_slot`` backs an arena slot with caller-owned storage;
   instructions write the slot's value straight into it, and a pinned
   slot refuses to be silently reallocated away.
-* The compiler's per-slot memory orders: BLAS destinations stay "F",
-  tridiagonal destinations/operands go "C", and the binding rule checks
-  feeds against the slot's declared order.
+* The compiler's per-slot memory orders: BLAS destinations and the
+  operands BLAS reads as matrices are "F", tridiagonal destinations go
+  "C", inputs no kernel's layout depends on are "A" (any contiguous
+  array binds), and the binding rule checks feeds against the slot's
+  declared order (``tests/test_runtime_layout.py`` pins the plan itself).
 * ``Session.pin``: pinned tensors already have their slot's layout, so
   every call aliases them (``bytes_copied`` never grows) and in-place
   rewrites flow into the next call; results always match a per-call
@@ -125,13 +127,14 @@ class TestSlotOrdersAndPinning:
         graph, _ = _structured_workload()
         plan = compile_plan(graph, fusion=True)
         by_slot = dict(enumerate(plan.slot_orders))
-        # TRMM's triangular operand stays F; the tridiagonal matrix and
-        # RHS inputs ride C (their only consumer prefers C), and the
-        # tridiagonal result + scratch are C-ordered destinations.
+        # TRMM reads its triangle as a matrix: F.  The tridiagonal matrix
+        # is read through its bands and the RHS row by row — neither
+        # kernel's layout depends on them, so they bind as they come —
+        # and the tridiagonal result + scratch are C-ordered destinations.
         l_slot, t_slot, b_slot = (spec.slot for spec in plan.inputs)
         assert by_slot[l_slot] == "F"
-        assert by_slot[t_slot] == "C"
-        assert by_slot[b_slot] == "C"
+        assert by_slot[t_slot] == "A"
+        assert by_slot[b_slot] == "A"
         tri = next(i for i in plan.instructions if "tridiag" in
                    i.calls[0].kernel)
         assert plan.slot_orders[tri.out_slot] == "C"
@@ -152,18 +155,21 @@ class TestSlotOrdersAndPinning:
             outs, _ = plan.execute(ordered, record=False, arena=arena)
             assert np.array_equal(outs[0], out_ref[0])
         assert arena.bytes_copied == 0
-        # The tridiagonal RHS slot is C-ordered: an F-only array there is
-        # the one that gets staged.
+        # The tridiagonal RHS slot takes any contiguous layout; TRMM's
+        # triangle is an F slot: a C-only array there is the one that
+        # gets staged.
         wrong = list(ordered)
+        wrong[0] = np.ascontiguousarray(feeds[0])
         wrong[2] = np.asfortranarray(feeds[2])
         outs, _ = plan.execute(wrong, record=False, arena=arena)
         assert np.array_equal(outs[0], out_ref[0])
-        assert arena.bytes_copied == feeds[2].nbytes
+        assert arena.bytes_copied == feeds[0].nbytes
 
-    def test_c_slot_aliases_default_tensor(self):
-        """A tridiagonal input's slot is C-ordered, so the C-contiguous
-        array a ``Tensor`` carries by default is aliased, not staged —
-        while the same tensor against TRMM's F slot is copied."""
+    def test_unordered_slot_aliases_default_tensor(self):
+        """A tridiagonal input's slot demands no order, so the
+        C-contiguous array a ``Tensor`` carries by default is aliased,
+        not staged — while the same tensor against TRMM's F slot is
+        copied."""
         graph, feeds = _structured_workload()
         plan = compile_plan(graph, fusion=True)
         tensors = [Tensor(f) for f in feeds]
@@ -223,7 +229,8 @@ class TestSlotOrdersAndPinning:
         assert [d.name for d in inputs] == [p.name for p in plan.inputs]
         assert len(outputs) == len(plan.output_slots)
         for d in descs:
-            assert d.order == plan.slot_orders[d.slot]
+            # The allocation order: an "A" slot is laid out in C.
+            assert d.order == ("F" if plan.slot_orders[d.slot] == "F" else "C")
             assert d.nbytes == int(np.prod(d.shape)) * 4
 
 
