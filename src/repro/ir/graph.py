@@ -28,7 +28,7 @@ class Graph:
         binding is part of the contract.
     """
 
-    __slots__ = ("outputs", "inputs", "_topo_cache")
+    __slots__ = ("outputs", "inputs", "_topo_cache", "_signature_cache")
 
     def __init__(self, outputs: Iterable[Node], inputs: Iterable[Node] | None = None):
         self.outputs: tuple[Node, ...] = tuple(outputs)
@@ -38,6 +38,9 @@ class Graph:
             if not isinstance(out, Node):
                 raise GraphError(f"output is {type(out).__name__}, expected Node")
         self._topo_cache: tuple[Node, ...] | None = None
+        # Filled by repro.runtime.signature.graph_signature: a graph
+        # never changes, so neither does its structural key.
+        self._signature_cache: tuple | None = None
         discovered = [n for n in self.topological() if n.op == "input"]
         if inputs is None:
             self.inputs: tuple[Node, ...] = tuple(discovered)

@@ -22,6 +22,7 @@ import numpy as np
 from ..errors import GraphError, KernelError
 from ..kernels import blas1, blas2, blas3, special
 from ..kernels.flops import kernel_flops
+from ..tensor.tensor import Tensor
 from .graph import Graph
 from .node import Node
 
@@ -82,8 +83,6 @@ class ExecutionReport:
 
 
 def _normalize_feed(value: object) -> np.ndarray:
-    from ..tensor.tensor import Tensor
-
     if isinstance(value, Tensor):
         return value.data
     arr = np.asarray(value)

@@ -80,9 +80,18 @@ operand of the producer.
 Persistent bindings
 -------------------
 A :class:`PinnedBinding` is a *persistent* slot table over one arena:
-:meth:`PinnedBinding.rebind` applies the binding rule in place and
-:meth:`PinnedBinding.execute` replays the serving loop with no slot-list
-build and no accounting.  A Session keeps one per ``Concrete``, rebinds
+:meth:`PinnedBinding.rebind` applies the binding rule in place (one walk
+over the inputs: unwrap, shape, order, alias-or-copy, dtype) and
+:meth:`PinnedBinding.execute` runs a serving pass with no slot-list
+build and no accounting.  The first pass through an arena — and the
+first after a dtype change — is a *warming* loop that checks every
+instruction's buffer and certifies the arena for the bound feeds'
+dtypes; every certified pass after it runs the plan as **generated
+straight-line Python** (:meth:`Plan._generate_serve`, text in
+:attr:`Plan.generated_source`): one call line per instruction, slots as
+locals, closures pre-bound, built once per plan on its first certified
+pass and shared by all its bindings.  A Session keeps one binding per
+``Concrete``, rebinds
 it on every call and takes the results with
 :meth:`PinnedBinding.hand_off` — the buffers the final kernels wrote
 become the caller's, in the layout they were written in, and the slots
@@ -97,6 +106,8 @@ would never be refreshed.
 from __future__ import annotations
 
 import dataclasses
+import linecache
+import weakref
 from collections.abc import Callable, Mapping, Sequence
 
 import numpy as np
@@ -333,10 +344,11 @@ class PlanArena:
         #: instructions (the state pins the instruction, keeping the id
         #: stable).
         self.loops: dict[int, LoopState] = {}
-        # Turbo-eligibility: the input-dtype tuple of the last completed
+        # Certification: the input-dtype tuple of the last completed
         # execution that needed no mixed-dtype fallback.  A later call
-        # whose bound feeds match it can skip every per-instruction
-        # dtype/warmth check (see PinnedBinding.execute).
+        # whose bound feeds match it skips every per-instruction
+        # dtype/warmth check and runs the plan's generated pass (see
+        # PinnedBinding.execute).
         self._turbo_sig: tuple | None = None
         self._mixed = False
 
@@ -407,7 +419,8 @@ class Plan:
         "_slot_shapes",
         "_by_name",
         "_by_pos",
-        "_turbo_ops",
+        "_serve",
+        "_serve_source",
         "_written_slots",
         # Weakly referenceable so per-plan accounting (Session._plan_stats)
         # can key on plans without pinning evicted ones in memory.
@@ -454,15 +467,6 @@ class Plan:
         # of rebuilding two dicts on every mapping-feed call.
         self._by_name = {p.name: p for p in inputs}
         self._by_pos = dict(enumerate(inputs))
-        # The warm-arena fast-dispatch table: per instruction, the
-        # destination-aware executor when it can be called with zero
-        # per-call checks (no const/loop special casing), else None →
-        # the general ``_exec_into`` path.  Scratch-carrying kernels
-        # (tridiagonal row scalings, fused staging sites) take the fast
-        # path too — their workspace buffer is warm by the time the
-        # arena certifies, so the slot index is all the call needs.
-        # Purely structural, so resolved once here instead of per
-        # instruction per execution.
         # Output slots an instruction (re)writes on every call — the ones
         # whose arena buffer can be handed to the caller outright (see
         # PinnedBinding.hand_off).  Passed-through feeds and constants
@@ -470,18 +474,10 @@ class Plan:
         self._written_slots = frozenset(
             inst.out_slot for inst in instructions if inst.kind != "const"
         ).intersection(output_slots)
-        self._turbo_ops = tuple(
-            (
-                inst.fn_out
-                if inst.fn_out is not None and inst.kind != "const"
-                else None,
-                inst.out_slot,
-                inst.arg_slots,
-                inst,
-                inst.scratch,
-            )
-            for inst in instructions
-        )
+        # The certified serving pass: one generated function, built on
+        # the first certified pass (see _generate_serve), and its text.
+        self._serve = None
+        self._serve_source: str | None = None
 
     def new_arena(self) -> PlanArena:
         """A fresh preallocated-buffer arena for this plan."""
@@ -580,7 +576,7 @@ class Plan:
         calls — which is why a feed the binding rule would have to copy
         raises here instead: the staged copy would go stale."""
         binding = PinnedBinding(self, arena)
-        self._bind(feeds, binding.slots)
+        binding._sig = self._bind(feeds, binding.slots)
         for spec in self.inputs:
             order = self.slot_orders[spec.slot]
             if not _in_order(binding.slots[spec.slot], order):
@@ -589,70 +585,73 @@ class Plan:
                     f"in its slot's order {order!r} — allocate it as "
                     "buffer_descriptors() lays the slot out"
                 )
-        binding._sig = self._input_dtypes(binding.slots)
         return binding
 
     # -- feed binding ---------------------------------------------------------
 
-    def _bind(
-        self, feeds: Sequence[object] | Mapping[object, object], slots: list
-    ) -> None:
-        if isinstance(feeds, Mapping):
-            by_name = self._by_name
-            by_pos = self._by_pos
-            bound: set[int] = set()
-            for key, value in feeds.items():
-                if isinstance(key, str):
-                    spec = by_name.get(key)
-                elif isinstance(key, int):
-                    spec = by_pos.get(key)
-                else:
-                    # Node keys: match by input name (plans outlive the
-                    # node objects they were compiled from).
-                    spec = by_name.get(getattr(key, "name", None))
-                if spec is None:
-                    raise GraphError(f"no plan input matches feed key {key!r}")
-                slots[spec.slot] = _normalize_feed(value)
-                bound.add(spec.slot)
-            for spec in self.inputs:
-                if spec.slot not in bound:
-                    raise GraphError(f"missing feed for input {spec.name!r}")
-        else:
-            feeds = list(feeds)
-            if len(feeds) != len(self.inputs):
-                raise GraphError(
-                    f"plan has {len(self.inputs)} inputs, got {len(feeds)} feeds"
-                )
-            for spec, value in zip(self.inputs, feeds):
-                slots[spec.slot] = _normalize_feed(value)
+    def _positional(self, feeds: Mapping[object, object]) -> list:
+        """Mapping feeds (keyed by input name, position or node) in
+        input order."""
+        by_name = self._by_name
+        by_slot: dict[int, object] = {}
+        for key, value in feeds.items():
+            if isinstance(key, str):
+                spec = by_name.get(key)
+            elif isinstance(key, int):
+                spec = self._by_pos.get(key)
+            else:
+                # Node keys: match by input name (plans outlive the
+                # node objects they were compiled from).
+                spec = by_name.get(getattr(key, "name", None))
+            if spec is None:
+                raise GraphError(f"no plan input matches feed key {key!r}")
+            by_slot[spec.slot] = value
         for spec in self.inputs:
-            arr = slots[spec.slot]
-            if tuple(arr.shape) != spec.shape:
+            if spec.slot not in by_slot:
+                raise GraphError(f"missing feed for input {spec.name!r}")
+        return [by_slot[spec.slot] for spec in self.inputs]
+
+    def _bind(
+        self,
+        feeds: Sequence[object] | Mapping[object, object],
+        slots: list,
+        arena: PlanArena | None = None,
+    ) -> tuple:
+        """Bind ``feeds`` at their input slots in one walk — unwrap,
+        shape check and, through an ``arena``, the binding rule: an
+        array in its slot's declared order stays aliased, any other is
+        copied into the slot's persistent arena buffer (one memcpy that
+        keeps every downstream ufunc on the single-layout no-buffering
+        path and hands BLAS operands it can use without f2py's hidden
+        copies; values are unchanged, so outputs stay bit-identical).
+        Returns the bound arrays' dtypes, the signature a serving pass
+        is certified for."""
+        inputs = self.inputs
+        if not isinstance(feeds, (list, tuple)):
+            feeds = self._positional(feeds) \
+                if isinstance(feeds, Mapping) else list(feeds)
+        if len(feeds) != len(inputs):
+            raise GraphError(
+                f"plan has {len(inputs)} inputs, got {len(feeds)} feeds"
+            )
+        orders = self.slot_orders
+        dtypes = []
+        for spec, value in zip(inputs, feeds):
+            arr = _normalize_feed(value)
+            if arr.shape != spec.shape:
                 raise GraphError(
                     f"feed for {spec.name!r} has shape {arr.shape}, "
                     f"input declares {spec.shape}"
                 )
-
-    def _stage(self, slots: list, arena: PlanArena) -> None:
-        """The binding rule over already-bound input slots: arrays in
-        their slot's declared order stay aliased; the rest are copied
-        into the slot's persistent arena buffer — one memcpy that keeps
-        every downstream ufunc on the single-layout no-buffering path
-        and hands BLAS operands it can use without f2py's hidden
-        copies.  Values are unchanged, so outputs stay bit-identical."""
-        orders = self.slot_orders
-        for spec in self.inputs:
-            src = slots[spec.slot]
-            if _in_order(src, orders[spec.slot]):
-                continue
-            buf = arena.buffer(spec.slot, src.shape, src.dtype)
-            np.copyto(buf, src)
-            arena.bytes_copied += src.nbytes
-            slots[spec.slot] = buf
-
-    def _input_dtypes(self, slots: list) -> tuple:
-        """The turbo-certification signature of the bound feeds."""
-        return tuple(slots[spec.slot].dtype for spec in self.inputs)
+            slot = spec.slot
+            if arena is not None and not _in_order(arr, orders[slot]):
+                buf = arena.buffer(slot, arr.shape, arr.dtype)
+                np.copyto(buf, arr)
+                arena.bytes_copied += arr.nbytes
+                arr = buf
+            slots[slot] = arr
+            dtypes.append(arr.dtype)
+        return tuple(dtypes)
 
     # -- execution ------------------------------------------------------------
 
@@ -709,7 +708,7 @@ class Plan:
             return inst.fn_out(args, buf, staging)
         if mixed:
             # Ufunc promotion must win over in-place destinations; also
-            # bars the turbo path until a uniform-dtype pass completes.
+            # bars certification until a uniform-dtype pass completes.
             arena._mixed = True
         # No in-place kernel, or mixed operand dtypes: compute as
         # per-call mode does, then land the result in the slot's stable
@@ -719,6 +718,66 @@ class Plan:
         np.copyto(buf, result)
         arena.bytes_copied += result.nbytes
         return buf
+
+    def _generate_serve(self) -> Callable:
+        """Emit, compile and cache the certified serving pass as
+        straight-line Python: one call line per instruction with the
+        slots as locals and each ``fn_out`` closure (or, for ``const``/
+        ``relayout``/``loop``/no-``fn_out`` instructions, the
+        :class:`Instruction` handed to :meth:`_exec_into`) pre-bound as
+        a global — what :meth:`PinnedBinding.execute` runs once the
+        arena is certified.  Buffers are *not* bound: ``hand_off`` swaps
+        them between calls, so every line reads ``bufs[k]`` when it
+        runs.  Built on the first certified pass rather than at compile
+        time (``compile()`` costs ~17 µs per instruction, which a plan
+        executed once never repays); two threads racing here build the
+        same function twice and the last store wins."""
+        def note(kind: str, name: str) -> str:
+            # One line whatever the name holds: it ends a source line.
+            return "  # " + " ".join(f"{kind} {name}".split())
+
+        namespace: dict = {}
+        lines = ["def serve(slots, bufs, exec_into, arena, report):"]
+        for spec in self.inputs:
+            lines.append(f"    s{spec.slot} = slots[{spec.slot}]"
+                         + note("input", spec.name))
+        for i, inst in enumerate(self.instructions):
+            out = inst.out_slot
+            args = ", ".join(f"s{s}" for s in inst.arg_slots)
+            if inst.fn_out is not None and inst.kind != "const":
+                namespace[f"f{i}"] = inst.fn_out
+                scratch = "" if inst.scratch is None \
+                    else f", bufs[{inst.scratch}]"
+                call = f"f{i}([{args}], bufs[{out}]{scratch})"
+            else:
+                namespace[f"i{i}"] = inst
+                call = f"exec_into(i{i}, [{args}], arena, report, False)"
+            lines.append(f"    s{out} = {call}" + note(inst.op, inst.label))
+        # The slot table ends the pass as the instruction loops leave it.
+        written = dict.fromkeys(inst.out_slot for inst in self.instructions)
+        lines.extend(f"    slots[{s}] = s{s}" for s in written)
+        outputs = ", ".join(f"s{s}" for s in self.output_slots)
+        lines.append(f"    return [{outputs}]")
+        source = "\n".join(lines) + "\n"
+        # Registered with linecache so a kernel's traceback shows the
+        # failing line (and through its comment the instruction); the
+        # entry goes when the plan does.
+        filename = f"<repro plan {id(self):#x}>"
+        linecache.cache[filename] = (
+            len(source), None, source.splitlines(True), filename
+        )
+        weakref.finalize(self, linecache.cache.pop, filename, None)
+        exec(compile(source, filename, "exec"), namespace)
+        self._serve_source = source
+        self._serve = namespace["serve"]
+        return self._serve
+
+    @property
+    def generated_source(self) -> str | None:
+        """Text of the generated serving pass — the plan as it actually
+        executes, one commented line per instruction; ``None`` until
+        the first certified pass has built it."""
+        return self._serve_source
 
     def execute(
         self,
@@ -743,7 +802,7 @@ class Plan:
             binding.rebind(feeds)
             return binding.execute(), report
         slots: list = [None] * self.num_slots
-        self._bind(feeds, slots)
+        sig = self._bind(feeds, slots, arena)
         if not record:
             for inst in self.instructions:
                 args = [slots[s] for s in inst.arg_slots]
@@ -753,12 +812,10 @@ class Plan:
             return [slots[s] for s in self.output_slots], report
         bufs = None
         if arena is not None:
-            self._stage(slots, arena)
             bufs = arena.buffers
             # A recording pass can (re)warm buffers, so it takes part in
-            # the turbo certification protocol (PinnedBinding.execute):
+            # the certification protocol (PinnedBinding.execute):
             # invalidate first, certify after.
-            sig = self._input_dtypes(slots)
             arena._turbo_sig = None
             arena._mixed = False
         calls = report.calls
@@ -889,10 +946,7 @@ class PinnedBinding:
     ) -> None:
         """Bind this call's feeds in place by the alias-else-copy rule
         (count and shapes validated as in :meth:`Plan.execute`)."""
-        plan = self.plan
-        plan._bind(feeds, self.slots)
-        plan._stage(self.slots, self.arena)
-        self._sig = plan._input_dtypes(self.slots)
+        self._sig = self.plan._bind(feeds, self.slots, self.arena)
 
     def execute(self) -> list[np.ndarray]:
         """One serving pass over the bound feeds; returns the outputs
@@ -901,39 +955,28 @@ class PinnedBinding:
         Once a full pass has completed with no mixed-dtype fallback,
         every buffer's shape/dtype is a pure function of the input
         dtypes — so a call whose bound feeds match that signature runs
-        the *turbo* loop: precompiled fast dispatch, no per-instruction
-        dtype/warmth checks."""
+        the plan's generated straight-line pass
+        (:meth:`Plan._generate_serve`): no per-instruction dtype/warmth
+        checks, no loop."""
         plan = self.plan
         arena = self.arena
         slots = self.slots
         bufs = arena.buffers
         if self._sig == arena._turbo_sig:
-            for fast, out_slot, arg_slots, inst, scratch in plan._turbo_ops:
-                args = [slots[s] for s in arg_slots]
-                if fast is not None:
-                    if scratch is None:
-                        slots[out_slot] = fast(args, bufs[out_slot])
-                    else:
-                        slots[out_slot] = fast(
-                            args, bufs[out_slot], bufs[scratch]
-                        )
-                else:
-                    slots[out_slot] = plan._exec_into(
-                        inst, args, arena, self._report, False
-                    )
-        else:
-            # Warming pass: per-instruction checks, turbo certification
-            # protocol (invalidate first so a mid-pass exception can't
-            # certify half-warm buffers).
-            arena._turbo_sig = None
-            arena._mixed = False
-            for inst in plan.instructions:
-                args = [slots[s] for s in inst.arg_slots]
-                slots[inst.out_slot] = plan._run_arena(
-                    inst, args, arena, bufs, self._report, False
-                )
-            if not arena._mixed:
-                arena._turbo_sig = self._sig
+            serve = plan._serve or plan._generate_serve()
+            return serve(slots, bufs, plan._exec_into, arena, self._report)
+        # Warming pass: per-instruction checks, and the certification
+        # protocol (invalidate first so a mid-pass exception can't
+        # certify half-warm buffers).
+        arena._turbo_sig = None
+        arena._mixed = False
+        for inst in plan.instructions:
+            args = [slots[s] for s in inst.arg_slots]
+            slots[inst.out_slot] = plan._run_arena(
+                inst, args, arena, bufs, self._report, False
+            )
+        if not arena._mixed:
+            arena._turbo_sig = self._sig
         return [slots[s] for s in plan.output_slots]
 
     __call__ = execute
@@ -946,7 +989,7 @@ class PinnedBinding:
         Nothing is transposed and, for a result an instruction wrote
         into its slot's buffer, nothing is copied either: the buffer
         itself is handed over and the slot gets a fresh one of the same
-        shape, dtype and order for the next call (so the turbo
+        shape, dtype and order for the next call (so the arena's
         certification stands, and a kernel with an ``out=`` form has in
         effect written straight into a per-call destination).  What no
         instruction rewrites per call — a passed-through feed, a staged

@@ -62,7 +62,13 @@ def graph_signature(graph: Graph) -> tuple:
     Declared-but-unreachable inputs take part with index ``-1`` plus their
     shape/dtype: they still consume a positional feed slot, so plans for
     graphs that differ only in dead inputs must not be interchanged.
+
+    Computed once per graph object and kept on it (graphs are immutable),
+    so a plan-cache lookup costs a hash, not a graph walk.
     """
+    cached = graph._signature_cache
+    if cached is not None:
+        return cached
     order = graph.topological()
     index_of = {id(n): i for i, n in enumerate(order)}
     nodes = tuple(_node_key(n, index_of) for n in order)
@@ -70,7 +76,8 @@ def graph_signature(graph: Graph) -> tuple:
         (index_of.get(id(n), -1), n.shape, str(n.dtype)) for n in graph.inputs
     )
     outputs = tuple(index_of[id(o)] for o in graph.outputs)
-    return (nodes, inputs, outputs)
+    graph._signature_cache = signature = (nodes, inputs, outputs)
+    return signature
 
 
 def _canonical(value: Any) -> Any:

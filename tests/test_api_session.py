@@ -200,6 +200,65 @@ class TestSessionCompileRun:
         assert ref() is None
         assert len(f._cache) == 0  # table entry went with the session
 
+    def test_last_concrete_memo_never_crosses_signature_session_or_thread(self):
+        """One ambient function called alternately with three signatures
+        (two dtypes of one shape, one other shape), in two sessions, from
+        two threads: every call runs the Concrete of its own (session,
+        signature) — a session's stats see only plans it built — and a
+        non-Tensor argument is still refused after the memo is warm."""
+        import sys
+        import threading
+
+        from repro.errors import TracingError
+        from repro.tensor import Tensor
+
+        @tfsim.function
+        def f(p):
+            return p @ p + p
+
+        a32 = random_general(8, seed=1)
+        feeds = [a32, Tensor(a32.data.astype(np.float64), dtype=np.float64),
+                 random_general(9, seed=2)]
+        want = [t.data @ t.data + t.data for t in feeds]
+        sessions = [api.Session(fusion=True, arena="preallocated"),
+                    api.Session()]
+        rounds, errors = 60, []
+        barrier = threading.Barrier(len(sessions))
+
+        def worker(session):
+            try:
+                with session:
+                    barrier.wait()
+                    for i in range(rounds):
+                        k = i % len(feeds)
+                        got = f(feeds[k]).data
+                        assert got.dtype == want[k].dtype
+                        np.testing.assert_allclose(got, want[k], rtol=1e-5)
+                    with pytest.raises(TracingError):
+                        f(feeds[k].data)
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(s,))
+                       for s in sessions]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors
+        assert f.trace_count == len(sessions) * len(feeds)
+        for session in sessions:
+            plans = session.stats().plans
+            assert all("<unbuilt>" not in p.labels for p in plans)
+            assert sum(p.executions for p in plans) == rounds
+            assert len(f._cache[session]) == len(feeds)
+
     def test_bound_compiled_rejected_by_other_session(self, operands):
         a, b = operands["A"], operands["B"]
         s1, s2 = api.Session(), api.Session()

@@ -14,6 +14,11 @@ on/off.  For every draw:
   layout plan alone*: every feed whose layout its slot's order does not
   accept, every relayout instruction, and every result of a kernel that
   has no ``out=`` form (computed, then landed in its slot);
+* one persistent binding fed a different layout *and dtype* on every
+  pass (float32 / float64) crosses warming, certification, the generated
+  serving pass and re-certification, and every one of those passes equals
+  the Interpreter and per-call execution on the same feeds, copying
+  exactly the predicted bytes;
 * the Session-layer hand-off holds: results of successive calls are
   correct, stay unchanged after later calls and share memory with no
   feed, no arena buffer and no other result.
@@ -195,16 +200,16 @@ def build_graph(program) -> Graph:
     return Graph(outs, inputs=inputs)
 
 
-def make_feeds(layouts, seed: int) -> list[np.ndarray]:
+def make_feeds(layouts, seed: int, dtype=np.float32) -> list[np.ndarray]:
     rng = np.random.default_rng(seed)
     feeds = []
     for k, tag in enumerate(layouts):
         shape = (N, N) if k < MATS else (N, 1)
-        values = ((rng.random(shape) * 2 - 1) / math.sqrt(N)).astype(np.float32)
+        values = ((rng.random(shape) * 2 - 1) / math.sqrt(N)).astype(dtype)
         if tag == "F":
             feed = np.asfortranarray(values)
         elif tag == "S":
-            wide = np.zeros((2 * shape[0], 2 * shape[1]), dtype=np.float32)
+            wide = np.zeros((2 * shape[0], 2 * shape[1]), dtype=dtype)
             feed = wide[::2, ::2]
             feed[...] = values
             assert not feed.flags.c_contiguous and not feed.flags.f_contiguous
@@ -230,7 +235,7 @@ def predicted_copy_bytes(plan, layouts, feeds) -> int:
         landed = (inst.fn_out is None and inst.fn_loop is None
                   and inst.kind != "const")
         if inst.kind == "relayout" or landed:
-            total += math.prod(inst.out_shape) * 4
+            total += math.prod(inst.out_shape) * feeds[0].itemsize
     return total
 
 
@@ -277,6 +282,37 @@ def test_interpreter_percall_preallocated_agree(program, layouts, fusion):
         assert arena.bytes_copied - before == predicted_copy_bytes(
             plan, layouts, feeds
         )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    program=programs(),
+    rounds=st.tuples(*[st.tuples(
+        st.tuples(*[st.sampled_from(LAYOUTS)] * (MATS + VECS)),
+        st.sampled_from((np.float32, np.float64)),
+    )] * 3),
+    fusion=st.booleans(),
+)
+def test_one_binding_across_layout_and_dtype_changes(program, rounds, fusion):
+    """Each round redraws layouts and dtype and runs two passes through
+    the same binding: the first warms (or re-warms) and certifies, the
+    second is the generated serving pass."""
+    graph = build_graph(program)
+    plan = compile_plan(graph, fusion=fusion)
+    binding = PinnedBinding(plan, plan.new_arena())
+    arena = binding.arena
+    for seed, (layouts, dtype) in enumerate(rounds):
+        feeds = make_feeds(layouts, seed, dtype)
+        ref, _ = Interpreter(record=False).run(graph, feeds)
+        assert_same(plan.execute(feeds, record=False)[0], ref)
+        for _ in range(2):
+            before = arena.bytes_copied
+            binding.rebind(feeds)
+            assert_same(binding.execute(), ref)
+            assert arena.bytes_copied - before == predicted_copy_bytes(
+                plan, layouts, feeds
+            )
+        assert plan.generated_source is not None
 
 
 @settings(max_examples=60, deadline=None)

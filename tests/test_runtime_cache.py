@@ -94,6 +94,30 @@ class TestGraphSignature:
         g_two = Graph([prod, total], inputs=[a, b])
         assert graph_signature(g_one) != graph_signature(g_two)
 
+    def test_signature_is_walked_once_per_graph(self, monkeypatch):
+        """A graph never changes, so its signature is kept on it (loop
+        bodies included): cache hits, ``contains`` and every other
+        re-keying of the same graph object cost a hash, not a walk."""
+        idx = builder.input_node((1, 1), name="i")
+        x = builder.input_node((4, 4), name="x")
+        c = builder.input_node((4, 4), name="c")
+        body = Graph([builder.matmul(c, x)], inputs=[idx, x, c])
+        a, b = _inputs(4)
+        graph = Graph([builder.loop(body, a, [b], trip_count=2)], inputs=[a, b])
+        cache = PlanCache()
+        plan = cache.get(graph)
+        sig = graph_signature(graph)
+
+        def walked(self):
+            raise AssertionError("the graph was walked again")
+
+        monkeypatch.setattr(Graph, "topological", walked)
+        assert graph_signature(graph) is sig
+        assert graph_signature(body) is graph_signature(body)
+        assert cache.get(graph) is plan
+        assert cache.contains(graph)
+        assert cache.stats.hits == 1
+
 
 class TestSignatureDigest:
     """The digest the plan store names artifacts by must be stable

@@ -15,6 +15,11 @@ Contracts under test:
   "C", inputs no kernel's layout depends on are "A" (any contiguous
   array binds), and the binding rule checks feeds against the slot's
   declared order (``tests/test_runtime_layout.py`` pins the plan itself).
+* The certified serving pass is one generated straight-line function per
+  plan — a call line per instruction, no loop or branch — built on the
+  first certified pass (never by a plan executed once), readable as
+  ``Plan.generated_source``, and a kernel failing inside it raises what
+  the instruction loop would, from a line that names the instruction.
 * ``Session.pin``: pinned tensors already have their slot's layout, so
   every call aliases them (``bytes_copied`` never grows) and in-place
   rewrites flow into the next call; results always match a per-call
@@ -23,14 +28,17 @@ Contracts under test:
 
 from __future__ import annotations
 
+import traceback
+
 import numpy as np
 import pytest
 
 from repro import api
-from repro.errors import ConfigError, GraphError
+from repro.errors import ConfigError, GraphError, KernelError
 from repro.ir import Interpreter, trace
 from repro.passes import aware_pipeline, default_pipeline
-from repro.runtime import compile_plan
+from repro.runtime import PinnedBinding, Plan, compile_plan
+from repro.runtime.plan import Instruction, PlanInput
 from repro.tensor import (
     Tensor,
     random_general,
@@ -39,12 +47,12 @@ from repro.tensor import (
 )
 
 
-def _dispatch_workload():
+def _dispatch_workload(loops: int = 4):
     ops = [random_general(16, seed=s) for s in (1, 2, 3)]
 
     def fn(a, b, c):
         acc = a
-        for _ in range(4):
+        for _ in range(loops):
             acc = (acc @ b + c - a) @ a.T
         return acc + acc.T
 
@@ -78,7 +86,7 @@ class TestPinnedBinding:
         binding = plan.bind_pinned(
             _ordered_feeds(plan, feeds), plan.new_arena()
         )
-        for _ in range(3):  # warming pass + turbo passes
+        for _ in range(3):  # warming pass + generated passes
             outs = binding.execute()
             for a, b in zip(outs, ref):
                 assert np.array_equal(a, b)
@@ -120,6 +128,98 @@ class TestPinnedBinding:
         c_ordered = [np.ascontiguousarray(f) for f in feeds]
         with pytest.raises(ValueError, match="contiguous"):
             plan.bind_pinned(c_ordered, arena)
+
+
+class TestGeneratedServingPass:
+    def test_chain_source_is_one_call_line_per_instruction(self):
+        """The benchmark's 53-node chain (12 rounds, n=16), fused."""
+        graph, feeds = _dispatch_workload(loops=12)
+        plan = compile_plan(graph, fusion=True)
+        binding = PinnedBinding(plan, plan.new_arena())
+        binding.rebind(feeds)
+        warm = [o.copy() for o in binding.execute()]
+        assert plan.generated_source is None  # a warming pass is a loop
+        served = binding.execute()
+        assert np.array_equal(served[0], warm[0])
+        lines = plan.generated_source.splitlines()
+        calls = [ln for ln in lines if "(" in ln.split("#")[0]][1:]  # - def
+        assert len(calls) == len(plan.instructions) == 38
+        for line, inst in zip(calls, plan.instructions):
+            assert line.endswith(f"# {inst.op} {inst.label}")
+        words = {w for ln in lines for w in ln.split("#")[0].split()}
+        assert not words & {"for", "while", "if"}
+
+    def test_source_is_shared_by_every_binding_of_the_plan(self):
+        graph, feeds = _dispatch_workload()
+        plan = compile_plan(graph, fusion=True)
+        for _ in range(2):
+            plan.execute(feeds, record=False, arena=plan.new_arena())
+        assert plan.generated_source is None  # two bindings, one pass each
+        arena = plan.new_arena()
+        for _ in range(2):
+            plan.execute(feeds, record=False, arena=arena)
+        source = plan.generated_source
+        assert source is not None
+        other = PinnedBinding(plan, plan.new_arena())
+        other.rebind(feeds)
+        other.execute(), other.execute()
+        assert plan.generated_source is source
+
+    def test_nothing_is_generated_by_a_single_session_call(self):
+        a, b = random_general(8, seed=1), random_general(8, seed=2)
+        with api.Session(arena="preallocated", fusion=True) as session:
+            f = session.compile(lambda p, q: (p @ q + p) @ q)
+            first = f(a, b)
+            plan = f.get_concrete(a, b).plan
+            assert plan.generated_source is None
+            assert np.array_equal(f(a, b).data, first.data)
+            assert plan.generated_source is not None
+
+    def test_kernel_error_surfaces_unchanged_and_names_the_instruction(self):
+        """A hand-built plan whose second kernel can be made to fail:
+        the generated pass raises what a warming loop raises, and the
+        traceback shows the generated line with its instruction note."""
+        broken = []
+
+        def add_out(args, out):
+            return np.add(args[0], args[1], out=out)
+
+        def neg_out(args, out):
+            if broken:
+                raise KernelError("no kernel for this operand")
+            return np.negative(args[0], out=out)
+
+        def unused(args, report, record):  # per-call executor: not run here
+            raise AssertionError
+
+        plan = Plan(
+            instructions=(
+                Instruction(2, (0, 1), unused, (), (), "add", "add_0",
+                            out_shape=(2, 2), fn_out=add_out),
+                Instruction(3, (2,), unused, (), (2,), "neg", "neg_1",
+                            out_shape=(2, 2), fn_out=neg_out),
+            ),
+            inputs=(PlanInput("p", (2, 2), 0), PlanInput("q", (2, 2), 1)),
+            output_slots=(3,),
+            num_slots=4,
+            signature=(),
+        )
+        feeds = [np.asfortranarray(np.eye(2, dtype=np.float32))] * 2
+        binding = plan.bind_pinned(feeds, plan.new_arena())
+        binding.execute()
+        assert np.array_equal(binding.execute()[0], -2 * np.eye(2))
+        broken.append(True)
+        with pytest.raises(KernelError) as served:
+            binding.execute()
+        with pytest.raises(KernelError) as warming:
+            plan.bind_pinned(feeds, plan.new_arena()).execute()
+        assert str(served.value) == str(warming.value)
+        text = "".join(traceback.format_exception(served.value))
+        assert "<repro plan" in text
+        assert "# neg neg_1" in text
+        # The binding survives: the next pass serves again.
+        broken.clear()
+        assert np.array_equal(binding.execute()[0], -2 * np.eye(2))
 
 
 class TestSlotOrdersAndPinning:

@@ -23,7 +23,7 @@ import pytest
 
 from repro import api, serve
 from repro.serve import CoalesceConfig, Coalescer, ServeMetrics
-from repro.tensor import random_general
+from repro.tensor import Tensor, random_general
 
 
 def run(coro):
@@ -116,6 +116,34 @@ class TestFlushBoundaries:
 
 
 class TestIncompatibleFeedsSplitWaves:
+    def test_float32_and_float64_feeds_get_different_wave_keys(self):
+        # Same function, same shapes: only the dtype in the feed
+        # signature keeps the two precisions out of one wave.
+        async def main():
+            f32 = [random_general(8, seed=s) for s in (1, 2)]
+            f64 = [Tensor(t.data.astype(np.float64), dtype=np.float64)
+                   for t in f32]
+
+            def model(a, b):
+                return a @ b + a
+
+            async with serve.Server(
+                api.Options(fusion=True, arena="preallocated"),
+                coalesce=serve.CoalesceConfig(max_wave=2, max_delay=0.5),
+            ) as server:
+                outs = await asyncio.gather(
+                    server.submit(model, f32), server.submit(model, f64),
+                    server.submit(model, f32), server.submit(model, f64),
+                )
+                assert server.metrics.waves == 2
+                assert server.metrics.wave_occupancy.max == 2
+                assert [o.dtype for o in outs] == [
+                    np.float32, np.float64, np.float32, np.float64
+                ]
+
+        run(main())
+
+
     def test_shape_and_dtype_split_at_the_server(self):
         # The server keys waves by (tenant, plan, feed signature): two
         # feed sizes for the same function must land in separate waves.
