@@ -10,8 +10,10 @@ independent caller requests into the feed waves that engine is fast at:
                ``await server.submit(fn, feeds, tenant=...)``.
 ``coalesce``   :class:`Coalescer` — per-plan request queues that batch
                compatible in-flight requests (same compiled function +
-               feed signature) into waves, flushed on max-wave-size or
-               a deadline timer, dispatched off the event loop.
+               feed signature) into waves: flushed on the next loop
+               turn when the key's executor is idle, by the finishing
+               wave when it is not, capped at max-wave-size, and
+               dispatched off the event loop.
 ``admission``  :class:`AdmissionController` — bounded in-flight depth
                (global and per-tenant) with await-until-slot
                backpressure or explicit :class:`ServeOverloadError`

@@ -6,14 +6,13 @@ where per-request overhead dominates and coalescing pays) through two
 configurations of the same :class:`~repro.serve.Server`:
 
 * **sequential baseline** — a closed loop with ``concurrency=1`` and a
-  ``max_wave=1`` coalescer (flush on submit, no deadline wait): every
-  request travels the full serve path alone and pays the whole dispatch
-  overhead itself, with zero artificial queueing delay.  This is the
-  honest "serve without coalescing" number — not a strawman that sleeps
-  out the deadline per request.
-* **coalesced** — a closed loop with ``concurrency >= max_wave``:
-  enough requests are in flight that waves fill, and the per-wave
-  overhead amortizes across the wave.
+  ``max_wave=1`` coalescer (flush on submit): every request travels
+  the full serve path alone and pays the whole dispatch overhead
+  itself.  This is the "serve without coalescing" number.
+* **coalesced** — a closed loop of ``concurrency`` clients: each
+  finishing wave is refilled by the clients it just answered, so waves
+  hold ``min(concurrency, max_wave)`` requests and the per-wave
+  overhead amortizes across them.
 
 The comparison is deliberately *within the serving stack* (not against
 direct compiled calls): both sides pay admission, coalescing, the

@@ -11,9 +11,20 @@ gap:
   identity and the feed shapes/dtypes, so only *compatible* requests
   (same compiled function, same signature, same tenant session) ever
   share a wave;
-* a queue flushes when it reaches ``max_wave`` requests (occupancy
-  flush) or when its oldest request has waited ``max_delay`` seconds
-  (deadline flush — the knob that bounds the latency cost of batching);
+* the flush rule is work-conserving — a request never waits for
+  companions, only for the executor.  A queue whose key has **no wave
+  in flight** flushes on the next event-loop turn (so everything
+  submitted in the same turn still shares one wave); a queue that forms
+  **behind a running wave** of its key is flushed by that wave the
+  moment it finishes.  Batching is therefore self-clocking: under light
+  load waves are singletons and latency tracks execution time, under
+  heavy load queues build behind the running wave and occupancy rises
+  by itself;
+* ``max_wave`` caps occupancy (a queue that reaches it flushes at once,
+  busy key or not), and the ``max_delay`` timer stays armed behind
+  every queue as the upper bound: it fires only when the wave ahead
+  outlives it, cutting the backlog into a wave that parks on the
+  per-key lock, and it is where a queued member's deadline is honoured;
 * a flush dispatches *one* wave through the supplied async ``dispatch``
   callable and fans the per-request results back out to each caller's
   future.  Waves of the same key serialize (a :class:`ShardPool` serves
@@ -25,9 +36,10 @@ per-key serialization wait) — it neither occupies wave slots nor
 receives results.
 
 Deadlines are first-class too: a request queued with ``expires_at``
-pulls the flush timer forward so its wave dispatches **no later than
-the earliest member deadline**, and a member whose deadline has already
-passed at flush (or after the per-key serialization wait) resolves with
+pulls the flush timer forward so a queue held behind a running wave is
+flushed **no later than its earliest member deadline**, and a member
+whose deadline has already passed at flush (or after the per-key
+serialization wait) resolves with
 :class:`~repro.serve.admission.ServeDeadlineError` without poisoning
 the rest of the wave — the survivors still dispatch and get results.
 """
@@ -51,15 +63,18 @@ class CoalesceConfig:
     Attributes
     ----------
     max_wave:
-        Flush a queue the moment it holds this many requests.  Bounded
-        above only by what the dispatch target digests well (a
-        :class:`~repro.runtime.ShardPool` takes any size and chunks it
-        into rings itself).
+        Occupancy cap: a queue flushes the moment it holds this many
+        requests.  Bounded above only by what the dispatch target
+        digests well (a :class:`~repro.runtime.ShardPool` takes any
+        size and chunks it into rings itself).
     max_delay:
-        Deadline flush: the longest a queued request may wait for
-        companions, in seconds.  This is the direct latency price of
-        coalescing — p50 under light load sits near ``max_delay``,
-        under heavy load near the wave service time.
+        The longest a request may sit *unflushed* behind a running wave
+        of its key, in seconds.  Nothing waits this long for
+        companions: an idle key flushes on the next loop turn and a
+        finishing wave flushes what queued behind it, so the timer
+        fires only when a wave outlives ``max_delay`` — it then bounds
+        the size of the backlog's pieces, not latency (p50 tracks the
+        wave service time at every load).
     """
 
     max_wave: int = 8
@@ -126,9 +141,14 @@ class Coalescer:
         self._locks: "defaultdict[Hashable, asyncio.Lock]" = defaultdict(
             asyncio.Lock
         )
-        #: Live wave tasks — strong references (the loop keeps only weak
-        #: ones) and the thing ``drain`` awaits.
-        self._tasks: set[asyncio.Task] = set()
+        #: Live wave tasks and their keys — strong references (the loop
+        #: keeps only weak ones) and the thing ``drain`` awaits.
+        self._tasks: dict[asyncio.Task, Hashable] = {}
+        #: Keys whose queue will be flushed without the timer, mapped to
+        #: their number of in-flight waves: the last wave to finish
+        #: flushes what queued behind it.  An entry of 0 is an idle key
+        #: with its next-turn flush already scheduled.
+        self._busy: dict[Hashable, int] = {}
 
     # -- introspection -----------------------------------------------------------
 
@@ -149,10 +169,12 @@ class Coalescer:
         """Queue ``item`` under ``key``; the future resolves to its result.
 
         Must be called on the event loop.  Flushes immediately at
-        ``max_wave``; otherwise the queue's first request arms the
-        delay timer, and any request's ``expires_at`` (absolute
-        ``loop.time()``) pulls the timer forward so the wave flushes no
-        later than its earliest member deadline.
+        ``max_wave``.  Otherwise an idle key (no wave in flight)
+        flushes on the next loop turn, and a busy one leaves the queue
+        to its finishing wave; behind both, the queue's first request
+        arms the delay timer, and any request's ``expires_at``
+        (absolute ``loop.time()``) pulls the timer forward so a queued
+        member resolves no later than its deadline.
         """
         loop = asyncio.get_running_loop()
         fut = loop.create_future()
@@ -161,6 +183,12 @@ class Coalescer:
         if len(queue) >= self.config.max_wave:
             self.flush(key)
             return fut
+        if key not in self._busy:
+            # Deferred one turn, never flushed here: the clients of a
+            # finished wave resubmit one by one in a single turn, and
+            # the first of them must not leave alone.
+            self._busy[key] = 0
+            loop.call_soon(self._flush_idle, key)
         fire_at = queue[0].enqueued_at + self.config.max_delay
         if expires_at is not None:
             fire_at = min(fire_at, expires_at)
@@ -207,8 +235,27 @@ class Coalescer:
         task = asyncio.get_running_loop().create_task(
             self._run_wave(key, live)
         )
-        self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
+        self._tasks[task] = key
+        self._busy[key] = self._busy.get(key, 0) + 1
+        task.add_done_callback(self._wave_done)
+
+    def _flush_idle(self, key: Hashable) -> None:
+        """The next-turn flush ``submit`` scheduled for an idle key."""
+        if self._busy.get(key) == 0:  # no wave started in between
+            del self._busy[key]
+            self.flush(key)
+
+    def _wave_done(self, task: asyncio.Task) -> None:
+        """Hand the key on: the last in-flight wave of a key flushes
+        whatever queued behind it.  Runs however the wave ended —
+        result, exception or cancellation."""
+        key = self._tasks.pop(task)
+        left = self._busy[key] - 1
+        if left:
+            self._busy[key] = left
+        else:
+            del self._busy[key]
+            self.flush(key)
 
     async def _run_wave(self, key: Hashable, batch: list[_Queued]) -> None:
         async with self._locks[key]:

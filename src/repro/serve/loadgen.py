@@ -7,8 +7,11 @@ behaviours — both needed to characterize a serving stack honestly:
   submit, await the result, and submit again.  Offered load adapts to
   service rate, so the system is never overloaded by construction —
   this measures *sustained throughput* and the latency of a busy but
-  stable server.  It is also the shape that fills coalesced waves: with
-  ``concurrency >= max_wave``, every wave runs full.
+  stable server.  It is also the shape that fills coalesced waves: the
+  clients of a finished wave resubmit together, so every wave holds
+  ``min(concurrency, max_wave)`` requests — the coalescer flushes what
+  queued behind a wave the moment it finishes, whether or not that
+  reaches ``max_wave``.
 * **open loop** (:func:`open_loop`): requests arrive on a timer at
   ``rate`` per second — uniform spacing or a Poisson process —
   regardless of completions, exactly like independent external users.

@@ -226,7 +226,9 @@ class ServeMetrics:
     latency: LatencyHistogram = dataclasses.field(
         default_factory=LatencyHistogram
     )
-    #: Time a request sat in the coalescer before its wave dispatched.
+    #: Time a request sat in the coalescer before its wave dispatched:
+    #: the time spent behind a running wave of its key (an idle key
+    #: dispatches on the next loop turn, so it records ~0).
     queue_wait: LatencyHistogram = dataclasses.field(
         default_factory=LatencyHistogram
     )

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import asyncio
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.config import override
 from repro.tensor import (
@@ -16,6 +19,11 @@ from repro.tensor import (
     random_tridiagonal,
     random_vector,
 )
+
+#: ``--hypothesis-profile=thorough``: the example budget for generated
+#: tests that leave ``max_examples`` to the profile (the coalescer state
+#: machine) — too slow for tier-1, run by CI's serve-smoke job.
+settings.register_profile("thorough", max_examples=2500)
 
 
 @pytest.fixture
@@ -53,3 +61,26 @@ def tiny_bench_config():
     """Config override so timing-related code runs fast in tests."""
     with override(repetitions=3, warmup=1, bootstrap_samples=100):
         yield
+
+
+@pytest.fixture
+def hold_waves():
+    """``gate, entered = hold_waves(server)`` parks every wave of a
+    running ``serve.Server`` in front of the engine until the test sets
+    ``gate`` — the way to hold a key busy so that later requests really
+    queue behind a running wave.  ``entered`` is set once a wave is
+    parked there."""
+
+    def install(server):
+        gate, entered = asyncio.Event(), asyncio.Event()
+        engine = server._coalescer._dispatch
+
+        async def held(key, items):
+            entered.set()
+            await gate.wait()
+            return await engine(key, items)
+
+        server._coalescer._dispatch = held
+        return gate, entered
+
+    return install

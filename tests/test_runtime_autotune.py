@@ -57,6 +57,14 @@ def _int_chain(n: int = 96, seed: int = 7):
     return (a, b, x), (a.data @ b.data) @ x.data
 
 
+#: Race budget for tests that assert a promotion happened.  The race
+#: always ends after ``reps`` rounds (a few ms here); the budget can
+#: only cut it short, and a cut to one noisy round on a stalled host is
+#: how a promotion gets lost.  So it is an upper bound a healthy run
+#: never reaches, not a wall-clock the test races.
+_AMPLE_BUDGET = 5.0
+
+
 def _chain_fn(p, q, v):
     return (p @ q) @ v
 
@@ -206,7 +214,7 @@ class TestPromotion:
     def test_inline_promotion_and_bit_identical_serving(self):
         (a, b, x), want = _int_chain()
         with api.Session(autotune={
-            "hot_threshold": 3, "budget_seconds": 0.05,
+            "hot_threshold": 3, "budget_seconds": _AMPLE_BUDGET,
         }) as session:
             chain = session.compile(_chain_fn)
             for _ in range(5):
@@ -225,7 +233,7 @@ class TestPromotion:
         keep advertising the FLOPs the promotion just removed."""
         (a, b, x), want = _int_chain()
         with api.Session(arena=arena, autotune={
-            "hot_threshold": 3, "budget_seconds": 0.05,
+            "hot_threshold": 3, "budget_seconds": _AMPLE_BUDGET,
         }) as session:
             chain = session.compile(_chain_fn)
             chain(a, b, x)
@@ -255,7 +263,8 @@ class TestPromotion:
 
         (a, b, x), want = _int_chain()
         with api.Session(autotune={
-            "hot_threshold": 2, "budget_seconds": 0.05, "mode": "worker",
+            "hot_threshold": 2, "budget_seconds": _AMPLE_BUDGET,
+            "mode": "worker",
         }) as session:
             chain = session.compile(_chain_fn)
             for _ in range(4):

@@ -10,6 +10,9 @@ Contracts under test:
 * ``wait_timeout`` turns a parked waiter into a rejection, and a waiter
   cancelled while parked never leaks a slot;
 * config validation fails loudly.
+
+The controller never leaves the loop thread, so every test runs on the
+virtual-time loop (``_virtual_loop``): ``wait_timeout`` costs nothing.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import asyncio
 
 import pytest
+from _virtual_loop import run
 
 from repro.serve import (
     AdmissionConfig,
@@ -24,10 +28,6 @@ from repro.serve import (
     ServeMetrics,
     ServeOverloadError,
 )
-
-
-def run(coro):
-    return asyncio.run(coro)
 
 
 class TestConfigValidation:

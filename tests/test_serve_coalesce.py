@@ -1,10 +1,15 @@
 """Request coalescing: flush boundaries, wave splitting, cancellation.
 
-Contracts under test (the ISSUE's flush-boundary checklist):
+Contracts under test (the flush-boundary checklist):
 
-* a queue flushes the moment it reaches ``max_wave`` (occupancy flush)
-  and otherwise when its oldest request has waited ``max_delay``
-  (deadline flush);
+* the flush rule is work-conserving: a queue on an idle key flushes on
+  the next loop turn (same-turn submits share the wave), a queue behind
+  a running wave is flushed by that wave when it finishes — however it
+  finishes — and nothing ever waits for the ``max_delay`` timer unless
+  the wave ahead outlives it;
+* a queue flushes the moment it reaches ``max_wave`` (occupancy cap),
+  and the ``max_delay`` timer cuts a queue held behind a running wave
+  into a wave of its own;
 * requests with incompatible feed shapes/dtypes never share a wave —
   at the server level the coalesce key carries the feed signature, so
   mixed-shape submissions split into per-signature waves;
@@ -12,6 +17,12 @@ Contracts under test (the ISSUE's flush-boundary checklist):
   occupies no wave slot and the remaining requests still complete;
 * waves of one key serialize; dispatch failures fan out to every
   request of the wave; ``drain()`` leaves nothing queued or in flight.
+
+Coalescer-level tests run on the virtual-time loop (``_virtual_loop``):
+timers cost nothing and ``loop.time()`` only moves when the loop had
+to wait for one, so "the timer never fired" is an exact assertion.
+Tests that execute waves through a real ``Server`` cross its thread
+pool and stay on the real loop.
 """
 
 from __future__ import annotations
@@ -20,6 +31,7 @@ import asyncio
 
 import numpy as np
 import pytest
+from _virtual_loop import run as run_virtual
 
 from repro import api, serve
 from repro.serve import CoalesceConfig, Coalescer, ServeMetrics
@@ -30,16 +42,28 @@ def run(coro):
     return asyncio.run(coro)
 
 
-def make_coalescer(waves, config, metrics=None, delay=0.0):
-    """A Coalescer whose dispatch echoes items back and logs each wave."""
+def make_coalescer(waves, config, metrics=None, delay=0.0, gate=None):
+    """A Coalescer whose dispatch echoes items back and logs each wave.
+
+    ``gate`` (an ``asyncio.Event``) parks every wave inside dispatch
+    until the test sets it — the way to hold a key busy.
+    """
 
     async def dispatch(key, items):
+        waves.append((key, list(items)))
         if delay:
             await asyncio.sleep(delay)
-        waves.append((key, list(items)))
+        if gate is not None:
+            await gate.wait()
         return [f"done:{item}" for item in items]
 
     return Coalescer(dispatch, config=config, metrics=metrics)
+
+
+async def dispatching(waves):
+    """Yield until the first wave is inside dispatch."""
+    while not waves:
+        await asyncio.sleep(0)
 
 
 class TestConfigValidation:
@@ -59,33 +83,141 @@ class TestFlushBoundaries:
                 waves, CoalesceConfig(max_wave=3, max_delay=60.0)
             )
             futs = [c.submit("k", i) for i in range(3)]
-            # Hitting max_wave dispatched the wave with no timer wait
-            # (max_delay is a minute — a deadline flush can't be it).
+            # Hitting max_wave flushed the wave inside submit, before
+            # the loop turned once.
             assert c.pending("k") == 0
             results = await asyncio.gather(*futs)
             assert results == ["done:0", "done:1", "done:2"]
             assert len(waves) == 1
             assert waves[0] == ("k", [0, 1, 2])
 
-        run(main())
+        run_virtual(main())
 
-    def test_deadline_flushes_partial_wave(self):
+    def test_isolated_request_on_idle_key_never_waits_for_the_timer(self):
         async def main():
             waves = []
             metrics = ServeMetrics()
             c = make_coalescer(
-                waves, CoalesceConfig(max_wave=64, max_delay=0.01), metrics
+                waves, CoalesceConfig(max_wave=64, max_delay=60.0), metrics
             )
+            loop = asyncio.get_running_loop()
+            start = loop.time()
             fut = c.submit("k", "only")
-            assert c.pending("k") == 1  # far from max_wave: still queued
+            assert c.pending("k") == 1  # flushed next turn, not in submit
             assert await fut == "done:only"
-            assert len(waves) == 1 and waves[0][1] == ["only"]
-            assert metrics.wave_occupancy.max == 1
-            # The request waited roughly the deadline, not the minute a
-            # full wave would imply.
-            assert metrics.queue_wait.max >= 0.009
+            assert waves == [("k", ["only"])]
+            # The virtual clock moves only when the loop waits for a
+            # timer: the minute-long max_delay timer never fired.
+            assert loop.time() == start
+            assert metrics.queue_wait.max == 0.0
 
-        run(main())
+        run_virtual(main())
+
+    def test_same_turn_submits_on_idle_key_form_one_wave(self):
+        async def main():
+            waves = []
+            c = make_coalescer(
+                waves, CoalesceConfig(max_wave=64, max_delay=60.0)
+            )
+            loop = asyncio.get_running_loop()
+            start = loop.time()
+            futs = [c.submit("k", i) for i in range(5)]
+            await asyncio.gather(*futs)
+            assert waves == [("k", [0, 1, 2, 3, 4])]
+            assert loop.time() == start
+
+        run_virtual(main())
+
+    def test_finishing_wave_flushes_what_queued_behind_it(self):
+        async def main():
+            waves = []
+            gate = asyncio.Event()
+            c = make_coalescer(
+                waves, CoalesceConfig(max_wave=64, max_delay=60.0),
+                gate=gate,
+            )
+            loop = asyncio.get_running_loop()
+            start = loop.time()
+            head = c.submit("k", "head")
+            await dispatching(waves)
+            behind = [c.submit("k", i) for i in range(3)]
+            for _ in range(5):
+                await asyncio.sleep(0)
+            # Busy key: no next-turn flush, the queue holds.
+            assert c.pending("k") == 3 and c.inflight_waves == 1
+            gate.set()
+            await asyncio.gather(head, *behind)
+            assert [items for _, items in waves] == [["head"], [0, 1, 2]]
+            assert loop.time() == start  # no timer involved anywhere
+
+        run_virtual(main())
+
+    @pytest.mark.parametrize("ending", ["raise", "cancel"])
+    def test_failed_or_cancelled_wave_still_hands_its_key_on(self, ending):
+        async def main():
+            waves = []
+            gate = asyncio.Event()
+
+            async def dispatch(key, items):
+                waves.append(list(items))
+                if len(waves) == 1:
+                    await gate.wait()
+                    raise ValueError("kernel exploded")
+                return list(items)
+
+            c = Coalescer(
+                dispatch, config=CoalesceConfig(max_wave=64, max_delay=60.0)
+            )
+            loop = asyncio.get_running_loop()
+            start = loop.time()
+            head = c.submit("k", "head")
+            await dispatching(waves)
+            behind = c.submit("k", "behind")
+            if ending == "raise":
+                gate.set()
+                with pytest.raises(ValueError, match="kernel exploded"):
+                    await head
+            else:
+                (task,) = c._tasks
+                task.cancel()
+                with pytest.raises(asyncio.CancelledError):
+                    await head
+            assert await behind == "behind"
+            assert waves == [["head"], ["behind"]]
+            assert loop.time() == start  # handed on, not timed out
+
+        run_virtual(main())
+
+    def test_deadline_flushes_partial_wave(self):
+        # The max_delay timer is the upper bound, not the common path:
+        # it fires only for a queue whose key stays busy that long, and
+        # then flushes the partial queue into a wave of its own.
+        async def main():
+            waves = []
+            metrics = ServeMetrics()
+            gate = asyncio.Event()
+            c = make_coalescer(
+                waves, CoalesceConfig(max_wave=64, max_delay=0.01), metrics,
+                gate=gate,
+            )
+            head = c.submit("k", "head")
+            await dispatching(waves)
+            fut = c.submit("k", "only")
+            await asyncio.sleep(0.009)
+            assert c.pending("k") == 1  # far from max_wave: still queued
+            await asyncio.sleep(0.002)
+            # max_delay passed: flushed into a wave parked on the key.
+            assert c.pending("k") == 0 and c.inflight_waves == 2
+            assert not fut.done()
+            gate.set()
+            assert await head == "done:head"
+            assert await fut == "done:only"
+            assert [items for _, items in waves] == [["head"], ["only"]]
+            assert metrics.wave_occupancy.max == 1
+            # queue_wait is the time spent behind the running wave.
+            assert metrics.queue_wait.max >= 0.011
+
+        run_virtual(main())
 
     def test_overfull_burst_splits_at_max_wave(self):
         async def main():
@@ -97,7 +229,27 @@ class TestFlushBoundaries:
             await asyncio.gather(*futs)
             assert [len(items) for _, items in waves] == [4, 4, 2]
 
-        run(main())
+        run_virtual(main())
+
+    def test_burst_overflow_queues_behind_its_own_wave(self):
+        # The burst's first max_wave members flush inside submit; the
+        # overflow is then behind a running wave, so the idle flush the
+        # first submit scheduled must leave it for later arrivals.
+        async def main():
+            waves = []
+            gate = asyncio.Event()
+            c = make_coalescer(
+                waves, CoalesceConfig(max_wave=4, max_delay=60.0), gate=gate
+            )
+            futs = [c.submit("k", i) for i in range(5)]
+            await dispatching(waves)
+            futs += [c.submit("k", i) for i in (5, 6)]
+            assert c.pending("k") == 3 and c.inflight_waves == 1
+            gate.set()
+            await asyncio.gather(*futs)
+            assert [items for _, items in waves] == [[0, 1, 2, 3], [4, 5, 6]]
+
+        run_virtual(main())
 
     def test_distinct_keys_never_share_a_wave(self):
         async def main():
@@ -112,7 +264,7 @@ class TestFlushBoundaries:
             assert by_key["k0"] == [0, 2, 4]
             assert by_key["k1"] == [1, 3, 5]
 
-        run(main())
+        run_virtual(main())
 
 
 class TestIncompatibleFeedsSplitWaves:
@@ -193,7 +345,7 @@ class TestCancellation:
             assert drop.cancelled()
             assert metrics.wave_occupancy.max == 1
 
-        run(main())
+        run_virtual(main())
 
     def test_fully_cancelled_queue_dispatches_nothing(self):
         async def main():
@@ -208,7 +360,7 @@ class TestCancellation:
             await c.drain()
             assert waves == []
 
-        run(main())
+        run_virtual(main())
 
     def test_cancelled_during_serialization_wait_dropped(self):
         async def main():
@@ -229,7 +381,7 @@ class TestCancellation:
             assert [items for _, items in waves] == [["first"]]
             assert metrics.cancelled == 1
 
-        run(main())
+        run_virtual(main())
 
 
 class TestDispatchSemantics:
@@ -251,7 +403,7 @@ class TestDispatchSemantics:
             await asyncio.gather(*futs)
             assert running["peak"] == 1
 
-        run(main())
+        run_virtual(main())
 
     def test_dispatch_failure_fans_out_to_whole_wave(self):
         async def main():
@@ -272,7 +424,7 @@ class TestDispatchSemantics:
             with pytest.raises(ValueError, match="kernel exploded"):
                 await f3
 
-        run(main())
+        run_virtual(main())
 
     def test_result_count_mismatch_is_an_error(self):
         async def main():
@@ -288,7 +440,7 @@ class TestDispatchSemantics:
                 with pytest.raises(RuntimeError, match="2"):
                     await fut
 
-        run(main())
+        run_virtual(main())
 
     def test_drain_flushes_and_waits(self):
         async def main():
@@ -298,11 +450,34 @@ class TestDispatchSemantics:
                 delay=0.01,
             )
             futs = [c.submit("k", i) for i in range(3)]
-            assert c.pending() == 3
+            assert c.pending() == 3  # the next-turn flush is still pending
             await c.drain()
             assert c.pending() == 0
             assert c.inflight_waves == 0
             assert len(waves) == 1
             assert all(f.done() for f in futs)
 
-        run(main())
+        run_virtual(main())
+
+    def test_drain_with_requests_queued_behind_a_running_wave(self):
+        async def main():
+            waves = []
+            gate = asyncio.Event()
+            c = make_coalescer(
+                waves, CoalesceConfig(max_wave=64, max_delay=60.0),
+                gate=gate,
+            )
+            head = c.submit("k", "head")
+            await dispatching(waves)
+            behind = [c.submit("k", i) for i in range(2)]
+            draining = asyncio.ensure_future(c.drain())
+            await asyncio.sleep(0)
+            assert not draining.done()  # waits for the running wave
+            gate.set()
+            await draining
+            assert c.pending() == 0
+            assert c.inflight_waves == 0
+            assert [items for _, items in waves] == [["head"], [0, 1]]
+            assert head.done() and all(f.done() for f in behind)
+
+        run_virtual(main())

@@ -7,10 +7,10 @@ Contracts under test:
   already-expired deadline never parks, and the error choice between
   deadline and ``wait_timeout`` follows whichever bound is tighter.
 * Coalescer: a member's ``expires_at`` pulls the flush timer forward
-  (the wave dispatches no later than the earliest member deadline), an
-  expired member resolves with :class:`ServeDeadlineError` *without
-  poisoning the wave* — both at flush and after the per-key
-  serialization wait.
+  (a queue held behind a running wave is flushed no later than its
+  earliest member deadline), an expired member resolves with
+  :class:`ServeDeadlineError` *without poisoning the wave* — both at
+  flush and after the per-key serialization wait.
 * :class:`CircuitBreaker`: closed → open after ``failures_to_open``
   consecutive failures, sheds during the cooldown, half-open admits one
   probe, and the probe's outcome closes or re-opens it.
@@ -18,6 +18,11 @@ Contracts under test:
   ``"deadline"`` failure cause, breaker sheds raise
   :class:`ServeOverloadError` with ``breaker_shed``/``breaker_trips``
   accounting, and a recovered plan serves again after the cooldown.
+
+Admission- and coalescer-level tests run on the virtual-time loop
+(``_virtual_loop``), so their deadlines and timeouts are exact and
+free; ``Server``-level tests cross the real dispatch thread pool and
+stay on the real loop.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ import asyncio
 
 import numpy as np
 import pytest
+from _virtual_loop import run as run_virtual
 
 from repro import api, faults, serve
 from repro.serve import (
@@ -77,7 +83,7 @@ class TestAdmissionDeadline:
             assert ctl.depth() == 0
             assert metrics.deadline_expired == 1
 
-        run(main())
+        run_virtual(main())
 
     def test_parked_waiter_expires_with_deadline_error(self):
         async def main():
@@ -93,7 +99,7 @@ class TestAdmissionDeadline:
             ctl.release("a")
             await ctl.acquire("c")
 
-        run(main())
+        run_virtual(main())
 
     def test_tighter_bound_picks_the_error(self):
         async def main():
@@ -110,18 +116,24 @@ class TestAdmissionDeadline:
             with pytest.raises(ServeDeadlineError):
                 await ctl.acquire("b", deadline=loop.time() + 0.01)
 
-        run(main())
+        run_virtual(main())
 
 
 # -- coalescer deadlines ------------------------------------------------------
 
 
-def _echo_coalescer(config, metrics=None, *, delay=0.0, waves=None):
+def _echo_coalescer(config, metrics=None, *, delay=0.0, waves=None,
+                    gate=None):
+    """``gate`` (an ``asyncio.Event``) parks every wave inside dispatch
+    until the test sets it — the way to hold a key busy."""
+
     async def dispatch(key, items):
-        if delay:
-            await asyncio.sleep(delay)
         if waves is not None:
             waves.append(list(items))
+        if delay:
+            await asyncio.sleep(delay)
+        if gate is not None:
+            await gate.wait()
         return [("served", item) for item in items]
 
     return Coalescer(dispatch, config=config, metrics=metrics)
@@ -129,25 +141,41 @@ def _echo_coalescer(config, metrics=None, *, delay=0.0, waves=None):
 
 class TestCoalescerDeadline:
     def test_deadline_pulls_flush_forward(self):
-        # max_delay alone would hold the wave for 30 s; the expiring
-        # member forces the flush at its deadline, so the *other*
-        # member is served almost immediately.
+        # Two requests queue behind a running wave; max_delay alone
+        # would hold them for 30 s.  The expiring member pulls the
+        # timer to its deadline: it resolves with the deadline error
+        # right then, and the *other* member is flushed into a clean
+        # wave of its own instead of waiting out max_delay.
         async def main():
             metrics = ServeMetrics()
+            waves = []
+            gate = asyncio.Event()
             co = _echo_coalescer(
-                CoalesceConfig(max_wave=8, max_delay=30.0), metrics
+                CoalesceConfig(max_wave=8, max_delay=30.0), metrics,
+                waves=waves, gate=gate,
             )
             loop = asyncio.get_running_loop()
+            head = co.submit("k", "head")
+            while not waves:  # until the head wave is inside dispatch
+                await asyncio.sleep(0)
             start = loop.time()
             fut_a = co.submit("k", "a")
-            fut_b = co.submit("k", "b", expires_at=loop.time() + 0.05)
-            assert await asyncio.wait_for(fut_a, 5.0) == ("served", "a")
+            fut_b = co.submit("k", "b", expires_at=start + 0.05)
             with pytest.raises(ServeDeadlineError):
                 await fut_b
-            assert loop.time() - start < 5.0
+            assert 0.05 <= loop.time() - start < 0.051
             assert metrics.deadline_expired == 1
+            # The survivor left the queue with it, parked behind head.
+            assert co.pending("k") == 0 and co.inflight_waves == 2
+            assert not fut_a.done()
+            gate.set()
+            assert await head == ("served", "head")
+            assert await fut_a == ("served", "a")
+            assert waves == [["head"], ["a"]]
+            assert metrics.deadline_expired == 1  # counted once
+            assert loop.time() - start < 0.051  # max_delay never came
 
-        run(main())
+        run_virtual(main())
 
     def test_met_deadline_is_served(self):
         # A deadline looser than the natural flush changes nothing.
@@ -157,7 +185,7 @@ class TestCoalescerDeadline:
             fut = co.submit("k", "a", expires_at=loop.time() + 10.0)
             assert await asyncio.wait_for(fut, 5.0) == ("served", "a")
 
-        run(main())
+        run_virtual(main())
 
     def test_expired_member_does_not_poison_the_wave(self):
         async def main():
@@ -174,7 +202,7 @@ class TestCoalescerDeadline:
             # The expired member never reached dispatch.
             assert waves == [["a"]]
 
-        run(main())
+        run_virtual(main())
 
     def test_expiry_after_serialization_wait(self):
         # Wave 1 holds the per-key lock long enough for wave 2's only
@@ -196,7 +224,7 @@ class TestCoalescerDeadline:
             await co.drain()
             assert waves == [["a"]]
 
-        run(main())
+        run_virtual(main())
 
 
 # -- the circuit breaker ------------------------------------------------------
@@ -275,19 +303,20 @@ class TestServerDeadline:
 
         run(main())
 
-    def test_deadline_expires_in_admission(self, feeds):
+    def test_deadline_expires_in_admission(self, feeds, hold_waves):
         async def main():
-            faults.install("serve.dispatch:delay(0.5)@1")
             async with serve.Server(
                 admission=AdmissionConfig(max_inflight=1),
                 coalesce=CoalesceConfig(max_wave=1, max_delay=0.001),
             ) as server:
+                gate, entered = hold_waves(server)
                 slow = asyncio.ensure_future(server.submit(model, feeds))
-                await asyncio.sleep(0.1)  # the slow wave holds the slot
+                await entered.wait()  # the held wave keeps the one slot
                 with pytest.raises(ServeDeadlineError):
-                    await server.submit(model, feeds, deadline=0.1)
+                    await server.submit(model, feeds, deadline=0.05)
                 assert server.metrics.deadline_expired == 1
                 assert server.metrics.failure_causes.get("deadline") == 1
+                gate.set()
                 out = await slow  # the slow request itself completes
                 np.testing.assert_allclose(
                     out.data,
@@ -299,30 +328,43 @@ class TestServerDeadline:
         run(main())
 
     def test_deadline_expires_in_coalescer_without_poisoning_wave(
-        self, feeds
+        self, feeds, hold_waves
     ):
         async def main():
             async with serve.Server(
                 coalesce=CoalesceConfig(max_wave=8, max_delay=30.0),
             ) as server:
-                loop = asyncio.get_running_loop()
-                start = loop.time()
+                # Hold the key busy: the first wave parks in front of
+                # the engine until the test lets it through, so the
+                # next two requests really are queued behind it.
+                gate, entered = hold_waves(server)
+                head = asyncio.ensure_future(server.submit(model, feeds))
+                await entered.wait()
                 patient = asyncio.ensure_future(server.submit(model, feeds))
-                await asyncio.sleep(0)  # both requests join one wave
+                await asyncio.sleep(0)  # patient queues first
                 with pytest.raises(ServeDeadlineError):
                     await server.submit(model, feeds, deadline=0.05)
                 # The expiring member pulled the flush forward: the
-                # patient request is served now, not at max_delay.
-                out = await asyncio.wait_for(patient, 10.0)
-                assert loop.time() - start < 10.0
-                np.testing.assert_allclose(
-                    out.data,
-                    (feeds[0].data @ feeds[1].data + feeds[2].data)
-                    @ feeds[0].data.T,
-                    rtol=1e-5,
-                )
-                assert server.metrics.completed == 1
+                # patient request left the queue at that deadline, not
+                # at max_delay, and waits only for the running wave.
+                assert server._coalescer.pending() == 0
+                assert not patient.done()
                 assert server.metrics.deadline_expired == 1
+                gate.set()
+                ref = (
+                    (feeds[0].data @ feeds[1].data + feeds[2].data)
+                    @ feeds[0].data.T
+                )
+                for fut in (head, patient):
+                    out = await asyncio.wait_for(fut, 10.0)
+                    np.testing.assert_allclose(out.data, ref, rtol=1e-5)
+                # Two clean singleton waves; the expired member was in
+                # neither and is counted once.
+                assert server.metrics.completed == 2
+                assert server.metrics.waves == 2
+                assert server.metrics.wave_occupancy.max == 1
+                assert server.metrics.deadline_expired == 1
+                assert server.metrics.failure_causes == {"deadline": 1}
 
         run(main())
 

@@ -161,23 +161,54 @@ class TestLifecycle:
 
         run(main())
 
-    def test_stop_drains_queued_requests(self, feeds):
+    def test_stop_drains_queued_requests(self, feeds, hold_waves):
         async def main():
             server = serve.Server(
                 coalesce=serve.CoalesceConfig(max_wave=64, max_delay=60.0)
             )
             await server.start()
-            # With a one-minute deadline the request sits queued until
-            # stop() drains it.
+            # Hold the key busy so a request really is queued when
+            # stop() arrives: the first wave parks in front of the
+            # engine until the test lets it through.
+            gate, entered = hold_waves(server)
+            head = asyncio.ensure_future(server.submit(model, feeds))
+            await entered.wait()
+            queued = asyncio.ensure_future(server.submit(model, feeds))
+            await asyncio.sleep(0)
+            # Behind a running wave, a minute from the timer: queued.
+            assert server._coalescer.pending() == 1
+            stopping = asyncio.ensure_future(server.stop())
+            await asyncio.sleep(0)
+            assert not stopping.done()  # a drain, not an abort
+            gate.set()
+            await stopping
+            for task in (head, queued):
+                out = await task
+                np.testing.assert_allclose(out.data, reference(*feeds),
+                                           rtol=1e-5)
+            # stop() closed the tenant session.
+            assert server._sessions["default"].closed
+
+        run(main())
+
+    def test_stop_drains_a_request_whose_idle_flush_is_still_pending(
+        self, feeds
+    ):
+        async def main():
+            server = serve.Server(
+                coalesce=serve.CoalesceConfig(max_wave=64, max_delay=60.0)
+            )
+            await server.start()
             task = asyncio.ensure_future(server.submit(model, feeds))
-            await asyncio.sleep(0.01)
-            assert not task.done()
+            await asyncio.sleep(0)
+            # Submitted this turn on an idle key: its next-turn flush
+            # has not run yet when stop() begins.
+            assert server._coalescer.pending() == 1
             await server.stop()
             out = await task
             np.testing.assert_allclose(out.data, reference(*feeds),
                                        rtol=1e-5)
-            # stop() closed the tenant session.
-            assert server._sessions["default"].closed
+            assert server.metrics.waves == 1
 
         run(main())
 
