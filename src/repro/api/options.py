@@ -31,11 +31,17 @@ ARENA_MODES = ("per-call", "preallocated")
 
 __all__ = ["ARENA_MODES", "PIPELINES", "VALIDATION_LEVELS", "Options"]
 
-#: Graph-validation levels applied around trace/optimize:
-#: ``off``   no structural checks (the PR-1 decorator behaviour);
-#: ``trace`` validate the freshly traced graph;
-#: ``full``  validate the traced *and* the optimized graph — catches
-#:           passes that corrupt shapes/wiring before a plan is built.
+#: Graph-validation levels.  Whatever the level, a build that runs the
+#: optimizer is checked by the pass pipeline itself: the traced graph, then
+#: after every pass the nodes that pass created (``repro.ir.validate``).
+#: The levels say what the session checks *on top of* that:
+#: ``off``   nothing more — a plan-store warm start, which skips the
+#:           passes, builds from the stored graph unchecked;
+#: ``trace`` one full walk of the freshly traced graph, before the store
+#:           lookup (so warm starts are covered too);
+#: ``full``  ``trace`` plus one full, non-incremental walk of the
+#:           optimized graph — whether the passes or the store produced
+#:           it — before a plan is built.
 VALIDATION_LEVELS = ("off", "trace", "full")
 
 

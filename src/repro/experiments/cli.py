@@ -93,7 +93,8 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-wave", type=int, default=8,
                        help="coalescer occupancy flush threshold")
     serve.add_argument("--max-delay", type=float, default=0.002,
-                       help="coalescer deadline flush, seconds")
+                       help="upper bound on time queued behind a "
+                            "running wave, seconds")
     serve.add_argument("--loops", type=int, default=12,
                        help="chain length of the dispatch-bound workload")
     serve.add_argument("--threads", type=int, default=1,

@@ -116,21 +116,37 @@ class Graph:
         ``fn(node, new_inputs)`` is called for every reachable node in
         topological order, with its inputs already replaced.  It returns the
         replacement node, or ``None`` to mean "rebuild as-is" (a new node is
-        only allocated when inputs actually changed).  The method returns a
-        new Graph with remapped outputs; untouched sub-DAGs are shared.
+        only allocated when inputs actually changed).
+
+        Identity contract: when *every* reachable node maps to itself the
+        method returns ``self`` — same object, so the cached topological
+        order and structural signature survive and callers can test "did
+        anything change" with ``is``.  Otherwise it returns a new Graph
+        with remapped outputs; untouched sub-DAGs are shared.
         """
         mapping: dict[int, Node] = {}
+        changed = False
         for node in self.topological():
-            new_inputs = tuple(mapping[id(i)] for i in node.inputs)
+            # Until some node changed, every input maps to itself: hand
+            # ``fn`` the node's own tuple and skip the comparison below.
+            new_inputs = (
+                tuple(mapping[id(i)] for i in node.inputs) if changed else node.inputs
+            )
             replacement = fn(node, new_inputs)
             if replacement is None:
-                if all(a is b for a, b in zip(new_inputs, node.inputs)):
+                if not changed or all(
+                    a is b for a, b in zip(new_inputs, node.inputs)
+                ):
                     replacement = node
                 else:
                     replacement = Node(
                         node.op, new_inputs, dict(node.attrs), name=node.name
                     )
+            if replacement is not node:
+                changed = True
             mapping[id(node)] = replacement
+        if not changed:
+            return self
         # Declared inputs that earlier passes made unreachable are absent
         # from the mapping; keep them verbatim so positional feeding of the
         # original arguments keeps working.

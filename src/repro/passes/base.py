@@ -29,6 +29,13 @@ class GraphPass:
     counting and stores :attr:`last_stats`.  Passes must be *semantics
     preserving* — the hypothesis suite executes random graphs before and
     after every pass and compares numerically.
+
+    Identity contract: a pass that changed nothing returns the object it
+    was given (``p.run(g) is g``).  :meth:`Graph.rewrite` and
+    :meth:`transform_loop_bodies` already behave that way, so a pass built
+    on them inherits it; a pass that assembles its result ``Graph`` by hand
+    must check for itself.  :class:`~repro.passes.pipeline.PassPipeline`
+    relies on it to skip re-validating an unchanged graph.
     """
 
     name: str = "pass"
@@ -57,7 +64,13 @@ class GraphPass:
         return Node(node.op, inputs, dict(node.attrs), name=node.name)
 
     def transform_loop_bodies(self, graph: Graph) -> Graph:
-        """Recurse this pass into every ``loop`` node's body sub-graph."""
+        """Recurse this pass into every ``loop`` node's body sub-graph.
+
+        A graph without a ``loop`` node comes back as-is, without a
+        rebuild walk.
+        """
+        if not any(n.op == "loop" for n in graph.topological()):
+            return graph
 
         def fn(node: Node, new_inputs: tuple[Node, ...]) -> Node | None:
             if node.op != "loop":

@@ -90,6 +90,10 @@ class ChainReordering(GraphPass):
             return result
 
         new_outputs = [transform(o) for o in graph.outputs]
+        # `transform` returns a node itself only when its whole sub-DAG
+        # came back untouched, so unchanged outputs mean an unchanged graph.
+        if all(a is b for a, b in zip(new_outputs, graph.outputs)):
+            return graph
         # Input nodes are never rewritten by `transform`, so the original
         # positional input order carries over verbatim.
         return Graph(new_outputs, inputs=graph.inputs)

@@ -55,6 +55,8 @@ class LoopInvariantCodeMotion(GraphPass):
             if feeds_variant or id(node) in out_ids:
                 roots.append(node)
         if not roots:
+            if body is loop_node.attrs["body"]:
+                return None  # nothing hoisted here or below: keep the node
             attrs = dict(loop_node.attrs)
             attrs["body"] = body
             return Node("loop", new_inputs, attrs, name=loop_node.name)

@@ -38,8 +38,6 @@ class DistributivityRewrite(GraphPass):
 
     def apply(self, graph: Graph) -> Graph:
         graph = self.transform_loop_bodies(graph)
-        out_ids = {id(o) for o in graph.outputs}
-        del out_ids  # sharing handled by cost model (subtree counted once)
 
         def try_factor(node: Node, new_inputs: tuple[Node, ...]) -> Node | None:
             """add/sub of two matmuls with a common factor."""

@@ -6,6 +6,7 @@ from collections.abc import Iterable, Sequence
 
 from ..errors import GraphError
 from ..ir.graph import Graph
+from ..ir.node import Node
 from ..ir.validate import validate_graph
 from .base import GraphPass, PassStats
 
@@ -19,6 +20,13 @@ class PassPipeline:
     ``validate=True`` (the default) the structural validator runs after
     every pass, so a semantics-breaking pass is caught at the pass
     boundary, attributed by name.
+
+    The cost of that follows what a pass *changed*: a pass that rewrote
+    nothing returns the graph it was given (the :class:`GraphPass`
+    identity contract) and is not re-validated, and a changed graph has
+    its graph-level checks re-run but its per-node checks only on nodes
+    no earlier boundary of the same run has seen (nodes are immutable;
+    see :mod:`repro.ir.validate`).
 
     ``history`` holds the :class:`PassStats` of the *latest* ``run()``
     only — it is reset at the start of every run, and a run that raises
@@ -35,8 +43,12 @@ class PassPipeline:
         from .. import faults
 
         self.history = []
+        # Nodes validated so far in *this* run.  Holds the nodes
+        # themselves so a rewritten-away node's address cannot be reused
+        # by one that was never checked; never outlives the run.
+        checked: dict[int, Node] = {}
         if self.validate:
-            validate_graph(graph)
+            validate_graph(graph, checked=checked)
         for p in self.passes:
             # Chaos site: a deterministic mid-compile failure.  An
             # "error" spec raises InjectedFault out of the optimize
@@ -44,13 +56,14 @@ class PassPipeline:
             # caller; on the autotune candidate-generation path it must
             # be swallowed and the canonical plan kept.
             faults.fire("optimize.pass")
+            before = graph
             try:
                 graph = p.run(graph)
             except GraphError as exc:
                 raise GraphError(f"pass {p.name!r} failed: {exc}") from exc
-            if self.validate:
+            if self.validate and graph is not before:
                 try:
-                    validate_graph(graph)
+                    validate_graph(graph, checked=checked)
                 except GraphError as exc:
                     raise GraphError(
                         f"pass {p.name!r} produced an invalid graph: {exc}"

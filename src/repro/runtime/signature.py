@@ -20,6 +20,7 @@ artifacts by.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from typing import Any
 
@@ -27,6 +28,13 @@ import numpy as np
 
 from ..ir.graph import Graph
 from ..ir.node import Node
+
+
+@functools.cache
+def _dtype_str(dtype: np.dtype) -> str:
+    """``str(dtype)``, computed once per dtype: numpy builds the string
+    afresh on every call (~3 µs), and a signature asks once per node."""
+    return str(dtype)
 
 
 def _attr_value_key(value: Any) -> Any:
@@ -50,7 +58,7 @@ def _node_key(node: Node, index_of: dict[int, int]) -> tuple:
     return (
         node.op,
         node.shape,
-        str(node.dtype),
+        _dtype_str(node.dtype),
         attrs,
         tuple(index_of[id(i)] for i in node.inputs),
     )
@@ -73,7 +81,8 @@ def graph_signature(graph: Graph) -> tuple:
     index_of = {id(n): i for i, n in enumerate(order)}
     nodes = tuple(_node_key(n, index_of) for n in order)
     inputs = tuple(
-        (index_of.get(id(n), -1), n.shape, str(n.dtype)) for n in graph.inputs
+        (index_of.get(id(n), -1), n.shape, _dtype_str(n.dtype))
+        for n in graph.inputs
     )
     outputs = tuple(index_of[id(o)] for o in graph.outputs)
     graph._signature_cache = signature = (nodes, inputs, outputs)

@@ -290,6 +290,23 @@ class TestSessionCompileRun:
             out = session.run(gram, a, b)
             assert out.shape == (a.shape[1], b.shape[1])
 
+    def test_full_validation_is_a_from_scratch_walk(self, operands, monkeypatch):
+        """``full`` re-checks the traced and the optimized graph without
+        the pipeline's per-run memory of already-validated nodes."""
+        from repro.api import session as session_mod
+
+        calls = []
+        real = session_mod.validate_graph
+
+        def spy(graph, **kwargs):
+            calls.append(kwargs)
+            return real(graph, **kwargs)
+
+        monkeypatch.setattr(session_mod, "validate_graph", spy)
+        a, b = operands["A"], operands["B"]
+        api.Session(validation="full").run(gram, a, b)
+        assert calls == [{}, {}]  # traced, optimized; no ``checked``
+
     def test_cache_capacity_enforced(self):
         session = api.Session(cache_capacity=1)
         for n in (4, 5, 6):

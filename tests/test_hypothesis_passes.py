@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ir import Graph, run_graph, trace
-from repro.ir.tracing import SymbolicTensor
+from repro.ir import Graph, run_graph, trace, validate_graph
+from repro.ir.tracing import SymbolicTensor, trace_loop
 from repro.passes import (
     ArithmeticSimplification,
     ChainReordering,
@@ -48,7 +48,8 @@ def expressions(draw):
             return draw_(st.sampled_from(["a", "b", "x_outer"]))
         op = draw_(
             st.sampled_from(
-                ["matmul", "add", "sub", "transpose", "scale", "neg", "slice"]
+                ["matmul", "add", "sub", "transpose", "scale", "neg", "slice",
+                 "loop"]
             )
         )
         if op in ("matmul", "add", "sub"):
@@ -59,6 +60,9 @@ def expressions(draw):
         if op == "slice":
             i = draw_(st.integers(min_value=0, max_value=N - 1))
             return (op, i, build(d - 1, draw_))
+        if op == "loop":
+            trips = draw_(st.integers(min_value=1, max_value=3))
+            return (op, trips, build(d - 1, draw_))
         return (op, build(d - 1, draw_))
 
     return build(depth, draw)
@@ -93,6 +97,15 @@ def _materialize(tree, a, b, x):
         # folded in through scaling by row tree[1]'s [0,0] is fragile under
         # float32; a full-width slice suffices here.
         return full[:, :]
+    if op == "loop":
+        # A rolled fori_loop: one invariant product LICM can hoist, one
+        # carried term it cannot, and a scale every body-recursing pass sees.
+        return trace_loop(
+            lambda i, acc, p, q: acc * 0.5 + p @ q,
+            _materialize(tree[2], a, b, x),
+            [a, b],
+            trip_count=tree[1],
+        )
     raise AssertionError(op)
 
 
@@ -127,7 +140,12 @@ def test_single_pass_preserves_semantics(pass_cls, tree):
     g = trace(fn, [a, b, x])
     feeds = [a.data, b.data, x.data]
     before, _ = run_graph(g, feeds)
-    opt = PassPipeline([pass_cls()]).run(g)
+    p = pass_cls()
+    opt = PassPipeline([p]).run(g)
+    # Identity contract: nothing rewritten means the very same graph back.
+    if p.last_stats.rewrites == 0:
+        assert opt is g
+    assert g.rewrite(lambda node, new_inputs: None) is g
     after, _ = run_graph(opt, feeds)
     np.testing.assert_allclose(after[0], before[0], rtol=1e-2, atol=1e-3)
 
@@ -141,7 +159,12 @@ def test_full_pipelines_preserve_semantics(pipeline_factory, tree):
     g = trace(fn, [a, b, x])
     feeds = [a.data, b.data, x.data]
     before, _ = run_graph(g, feeds)
-    opt = pipeline_factory().run(g)
+    pipeline = pipeline_factory()
+    opt = pipeline.run(g)
+    if not any(s.rewrites for s in pipeline.history):
+        assert opt is g
+    # The pipeline validated incrementally; the full walk must agree.
+    validate_graph(opt)
     after, _ = run_graph(opt, feeds)
     np.testing.assert_allclose(after[0], before[0], rtol=1e-2, atol=1e-3)
 

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.ir import Graph, builder, run_graph, trace
+from repro.errors import GraphError
+from repro.ir import Graph, Node, builder, run_graph, trace
 from repro.ir.tracing import trace_loop
 from repro.passes import (
     ArithmeticSimplification,
     CommonSubexpressionElimination,
     ConstantFolding,
+    GraphPass,
     LoopInvariantCodeMotion,
     NoOpElimination,
     PassPipeline,
@@ -253,6 +255,67 @@ class TestLICM:
         outs, _ = run_graph(out, [])
         assert outs[0][0, 0] == pytest.approx(2.0 * (0 + 1 + 2))
 
+    def test_nothing_left_to_hoist_returns_the_argument(self, operands):
+        """A loop LICM cannot improve keeps its node, so the graph keeps
+        its identity (and the pipeline does not re-validate it)."""
+        a, b = operands["A"], operands["B"]
+        licm = LoopInvariantCodeMotion()
+        hoisted = licm.run(self._loop_graph(a, b))
+        assert licm.last_stats.rewrites == 1
+        assert licm.run(hoisted) is hoisted
+        assert licm.last_stats.rewrites == 0
+
+
+def _all_nodes(graph):
+    """Every node of ``graph``, loop bodies included."""
+    for node in graph.topological():
+        yield node
+        if node.op == "loop":
+            yield from _all_nodes(node.attrs["body"])
+
+
+class _CorruptAdd(GraphPass):
+    """Re-emit the first ``add`` with a wrong recorded shape; every node
+    below it stays shared, every node above it is rebuilt validly."""
+
+    name = "corrupt_add"
+
+    def apply(self, graph):
+        done = []
+
+        def fn(node, new_inputs):
+            if node.op != "add" or done:
+                return None
+            done.append(node)
+            rows, cols = node.shape
+            return Node("add", new_inputs, dict(node.attrs), shape=(cols, rows))
+
+        return graph.rewrite(fn)
+
+
+class _Untouched(GraphPass):
+    name = "untouched"
+
+    def apply(self, graph):
+        return graph
+
+
+class _RecreateOutput(GraphPass):
+    """Replace the output node by a fresh clone and drop the old one, so
+    its address is free for the next allocation."""
+
+    def __init__(self, corrupt=False):
+        self.name = "recreate_corrupt" if corrupt else "recreate"
+        self.corrupt = corrupt
+        super().__init__()
+
+    def apply(self, graph):
+        (out,) = graph.outputs
+        rows, cols = out.shape
+        shape = (rows, cols + 1) if self.corrupt else None
+        fresh = Node(out.op, out.inputs, dict(out.attrs), shape=shape)
+        return Graph([fresh], inputs=graph.inputs)
+
 
 class TestPipeline:
     def test_validates_between_passes(self, operands):
@@ -275,6 +338,118 @@ class TestPipeline:
         once = p.run(g)
         twice = default_pipeline().run(once)
         assert once.op_counts() == twice.op_counts()
+
+    def _vector_graph(self, operands):
+        # (n, 1) operands: a transposed recorded shape is a real corruption.
+        return trace(lambda a, x: (a @ x + x) * 2.0,
+                     [operands["A"], operands["x"]])
+
+    @pytest.mark.parametrize("validate", [True, False])
+    def test_corrupt_node_rejected_at_its_pass_boundary(self, operands, validate):
+        p = PassPipeline(
+            [CommonSubexpressionElimination(), _CorruptAdd(), NoOpElimination()],
+            validate=validate,
+        )
+        g = self._vector_graph(operands)
+        if not validate:
+            p.run(g)
+            assert len(p.history) == 3
+            return
+        with pytest.raises(
+            GraphError, match="pass 'corrupt_add' produced an invalid graph"
+        ):
+            p.run(g)
+        assert [s.name for s in p.history] == ["cse"]
+
+    def test_unchanged_graph_is_not_revalidated(self, operands, monkeypatch):
+        from repro.passes import pipeline as pipeline_mod
+
+        validated = []
+        real = pipeline_mod.validate_graph
+
+        def spy(graph, **kwargs):
+            validated.append(graph)
+            return real(graph, **kwargs)
+
+        monkeypatch.setattr(pipeline_mod, "validate_graph", spy)
+        g = self._vector_graph(operands)
+        p = PassPipeline([_Untouched(), _Untouched(), _CorruptAdd()])
+        with pytest.raises(GraphError, match="'corrupt_add' produced an invalid"):
+            p.run(g)
+        # the traced graph, then only the graph the corrupting pass made
+        assert len(validated) == 2
+        assert validated[0] is g and validated[1] is not g
+        assert [s.name for s in p.history] == ["untouched", "untouched"]
+
+    @pytest.mark.parametrize("loop", [False, True])
+    def test_each_node_validated_once_per_run(self, operands, monkeypatch, loop):
+        from repro.ir import validate as validate_mod
+
+        calls = []
+        real = validate_mod._validate_node
+
+        def spy(node, *args):
+            calls.append(node)
+            return real(node, *args)
+
+        monkeypatch.setattr(validate_mod, "_validate_node", spy)
+        a, b = operands["A"], operands["B"]
+        if loop:
+            g = TestLICM()._loop_graph(a, b)
+        else:
+            g = trace(lambda p, q: (p.T @ q).T @ (p.T @ q) + (p + p) * 1.0, [a, b])
+        pipe = default_pipeline()
+        graphs = [g]  # keeps every node alive, so ids below are distinct
+        for p in pipe.passes:
+            def run(graph, _run=p.run):
+                graphs.append(_run(graph))
+                return graphs[-1]
+
+            p.run = run
+        pipe.run(g)
+        assert any(s.rewrites for s in pipe.history)
+        seen = {id(n) for graph in graphs for n in _all_nodes(graph)}
+        assert len(calls) == len(seen)
+        assert {id(n) for n in calls} == seen
+
+        # Nothing leaks across runs: the same graph is validated afresh.
+        del calls[:]
+        pipe.run(g)
+        assert {id(n) for n in _all_nodes(g)} <= {id(n) for n in calls}
+
+    def test_in_place_mutation_is_left_to_the_full_walk(self, operands):
+        """The one thing once-per-node checking gives up: a pass that
+        mutates an already-validated node in place.  ``validate_graph``
+        without ``checked`` — what ``Options(validation="full")`` runs on
+        the optimized graph — still sees it."""
+        from repro.ir import validate_graph
+
+        class MutateInPlace(GraphPass):
+            name = "mutate_in_place"
+
+            def apply(self, graph):
+                add = graph.nodes_by_op("add")[0]
+                rows, cols = add.shape
+                object.__setattr__(add, "shape", (cols, rows))
+                return _RecreateOutput().apply(graph)  # a changed graph
+
+        result = PassPipeline([MutateInPlace()]).run(self._vector_graph(operands))
+        with pytest.raises(GraphError, match="recorded shape"):
+            validate_graph(result)
+
+    def test_recycled_address_cannot_skip_validation(self, operands):
+        """Rewritten-away nodes die between passes and CPython reuses
+        their addresses; a never-validated node must not pass as one of
+        them."""
+        for valid_rounds in range(1, 9):
+            g = self._vector_graph(operands)
+            p = PassPipeline(
+                [_RecreateOutput() for _ in range(valid_rounds)]
+                + [_RecreateOutput(corrupt=True)]
+            )
+            with pytest.raises(GraphError, match="'recreate_corrupt' produced"):
+                p.run(g)
+            assert len(p.history) == valid_rounds
 
 
 class TestPipelineExtendAndDescribe:
