@@ -10,10 +10,11 @@ plan cache.  This package redesigns that surface around an explicit
   :class:`~repro.runtime.PlanCache` and :class:`Options`; the one
   compile/run surface: ``session.compile(fn, backend=...)``,
   ``session.run(...)``, ``session.run_batch(feeds)``, ``session.stats()``.
-* :class:`Options` — pipeline choice, cache capacity, batch executor,
-  validation level, constant folding, kernel fusion and the execution
-  arena (``Options(fusion=True, arena="preallocated")`` turns on the
-  fused, allocation-free engine without touching any call site).
+* :class:`Options` — pipeline choice, cache capacity, validation level,
+  constant folding, kernel fusion, sharding, plan store and autotuning
+  (``Options(fusion=True)`` turns on the fused kernels without touching
+  any call site).  Every compiled function runs through its own
+  preallocated arena whatever the options.
 * Backend registry — ``backend("tfsim")`` / ``backend("pytsim")`` resolve
   the registered :class:`FrameworkProfile` s; new front-ends plug in via
   :func:`register_backend`.
@@ -38,7 +39,7 @@ default session whose cache is the PR-1 global instance.
 """
 
 from .compiled import Compiled, Concrete, input_signature
-from .options import ARENA_MODES, PIPELINES, VALIDATION_LEVELS, Options
+from .options import PIPELINES, VALIDATION_LEVELS, Options
 from .registry import (
     FrameworkProfile,
     available_backends,
@@ -54,7 +55,6 @@ from .session import (
 )
 
 __all__ = [
-    "ARENA_MODES",
     "Compiled",
     "Concrete",
     "FrameworkProfile",

@@ -11,8 +11,8 @@ The trace/optimize/plan-compile work itself lives in
 :meth:`Session._build` — the session owns the plan cache and the stats,
 the ``Compiled`` object owns only the per-signature concrete table and
 the user-facing conveniences (``interpret``, graph introspection,
-``last_report``).  Each :class:`Concrete` is its own executor: one way
-to run per arena mode, one recording pass, then the cached report.
+``last_report``).  Each :class:`Concrete` is its own executor: one
+arena binding, one recording pass, then the cached report.
 
 A steady-state call does only what depends on the call: the retrace key
 (:func:`input_signature` — shapes, ``np.dtype`` objects and the props
@@ -57,7 +57,7 @@ def input_signature(args: Sequence[Tensor]) -> tuple:
     return tuple(sig)
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(eq=False)
 class Concrete:
     """One traced+optimized+plan-compiled specialization of a compiled
     function, and the one executor every call path (``__call__``,
@@ -70,20 +70,18 @@ class Concrete:
     trace_seconds: float
     pipeline_log: str
     #: Persistent slot table over this concrete's preallocated buffers,
-    #: present when the owning session runs with
-    #: ``Options(arena="preallocated")``: rebound in place per call
-    #: (alias a feed contiguous in its slot's order, else copy it into
-    #: the slot's buffer).  Outputs are handed off before they reach the
-    #: caller, so user-visible results never alias arena storage.
-    binding: PinnedBinding | None = None
+    #: rebound in place per call (alias a feed contiguous in its slot's
+    #: order, else copy it into the slot's buffer).  Outputs are handed
+    #: off before they reach the caller, so user-visible results never
+    #: alias arena storage.  The arena lives as long as the concrete.
+    binding: PinnedBinding
     #: The signature key fixes shapes, dtypes and props, so the
     #: :class:`ExecutionReport` is a constant of the concrete: the first
     #: execution records it, every later one runs without accounting and
     #: hands this back.
     report: ExecutionReport | None = None
     #: Guards the binding: one buffer set supports one execution at a
-    #: time, so concurrent calls in arena mode serialize (per-call mode
-    #: stays lock-free and fully concurrent).
+    #: time, so concurrent calls through one concrete serialize.
     lock: threading.Lock = dataclasses.field(default_factory=threading.Lock)
     #: Autotune bookkeeping (set by ``Session._build`` when the session
     #: tunes): the plan-cache key hotness is tracked under, the plan-
@@ -95,12 +93,11 @@ class Concrete:
     autotune_done: bool = False
 
     def install(self, plan: Plan) -> None:
-        """Swap in the plan an autotune race promoted: fresh buffers,
-        report re-recorded on the next call.  Caller holds
-        :attr:`lock`."""
+        """Swap in ``plan`` (an autotune winner, or the same plan when
+        the session closes) over fresh, empty buffers; the report is
+        re-recorded on the next call.  Caller holds :attr:`lock`."""
         self.plan = plan
-        if self.binding is not None:
-            self.binding = PinnedBinding(plan, plan.new_arena())
+        self.binding = PinnedBinding(plan, plan.new_arena())
         self.report = None
 
     def execute(
@@ -108,35 +105,25 @@ class Concrete:
     ) -> tuple[list[np.ndarray], ExecutionReport]:
         """Run one feed set: ``(outputs, report)``, the outputs
         independent of later calls and in the layout their producer
-        wrote (F for BLAS results).  Exactly two ways to run — per-call
-        or through the arena binding — each recording once (the lock
-        orders that pass against :meth:`install`)."""
-        if self.binding is None:
-            report = self.report
+        wrote (F for BLAS results).  One recording pass, then rebind →
+        generated serving pass → hand-off (the lock orders every pass
+        against :meth:`install`)."""
+        with self.lock:
+            binding, report = self.binding, self.report
             if report is None:
-                with self.lock:
-                    outputs, report = self.plan.execute(feeds)
-                    self.report = report
+                # The recording pass also warms and certifies the arena,
+                # so the binding's first serving pass already runs (and
+                # builds) the plan's generated pass.
+                outputs, report = binding.plan.execute(
+                    feeds, arena=binding.arena
+                )
+                self.report = report
             else:
-                outputs, _ = self.plan.execute(feeds, record=False)
-        else:
-            with self.lock:
-                binding, report = self.binding, self.report
-                if report is None:
-                    # The recording pass also warms and certifies the
-                    # arena, so the binding's first serving pass already
-                    # runs (and builds) the plan's generated pass.
-                    outputs, report = binding.plan.execute(
-                        feeds, arena=binding.arena
-                    )
-                    self.report = report
-                else:
-                    binding.rebind(feeds)
-                    outputs = binding.execute()
-                # The next call rewrites the arena: hand the result
-                # buffers over instead of copying out of them.
-                outputs = binding.hand_off(outputs)
-        return outputs, report
+                binding.rebind(feeds)
+                outputs = binding.execute()
+            # The next call rewrites the arena: hand the result buffers
+            # over instead of copying out of them.
+            return binding.hand_off(outputs), report
 
 
 class Compiled:

@@ -15,21 +15,7 @@ from ..errors import ConfigError
 #: Pipeline choices a backend profile understands.
 PIPELINES = ("default", "aware")
 
-#: Execution-buffer strategies:
-#: ``per-call``      every execution materializes fresh intermediates
-#:                   (the PR-1 behaviour — results are independent arrays);
-#: ``preallocated``  per-slot ndarray storage is allocated once and reused
-#:                   via the kernels' ``out=`` variants — repeated
-#:                   execution is allocation-free after warmup.  Results
-#:                   returned through the Session layer are copied out of
-#:                   the arena, so user-visible values stay independent.
-#: Both stay because each wins somewhere: feed staging and the F→C
-#: copy-out cost more than an O(n²) structured kernel, while GEMM chains
-#: and dispatch-bound graphs run faster through the arena (README,
-#: "Fusion & arena").
-ARENA_MODES = ("per-call", "preallocated")
-
-__all__ = ["ARENA_MODES", "PIPELINES", "VALIDATION_LEVELS", "Options"]
+__all__ = ["PIPELINES", "VALIDATION_LEVELS", "Options"]
 
 #: Graph-validation levels.  Whatever the level, a build that runs the
 #: optimizer is checked by the pass pipeline itself: the traced graph, then
@@ -70,10 +56,9 @@ class Options:
         the plan cache separately).  Outputs are bit-identical; reports
         represent fused sites as combined kernel-call records while
         preserving FLOP totals and peak bytes.
-    arena:
-        Execution-buffer strategy, one of :data:`ARENA_MODES`.
-        ``"preallocated"`` executes every compiled function through a
-        per-``Concrete`` :class:`~repro.runtime.PlanArena` — repeated
+
+        Whatever the options, every compiled function executes through
+        a per-``Concrete`` :class:`~repro.runtime.PlanArena`: repeated
         calls perform zero intermediate allocations after warmup, and
         each feed is aliased when it is contiguous in its input slot's
         order (Fortran where BLAS reads the feed as a matrix — what
@@ -139,7 +124,6 @@ class Options:
     validation: str = "off"
     fold_constants: bool = False
     fusion: bool = False
-    arena: str = "per-call"
     shards: int | None = None
     plan_store: str | None = None
     shard_respawn: bool = False
@@ -167,10 +151,6 @@ class Options:
             )
         if not isinstance(self.fusion, bool):
             raise ConfigError(f"fusion must be a bool, got {self.fusion!r}")
-        if self.arena not in ARENA_MODES:
-            raise ConfigError(
-                f"arena must be one of {ARENA_MODES}, got {self.arena!r}"
-            )
         if self.shards is not None and (
             not isinstance(self.shards, int)
             or isinstance(self.shards, bool)

@@ -109,7 +109,6 @@ class SessionStats:
     #: The session's execution-mode knobs, echoed so ``laab cache-stats``
     #: renders them next to the counters they explain.
     fusion: bool = False
-    arena: str = "per-call"
     shards: int | None = None
     #: Shard activity (satellite of the serving PR): live pools cached on
     #: the session, worker processes those pools own, and worker-waves
@@ -168,7 +167,7 @@ class SessionStats:
         fusion = (
             f"on ({self.fused_sites} fused sites)" if self.fusion else "off"
         )
-        exec_line = f"execution: fusion {fusion} | arena {self.arena}"
+        exec_line = f"execution: fusion {fusion}"
         if self.shards is not None:
             exec_line += f" | {self.shards} shard processes"
         lines = [
@@ -305,6 +304,9 @@ class Session:
         #: Batches completed in-process after a pool broke mid-run
         #: (``Options(shard_fallback="inline")``).
         self._shard_fallback_runs = 0
+        #: Every live :class:`Concrete` this session built, held weakly:
+        #: :meth:`close` releases their arenas' buffers.
+        self._concretes: "weakref.WeakSet[Concrete]" = weakref.WeakSet()
         # Chaos-only knob: activate the session's fault plan process-wide
         # before any worker (or store load) can hit an injection site.
         if self.options.faults is not None:
@@ -425,12 +427,12 @@ class Session:
 
         The returned tensor owns a Fortran-ordered zeroed buffer that
         lives for the session's lifetime; rewrite its ``.data`` in place
-        between calls.  Under ``Options(arena="preallocated")`` a pinned
-        tensor is aliased straight into its plan input slot on every
-        call — no staging copy — because it already has the layout the
-        slot declares.  Re-pinning an existing ``name`` returns the
-        existing tensor when shape/dtype agree and raises otherwise —
-        two owners of one pin slot is always a bug.
+        between calls.  A pinned tensor is aliased straight into its
+        plan input slot on every call — no staging copy — because it
+        already has the layout the slot declares.  Re-pinning an
+        existing ``name`` returns the existing tensor when shape/dtype
+        agree and raises otherwise — two owners of one pin slot is
+        always a bug.
 
         Pins are Fortran-ordered: they alias every input slot a BLAS
         routine reads as a matrix and every slot no kernel's layout
@@ -572,15 +574,22 @@ class Session:
     def close(self) -> None:
         """Close the session: tear down shard pools and mark it closed.
 
-        Idempotent.  In-process execution (``run``/``run_batch`` without
-        shards) keeps working — plans and arenas hold no OS resources —
-        but :meth:`run_sharded` raises a clear ``RuntimeError`` instead
-        of rebuilding worker processes nobody would tear down.
+        Idempotent.  Every compiled function's arena in this session
+        drops its buffers, so their memory goes even while the functions
+        stay referenced.  In-process execution (``run``/``run_batch``
+        without shards) keeps working — the next call re-warms a fresh
+        arena — but :meth:`run_sharded` raises a clear ``RuntimeError``
+        instead of rebuilding worker processes nobody would tear down.
         """
         self._closed = True
         if self._autotuner is not None:
             self._autotuner.close()
         self.close_shard_pools()
+        with self._lock:
+            concretes = list(self._concretes)
+        for concrete in concretes:
+            with concrete.lock:
+                concrete.install(concrete.plan)
 
     @property
     def closed(self) -> bool:
@@ -618,7 +627,6 @@ class Session:
             capacity=self.plan_cache.maxsize,
             plans=plans,
             fusion=self.options.fusion,
-            arena=self.options.arena,
             shards=self.options.shards,
             shard_pools_open=shard_pools_open,
             shard_workers=shard_workers,
@@ -764,9 +772,7 @@ class Session:
             pipeline_log=pipeline_log,
             # One arena per concrete specialization: executions of this
             # function in this session reuse its preallocated buffers.
-            binding=PinnedBinding(plan, plan.new_arena())
-            if self.options.arena == "preallocated"
-            else None,
+            binding=PinnedBinding(plan, plan.new_arena()),
             cache_key=(
                 (graph_signature(optimized), build_fold, build_fusion)
                 if self._autotuner is not None
@@ -774,6 +780,8 @@ class Session:
             ),
             trace_key=trace_key,
         )
+        with self._lock:
+            self._concretes.add(concrete)
         if restored_promotion:
             # The tuned plan is already in hand — no hotness tracking,
             # no race, zero tuning seconds this process.

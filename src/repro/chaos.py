@@ -287,7 +287,7 @@ def chaos_run(
 
         async def drill():
             async with serve.Server(
-                api.Options(fusion=True, arena="preallocated"),
+                api.Options(fusion=True),
                 coalesce=serve.CoalesceConfig(max_wave=4, max_delay=0.001),
             ) as server:
                 def model(a, b, c):

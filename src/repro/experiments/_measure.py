@@ -17,10 +17,8 @@ from ..tensor.tensor import Tensor
 
 #: Execution modes for graph-mode timing:
 #: ``graph``       the decorator's call path (compiled plan + Tensor wrap),
-#: ``runtime``     the bare cached plan over raw arrays, accounting off —
-#:                 the leanest serving path,
 #: ``interpreter`` the reference Interpreter (pre-runtime behaviour).
-EXECUTION_MODES = ("graph", "runtime", "interpreter")
+EXECUTION_MODES = ("graph", "interpreter")
 
 
 def time_compiled(
@@ -41,12 +39,8 @@ def time_compiled(
         raise ValueError(
             f"unknown execution mode {mode!r}; expected one of {EXECUTION_MODES}"
         )
-    concrete = fn.get_concrete(*args)
-    if mode == "runtime":
-        plan = concrete.plan
-        feeds = [a.data for a in args]
-        thunk = lambda: plan.execute(feeds, record=False)  # noqa: E731
-    elif mode == "interpreter":
+    fn.get_concrete(*args)
+    if mode == "interpreter":
         thunk = lambda: fn.interpret(*args)  # noqa: E731
     else:
         thunk = lambda: fn(*args)  # noqa: E731

@@ -190,17 +190,6 @@ def _add_mode_flags(parser: argparse.ArgumentParser) -> None:
         help="compile plans with the kernel-fusion stage (elementwise "
              "chains collapse, trailing scales fold into GEMM alpha)",
     )
-    # Choices mirror repro.api.ARENA_MODES; kept literal here because the
-    # parser is built before limit_threads() runs, and importing the api
-    # layer would pull in numpy/BLAS first (Session construction asserts
-    # the value anyway, so drift fails loudly).
-    parser.add_argument(
-        "--arena",
-        choices=("per-call", "preallocated"),
-        default="per-call",
-        help="execution buffers: 'preallocated' reuses per-slot arena "
-             "storage (allocation-free after warmup)",
-    )
     parser.add_argument(
         "--shards",
         type=int,
@@ -285,7 +274,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     # a single experiment: the decorators compile into the ambient session.
     with Session(
         fusion=getattr(args, "fusion", False),
-        arena=getattr(args, "arena", "per-call"),
         shards=getattr(args, "shards", None),
         plan_store=getattr(args, "store", None),
         autotune=getattr(args, "autotune", False) or None,
@@ -447,7 +435,6 @@ def _cmd_cache_stats(args: argparse.Namespace) -> int:
         cache_stats=True,
         quiet_tables=True,
         fusion=args.fusion,
-        arena=args.arena,
         shards=args.shards,
         store=args.store,
         autotune=args.autotune,

@@ -15,10 +15,9 @@ def script(fn: Callable | None = None, *, aware: bool = False):
     versus ≈6e-4 s for tf.function — footnote 4).  ``aware=True`` opts into
     the linear-algebra-aware pipeline for ablation benchmarks.
 
-    Like ``tfsim.function``, execution-engine knobs (kernel fusion,
-    preallocated arena buffers) come from the ambient
-    :class:`repro.api.Session` — ``Session(fusion=True,
-    arena="preallocated")`` — not from the decorator.
+    Like ``tfsim.function``, execution-engine knobs (kernel fusion)
+    come from the ambient :class:`repro.api.Session` —
+    ``Session(fusion=True)`` — not from the decorator.
     """
     if fn is None:
         return lambda f: CompiledFunction(f, PYT_PROFILE, aware=aware)

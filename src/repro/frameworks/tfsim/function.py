@@ -24,9 +24,9 @@ def function(fn: Callable | None = None, *, aware: bool = False):
     property dispatch, distributivity, partial access) for ablations.
 
     Execution-engine knobs are session-level, not decorator-level: run
-    decorated functions inside ``with repro.api.Session(fusion=True,
-    arena="preallocated"):`` to get fused kernels and allocation-free
-    preallocated buffers without changing any call site.
+    decorated functions inside ``with repro.api.Session(fusion=True):``
+    to get fused kernels without changing any call site.  Every call
+    runs through the function's preallocated arena either way.
     """
     if fn is None:
         return lambda f: CompiledFunction(f, TF_PROFILE, aware=aware)

@@ -28,8 +28,8 @@ This package is that compile-once / execute-many layer:
                warmup — with feeds bound by one rule (alias when
                contiguous in the slot's order, else copy) through
                :class:`PinnedBinding` slot tables.  Execution is output-
-               and report-parity with the Interpreter in every fusion ×
-               arena combination (verified by
+               and report-parity with the Interpreter with fusion on
+               or off, through an arena or without one (verified by
                ``tests/test_runtime_plans.py``).
 ``cache``      :class:`PlanCache` — signature-keyed LRU of compiled
                plans (the fold/fusion knobs key separately) with

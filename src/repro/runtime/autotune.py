@@ -364,7 +364,6 @@ def race(
     feeds: list[np.ndarray],
     *,
     config: AutotuneConfig,
-    use_arena: bool = False,
     budget: "float | None" = None,
 ) -> RaceOutcome:
     """Compile, verify, and time ``candidates`` on ``feeds``.
@@ -399,8 +398,9 @@ def race(
             candidates=tuple(candidates), winner=None,
             canonical_seconds=None, promote=False, speedup_pct=0.0,
         )
-    # Bit-identity gate: one verification run per candidate, plain
-    # per-call execution (no arena aliasing while comparing buffers).
+    # Bit-identity gate: one verification run per candidate through the
+    # arena-less plan-level reference (no arena aliasing while comparing
+    # buffers).
     ref_outs, _ = canonical.plan.execute(feeds, record=False)
     canonical.bit_identical = True
     for cand in candidates[1:]:
@@ -419,9 +419,8 @@ def race(
         c for c in candidates
         if c.alive and (c is canonical or c.bit_identical)
     ]
-    arenas = {
-        id(c): (c.plan.new_arena() if use_arena else None) for c in racers
-    }
+    # Timed the way every Session call runs: through an arena.
+    arenas = {id(c): c.plan.new_arena() for c in racers}
     for cand in racers:
         for _ in range(config.warmup):
             cand.plan.execute(feeds, record=False, arena=arenas[id(cand)])
@@ -471,7 +470,7 @@ def race(
 # -- the dedicated race worker (mode="worker") --------------------------------
 
 
-def _race_worker(conn, specs, feeds, cfg_kwargs, use_arena, budget) -> None:
+def _race_worker(conn, specs, feeds, cfg_kwargs, budget) -> None:
     """Entry point of the dedicated tuning worker process.
 
     Candidates arrive as serialize payloads (the same
@@ -490,10 +489,7 @@ def _race_worker(conn, specs, feeds, cfg_kwargs, use_arena, budget) -> None:
             for s in specs
         ]
         config = AutotuneConfig(**cfg_kwargs)
-        outcome = race(
-            candidates, feeds, config=config, use_arena=use_arena,
-            budget=budget,
-        )
+        outcome = race(candidates, feeds, config=config, budget=budget)
         rows = [
             {
                 "name": c.name,
@@ -653,9 +649,8 @@ class Autotuner:
             config=self.config,
         )
         candidates[0].plan = concrete.plan
-        use_arena = concrete.binding is not None
         if self.config.mode == "worker" and len(candidates) > 1:
-            rows = self._race_in_worker(candidates, feeds, use_arena)
+            rows = self._race_in_worker(candidates, feeds)
             if rows is not None:
                 return self._merge_worker_rows(candidates, rows)
             # Worker died or timed out: fall back to the canonical plan
@@ -664,10 +659,9 @@ class Autotuner:
                 candidates=tuple(candidates), winner=None,
                 canonical_seconds=None, promote=False, speedup_pct=0.0,
             )
-        return race(candidates, feeds, config=self.config,
-                    use_arena=use_arena)
+        return race(candidates, feeds, config=self.config)
 
-    def _race_in_worker(self, candidates, feeds, use_arena):
+    def _race_in_worker(self, candidates, feeds):
         """Run the race in a dedicated worker process; rows or ``None``."""
         specs = []
         for c in candidates:
@@ -684,7 +678,7 @@ class Autotuner:
         parent, child = ctx.Pipe()
         proc = ctx.Process(
             target=_race_worker,
-            args=(child, specs, feeds, cfg_kwargs, use_arena, budget),
+            args=(child, specs, feeds, cfg_kwargs, budget),
             daemon=True,
         )
         with self._lock:

@@ -144,8 +144,7 @@ class PlanCache:
             # Compile outside the lock: compilation can be slow and must
             # not serialize concurrent lookups of other graphs.
             return compile_plan(
-                graph, fold_constants=fold_constants, fusion=fusion,
-                signature=key[0],
+                graph, fold_constants=fold_constants, fusion=fusion
             )
 
         def publish(plan: Plan) -> None:

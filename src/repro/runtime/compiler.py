@@ -330,8 +330,8 @@ def _compile_loop(node: Node, fusion: bool) -> _Op:
         captured = args[1:]
         arenas = state.arenas
         for i in range(trip):
-            # Re-resolved per iteration: per-call mode builds idx with the
-            # *current* carried dtype, so a mid-loop promotion must be
+            # Re-resolved per iteration: arena-less execution builds idx with
+            # the *current* carried dtype, so a mid-loop promotion must be
             # mirrored here to keep body-side promotion bit-identical.
             idx = state.idx(carried.dtype)
             idx[0, 0] = i
@@ -386,9 +386,9 @@ def make_gemm_fns(
         routine = routines.get(a.dtype)
         if routine is None:
             # Non-BLAS dtype (e.g. integer feeds): take the validating
-            # wrapper, which coerces or raises exactly like per-call
-            # mode.  The result bypasses the (wrong-dtype) arena buffer —
-            # the executor stores whatever fn_out returns.
+            # wrapper, which coerces or raises exactly like arena-less
+            # execution.  The result bypasses the (wrong-dtype) arena
+            # buffer — the executor stores whatever fn_out returns.
             return run(args, None, False)
         # alpha passes as a python float: f2py casts it to the routine's
         # scalar type in C — same value, same bits as pre-building a
@@ -421,7 +421,7 @@ def _gemv_fns(mat: int, vec: int, trans: bool) -> tuple[ExecFn, OutFn]:
         x = np.ascontiguousarray(args[vec]).ravel()
         if routine is None:
             # Non-BLAS dtype: the validating wrapper raises the same
-            # KernelError per-call mode would.
+            # KernelError arena-less execution would.
             blas2.gemv(a, x, trans=trans, out=out.reshape(-1))
             return out
         routine(1.0, a, x, beta=0.0, y=out.reshape(-1), overwrite_y=1, trans=t)
@@ -448,7 +448,7 @@ def make_gemm_beta_fns(
     * ``sub``, ``G - C``: ``alpha=1,  beta=-1``
     * ``sub``, ``C - G``: ``alpha=-1, beta=1``
 
-    ``args`` is ``[a, b, addend]``.  The per-call closure lets f2py copy
+    ``args`` is ``[a, b, addend]``.  The arena-less closure lets f2py copy
     the addend into the accumulate destination (``overwrite_c=0``):
     slot-level liveness is not object-level ownership — an upstream op
     can pass an *input array* through unchanged (e.g. a ``fori_loop``
@@ -565,6 +565,9 @@ def _compile_structured_matmul(
             return out
 
         return _Op(run, (_call_free("zero", node.op),), run_out)
+    # The identity forms copy one operand.  Untransposed, that copy is
+    # elementwise and keeps the operand's order (as diag_matmul does);
+    # only a transposed copy writes F.
     if hint == "identity":
         def run(args, report, record):
             return eff(args)[1].copy()
@@ -573,7 +576,11 @@ def _compile_structured_matmul(
             np.copyto(out, args[1].T if trans_b else args[1])
             return out
 
-        return _Op(run, (_call_free("identity", node.op),), run_out)
+        return _Op(
+            run, (_call_free("identity", node.op),), run_out,
+            **({} if trans_b else dict(out_order=_PEERS,
+                                       arg_orders=(None, _PEERS))),
+        )
     if hint == "identity_right":
         def run(args, report, record):
             return eff(args)[0].copy()
@@ -582,7 +589,11 @@ def _compile_structured_matmul(
             np.copyto(out, args[0].T if trans_a else args[0])
             return out
 
-        return _Op(run, (_call_free("identity", node.op),), run_out)
+        return _Op(
+            run, (_call_free("identity", node.op),), run_out,
+            **({} if trans_a else dict(out_order=_PEERS,
+                                       arg_orders=(_PEERS, None))),
+        )
     # Destination-aware variants exist for the untransposed operand
     # forms; a transposed operand would have to be materialized first
     # (``eff`` allocates), so those stay on the compute-then-copy path.
@@ -820,19 +831,14 @@ def compile_plan(
     *,
     fold_constants: bool = False,
     fusion: bool = False,
-    signature: tuple | None = None,
 ) -> Plan:
     """Compile ``graph`` into an executable :class:`Plan`.
 
     ``fusion=True`` runs the post-schedule fusion stage (see
     :mod:`repro.runtime.fusion`): elementwise chains collapse into single
     fused instructions and trailing scales fold into GEMM's alpha.
-    ``signature`` is ``graph_signature(graph)`` when the caller already
-    holds it (the plan cache keys on it); computed here otherwise.
     """
-    return _compile(
-        graph, fold_constants=fold_constants, fusion=fusion, signature=signature
-    )
+    return _compile(graph, fold_constants=fold_constants, fusion=fusion)
 
 
 def _compile(
@@ -840,15 +846,14 @@ def _compile(
     *,
     fold_constants: bool = False,
     fusion: bool = False,
-    signature: tuple | None = None,
     feed_order: str = "C",
 ) -> Plan:
     """:func:`compile_plan` plus ``feed_order``: the layout feeds are
     assumed to arrive in — C, the order Tensors carry, for a top-level
     plan; F for a loop body, whose feeds are outer-arena values."""
     start = time.perf_counter()
-    if signature is None:
-        signature = graph_signature(graph)
+    # Cached on the graph: free when the plan cache already keyed on it.
+    signature = graph_signature(graph)
     if fold_constants:
         from ..passes.constant_folding import ConstantFolding
 

@@ -10,8 +10,12 @@ rebuilds.
 Parity contract
 ---------------
 ``Plan.execute`` produces bit-identical outputs to ``Interpreter.run`` on
-the same graph and feeds — in **every** mode combination: fusion on/off ×
-arena preallocated/per-call.  The report contract has two levels:
+the same graph and feeds — fusion on or off, through an arena or without
+one.  Every Session call runs through its ``Concrete``'s arena; the
+arena-less ``Plan.execute(feeds)`` is the plan-level reference the
+parity suites, autotune's bit-identity gate and the benchmark's
+``runtime.plan.exec_percall_us`` probe call.  The report contract has
+two levels:
 
 * fusion **off**: the :class:`~repro.ir.interpreter.ExecutionReport` is
   equal field-for-field (kernel-call list, FLOPs, peak/live bytes).  The
@@ -207,8 +211,8 @@ class Instruction:
     #: kernels that need a result-shaped workspace (the tridiagonal
     #: row-scaling products).
     scratch: int | None = None
-    #: Arena-aware loop executor (``loop`` ops only); per-call mode and
-    #: cold arenas keep using ``fn``.
+    #: Arena-aware loop executor (``loop`` ops only); arena-less
+    #: execution and cold arenas keep using ``fn``.
     fn_loop: LoopFn | None = None
     #: The compiled loop-body plan (``loop`` ops only) — what a
     #: :class:`LoopState` builds its child arenas from.
@@ -711,8 +715,8 @@ class Plan:
             # bars certification until a uniform-dtype pass completes.
             arena._mixed = True
         # No in-place kernel, or mixed operand dtypes: compute as
-        # per-call mode does, then land the result in the slot's stable
-        # storage when it fits.
+        # arena-less execution does, then land the result in the slot's
+        # stable storage when it fits.
         result = inst.fn(args, report, record)
         buf = arena.buffer(inst.out_slot, result.shape, result.dtype)
         np.copyto(buf, result)

@@ -37,7 +37,7 @@ Quickstart::
 
     async def main():
         async with serve.Server(
-            api.Options(fusion=True, arena="preallocated", shards=2),
+            api.Options(fusion=True, shards=2),
             coalesce=serve.CoalesceConfig(max_wave=8, max_delay=0.002),
             admission=serve.AdmissionConfig(max_inflight=64),
         ) as server:

@@ -28,9 +28,7 @@ Usage::
     from repro import api, serve, tensor as T
 
     async def main():
-        async with serve.Server(api.Options(fusion=True,
-                                            arena="preallocated",
-                                            shards=2)) as server:
+        async with serve.Server(api.Options(fusion=True, shards=2)) as server:
             y = await server.submit(fn, [A, B], tenant="alice")
 
 The server is event-loop-confined: construct and use it from one
@@ -143,8 +141,8 @@ class Server:
     options:
         The :class:`~repro.api.Options` template every tenant session is
         built from.  Defaults to the serving configuration the engine
-        is fastest in: ``Options(fusion=True, arena="preallocated")``
-        (add ``shards=N`` to dispatch waves through worker processes).
+        is fastest in: ``Options(fusion=True)`` (add ``shards=N`` to
+        dispatch waves through worker processes).
     admission:
         :class:`AdmissionConfig` depth limits / overload policy.
     coalesce:
@@ -171,7 +169,7 @@ class Server:
         breaker: BreakerConfig | None = None,
     ) -> None:
         if options is None:
-            options = Options(fusion=True, arena="preallocated")
+            options = Options(fusion=True)
         options.validate()
         if not isinstance(dispatch_workers, int) or dispatch_workers < 1:
             raise ValueError(

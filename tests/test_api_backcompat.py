@@ -172,13 +172,17 @@ class TestMeasureModeRegression:
             time_compiled(f, [operands["A"]], label="x", mode="warp-speed")
 
     def test_known_modes_still_measure(self, operands, tiny_bench_config):
-        from repro.experiments._measure import time_compiled
+        from repro.experiments._measure import EXECUTION_MODES, time_compiled
 
         @tfsim.function
         def f(p):
             return p @ p
 
-        for mode in ("graph", "runtime", "interpreter"):
+        # The bare-plan "runtime" mode went with the per-call Session path.
+        assert EXECUTION_MODES == ("graph", "interpreter")
+        with pytest.raises(ValueError, match="unknown execution mode"):
+            time_compiled(f, [operands["A"]], label="x", mode="runtime")
+        for mode in EXECUTION_MODES:
             sample = time_compiled(f, [operands["A"]], label=mode,
                                    repetitions=2, mode=mode)
             assert sample.best > 0

@@ -26,6 +26,14 @@ def gram(a, b):
     return (a.T @ b).T @ (a.T @ b)
 
 
+def _plan_reference(plan, feeds, reference, *, record=True):
+    """``plan`` executed at plan level: arena-less (``"per-call"``, the
+    reference the parity suites use) or through a fresh arena
+    (``"preallocated"``)."""
+    arena = plan.new_arena() if reference == "preallocated" else None
+    return plan.execute(feeds, record=record, arena=arena)
+
+
 class TestBackendRegistry:
     def test_builtin_backends_resolve(self):
         assert api.backend("tfsim").name == "tfsim"
@@ -74,16 +82,17 @@ class TestOptions:
             api.Options(**overrides).validate()
 
     def test_retired_mode_knobs_are_gone(self):
-        """One call path: 14 fields, none selecting an execution mode
-        beyond ``fusion``/``arena``."""
+        """One call path: 13 fields, none selecting an execution mode
+        beyond ``fusion``."""
         import dataclasses
         import inspect
 
         names = [f.name for f in dataclasses.fields(api.Options)]
-        assert len(names) == 14
-        assert not {"donate_feeds", "pin", "batch_workers"} & set(names)
+        assert len(names) == 13
+        assert not {"donate_feeds", "pin", "batch_workers", "arena"} \
+            & set(names)
         for gone in ({"donate_feeds": True}, {"pin": True},
-                     {"batch_workers": 2}):
+                     {"batch_workers": 2}, {"arena": "preallocated"}):
             with pytest.raises(TypeError):
                 api.Options(**gone)
         assert list(inspect.signature(api.Session.run_batch).parameters) == [
@@ -220,8 +229,7 @@ class TestSessionCompileRun:
         feeds = [a32, Tensor(a32.data.astype(np.float64), dtype=np.float64),
                  random_general(9, seed=2)]
         want = [t.data @ t.data + t.data for t in feeds]
-        sessions = [api.Session(fusion=True, arena="preallocated"),
-                    api.Session()]
+        sessions = [api.Session(fusion=True), api.Session()]
         rounds, errors = 60, []
         barrier = threading.Barrier(len(sessions))
 
@@ -405,6 +413,54 @@ class TestAmbientSession:
             assert api.current_session() is s
         assert seen["session"] is api.default_session()
 
+    def test_default_session_serializes_one_concrete_across_threads(self):
+        """An ambient function called with no session entered, from more
+        threads than cores: every call runs the one ``Concrete`` of the
+        process-wide default session, serialized on its lock (one arena,
+        one slot table), and every thread gets its own correct answers."""
+        import sys
+        import threading
+
+        @tfsim.function
+        def f(p, q):
+            return (p @ q + p) @ q
+
+        threads_n, rounds = 4, 25
+        feeds = [(random_general(12, seed=10 + t),
+                  random_general(12, seed=20 + t)) for t in range(threads_n)]
+        want = [f.interpret(*pair).numpy().tobytes() for pair in feeds]
+        errors: list = []
+        barrier = threading.Barrier(threads_n)
+
+        def worker(t):
+            try:
+                barrier.wait()
+                for _ in range(rounds):
+                    if f(*feeds[t]).numpy().tobytes() != want[t]:
+                        errors.append(t)
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(t,))
+                       for t in range(threads_n)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(th.is_alive() for th in threads)
+        assert errors == []
+        assert f.trace_count == 1
+        concrete = f.get_concrete(*feeds[0])
+        assert f._cache[api.default_session()][
+            api.input_signature(feeds[0])] is concrete
+        assert concrete.lock.acquire(blocking=False)
+        concrete.lock.release()
+
     def test_default_session_uses_global_cache(self):
         from repro.runtime import cache as cache_module
 
@@ -582,13 +638,18 @@ class TestSessionStats:
 
 
 class TestFusionArenaOptions:
-    """`Options(fusion=..., arena=...)` — the execution-engine knobs land
-    at session level, touching no call site (the PR-2 design intent)."""
+    """`Options(fusion=...)` — the execution-engine knob lands at session
+    level, touching no call site (the PR-2 design intent).  There is no
+    arena knob: every Session call runs through its ``Concrete``'s arena.
+    Where a test is parametrized by ``reference``, the Session's answers
+    are also checked against that plan-level execution of the same plan:
+    the arena-less ``"per-call"`` reference (``Plan.execute(feeds)``) or a
+    fresh ``"preallocated"`` arena."""
 
     def test_defaults_are_backward_compatible(self):
         opts = api.Options()
         assert opts.fusion is False
-        assert opts.arena == "per-call"
+        assert not hasattr(opts, "arena")
 
     @pytest.mark.parametrize(
         "overrides",
@@ -597,21 +658,18 @@ class TestFusionArenaOptions:
     )
     def test_bad_mode_values_rejected(self, overrides):
         with pytest.raises(ConfigError):
-            api.Options(**overrides).validate()
-
-    def test_arena_modes_constant_exported(self):
-        assert api.ARENA_MODES == ("per-call", "preallocated")
+            api.Options().replace(**overrides)
 
     @pytest.mark.parametrize("fusion", [False, True])
-    @pytest.mark.parametrize("arena", ["per-call", "preallocated"])
+    @pytest.mark.parametrize("reference", ["per-call", "preallocated"])
     def test_all_mode_combinations_match_interpreter(self, operands, fusion,
-                                                     arena):
-        """The whole parity matrix: outputs bit-identical on every call,
-        and the report — recorded on call 1, cached afterwards — the
-        same object after calls 1, 2 and 5 and equal to the
-        interpreter's."""
+                                                     reference):
+        """Outputs bit-identical on every call, and the report — recorded
+        on call 1, cached afterwards — the same object after calls 1, 2
+        and 5, equal to the interpreter's, and equal to the plan-level
+        ``reference`` execution's."""
         a, b = operands["A"], operands["B"]
-        session = api.Session(fusion=fusion, arena=arena)
+        session = api.Session(fusion=fusion)
         f = session.compile(gram)
         outs, reports = [], []
         for _ in range(5):
@@ -629,17 +687,23 @@ class TestFusionArenaOptions:
             interp_report.kernel_counts()["gemm"]
         if not fusion:
             assert report == interp_report
+        plan_outs, plan_report = _plan_reference(
+            f.get_concrete(a, b).plan, [a.data, b.data], reference
+        )
+        assert set(outs) == {plan_outs[0].tobytes()}
+        assert report == plan_report
 
     @pytest.mark.parametrize("fusion", [False, True])
-    @pytest.mark.parametrize("arena", ["per-call", "preallocated"])
+    @pytest.mark.parametrize("reference", ["per-call", "preallocated"])
     def test_only_the_first_call_accounts(self, operands, monkeypatch,
-                                          fusion, arena):
+                                          fusion, reference):
         """One recording pass per Concrete: calls 2…N (single and
-        batched) never touch the report's memory model."""
+        batched) never touch the report's memory model, and neither does
+        an unrecorded plan-level ``reference`` pass."""
         from repro.ir.interpreter import ExecutionReport
 
         a, b = operands["A"], operands["B"]
-        session = api.Session(fusion=fusion, arena=arena)
+        session = api.Session(fusion=fusion)
         f = session.compile(gram)
         events = []
         real_alloc, real_free = ExecutionReport.alloc, ExecutionReport.free
@@ -657,13 +721,15 @@ class TestFusionArenaOptions:
         for _ in range(4):
             f(a, b)
         session.run_batch(f, [[a, b]] * 3)
+        _plan_reference(f.get_concrete(a, b).plan, [a.data, b.data],
+                        reference, record=False)
         assert events == []
 
     def test_repeated_arena_calls_return_independent_results(self, operands):
         """Arena buffers are reused internally, but results handed to the
         user must not be overwritten by the next call."""
         a, b, c = operands["A"], operands["B"], operands["C"]
-        session = api.Session(arena="preallocated", fusion=True)
+        session = api.Session()
         f = session.compile(lambda p, q: p @ q + p)
         first = f(a, b)
         kept = first.numpy().copy()
@@ -671,9 +737,27 @@ class TestFusionArenaOptions:
         assert second.numpy().tobytes() != kept.tobytes()
         assert first.numpy().tobytes() == kept.tobytes()  # not clobbered
 
+    def test_close_releases_the_arenas(self, operands):
+        """An arena lives as long as its ``Concrete``; closing the session
+        drops its buffers even while the function stays referenced, and a
+        later call re-warms a fresh arena with the same answers."""
+        a, b = operands["A"], operands["B"]
+        session = api.Session()
+        f = session.compile(gram)
+        want = f(a, b).numpy().tobytes()
+        f(a, b)
+        concrete = f.get_concrete(a, b)
+        warm = concrete.binding.arena
+        assert any(buf is not None for buf in warm.buffers)
+        session.close()
+        assert concrete.binding.arena is not warm
+        assert all(buf is None for buf in concrete.binding.arena.buffers)
+        assert concrete.report is None
+        assert f(a, b).numpy().tobytes() == want
+        assert f.last_report.calls
+
     def test_fusion_keys_plan_cache_separately(self, operands):
         a, b = operands["A"], operands["B"]
-        cache = api.Session(fusion=False).plan_cache
         fused_session = api.Session(fusion=True)
         plain_session = api.Session(fusion=False)
         p1 = plain_session.compile(gram)
@@ -689,36 +773,38 @@ class TestFusionArenaOptions:
         assert fused_plan.fusion_stats is not None
 
     def test_stats_surface_fusion_and_arena(self, operands):
+        """Stats echo the one execution knob; no arena mode is left to
+        report."""
         a, b, c = operands["A"], operands["B"], operands["C"]
-        session = api.Session(fusion=True, arena="preallocated")
+        session = api.Session(fusion=True)
         f = session.compile(lambda p, q, r: 2.0 * p + q - r)
         f(a, b, c)
         stats = session.stats()
         assert stats.fusion is True
-        assert stats.arena == "preallocated"
+        assert not hasattr(stats, "arena")
         assert stats.fused_sites >= 1
         text = stats.render()
-        assert "fusion on" in text and "preallocated" in text
+        assert "fusion on" in text and "arena" not in text
 
     def test_stats_render_defaults_mention_modes(self, operands):
         session = api.Session()
         session.run(gram, operands["A"], operands["B"])
         text = session.stats().render()
-        assert "fusion off" in text and "per-call" in text
+        assert "execution: fusion off" in text
 
     def test_run_batch_through_arena_session(self, operands):
+        """Batches through the one executor equal the interpreter."""
         a, b = operands["A"], operands["B"]
-        per_call = api.Session()
-        arena = api.Session(arena="preallocated", fusion=True)
+        session = api.Session(fusion=True)
+        f = session.compile(gram)
         feed_sets = [
             [random_general(a.shape[0], seed=100 + i),
              random_general(a.shape[0], seed=200 + i)]
             for i in range(4)
         ]
-        ref = per_call.run_batch(per_call.compile(gram), feed_sets)
-        got = arena.run_batch(arena.compile(gram), feed_sets)
-        for r, g in zip(ref.outputs, got.outputs):
-            assert r[0].tobytes() == g[0].tobytes()
+        got = session.run_batch(f, feed_sets)
+        for feeds, outs in zip(feed_sets, got.outputs):
+            assert outs[0].tobytes() == f.interpret(*feeds).numpy().tobytes()
 
     def test_ambient_decorators_inherit_session_modes(self, operands):
         a, b = operands["A"], operands["B"]

@@ -201,3 +201,30 @@ class TestBenchmarkProbeSurface:
             importlib.import_module("repro.runtime.persist")
         with pytest.raises(ImportError):
             importlib.import_module("repro.runtime.batch")
+
+
+class TestOptionsSurface:
+    """``Options`` is the knob budget: a new field has to edit this pin
+    on purpose, and a retired one fails loudly, naming itself."""
+
+    FIELDS = [
+        "backend", "pipeline", "cache_capacity", "validation",
+        "fold_constants", "fusion", "shards", "plan_store", "shard_respawn",
+        "shard_wave_deadline", "shard_fallback", "faults", "autotune",
+    ]
+
+    def test_exact_field_names(self):
+        import dataclasses
+
+        from repro.api import Options
+
+        assert [f.name for f in dataclasses.fields(Options)] == self.FIELDS
+
+    def test_arena_is_not_an_option(self):
+        from repro import api
+
+        with pytest.raises(errors.ConfigError, match="arena"):
+            api.Session(arena="preallocated")
+        with pytest.raises(errors.ConfigError, match="arena"):
+            api.Options().replace(arena="per-call")
+        assert not hasattr(api, "ARENA_MODES")

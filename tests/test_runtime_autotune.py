@@ -226,13 +226,15 @@ class TestPromotion:
         assert at.speedup_pct > 0.0
         assert np.array_equal(out.data, want)
 
-    @pytest.mark.parametrize("arena", ["per-call", "preallocated"])
-    def test_promotion_re_records_the_cached_report(self, arena):
+    @pytest.mark.parametrize("reference", ["per-call", "preallocated"])
+    def test_promotion_re_records_the_cached_report(self, reference):
         """The report is a constant of (concrete, plan): swapping the
         plan in must drop the canonical report, or ``last_report`` would
-        keep advertising the FLOPs the promotion just removed."""
+        keep advertising the FLOPs the promotion just removed.  The
+        re-recorded report is the promoted plan's, executed at plan level
+        arena-less (``"per-call"``) or through a fresh arena."""
         (a, b, x), want = _int_chain()
-        with api.Session(arena=arena, autotune={
+        with api.Session(autotune={
             "hot_threshold": 3, "budget_seconds": _AMPLE_BUDGET,
         }) as session:
             chain = session.compile(_chain_fn)
@@ -244,9 +246,13 @@ class TestPromotion:
             out = chain(a, b, x)
             tuned = chain.last_report
             assert chain(a, b, x) is not None and chain.last_report is tuned
+            plan = chain.get_concrete(a, b, x).plan
+        arena = plan.new_arena() if reference == "preallocated" else None
+        _, plan_report = plan.execute([a.data, b.data, x.data], arena=arena)
         assert np.array_equal(out.data, want)
         assert tuned is not canonical
         assert tuned.total_flops < canonical.total_flops
+        assert tuned == plan_report
 
     def test_below_threshold_never_tunes(self):
         (a, b, x), _ = _int_chain(n=16)

@@ -1,5 +1,9 @@
 """``Session.run_batch``: one compiled function over many feed sets — a
-plain loop over the same warm executor single calls use."""
+plain loop over the same warm executor single calls use.
+
+The ``reference`` fixture names the plan-level execution every answer is
+checked against: the arena-less ``"per-call"`` reference
+(``Plan.execute(feeds)``) or a fresh ``"preallocated"`` arena."""
 
 from __future__ import annotations
 
@@ -14,7 +18,7 @@ from repro.errors import GraphError
 from repro.runtime import PinnedBinding
 from repro.tensor import random_general
 
-ARENAS = ["per-call", "preallocated"]
+REFERENCES = ["per-call", "preallocated"]
 
 
 def gram(a, b):
@@ -28,28 +32,40 @@ def _feed_sets(count=6, n=12):
     ]
 
 
-def _expected(feed_sets):
-    with api.Session() as plain:
-        f = plain.compile(gram)
-        return [f(*feeds).data.tobytes() for feeds in feed_sets]
+def _run_reference(plan, feeds, reference):
+    arena = plan.new_arena() if reference == "preallocated" else None
+    return plan.execute([t.data for t in feeds], arena=arena)
 
 
-@pytest.fixture(params=ARENAS)
-def session(request):
-    with api.Session(arena=request.param, fusion=True) as s:
+def _expected(feed_sets, reference="per-call"):
+    with api.Session(fusion=True) as s:
+        plan = s.compile(gram).get_concrete(*feed_sets[0]).plan
+    return [_run_reference(plan, feeds, reference)[0][0].tobytes()
+            for feeds in feed_sets]
+
+
+@pytest.fixture(params=REFERENCES)
+def reference(request):
+    return request.param
+
+
+@pytest.fixture
+def session():
+    with api.Session(fusion=True) as s:
         yield s
 
 
-def test_matches_single_runs(session):
+def test_matches_single_runs(session, reference):
     feed_sets = _feed_sets()
     batch = session.run_batch(session.compile(gram), feed_sets)
     assert len(batch) == len(feed_sets)
-    assert [outs[0].tobytes() for outs in batch.outputs] == _expected(feed_sets)
-    # Outputs are detached copies, not views of shared arena storage.
+    assert [outs[0].tobytes() for outs in batch.outputs] \
+        == _expected(feed_sets, reference)
+    # Outputs are the caller's own arrays, not views of arena storage.
     assert batch.outputs[0][0].base is None
 
 
-def test_reports_are_the_one_cached_report(session):
+def test_reports_are_the_one_cached_report(session, reference):
     feed_sets = _feed_sets(3)
     f = session.compile(gram)
     f(*feed_sets[0])
@@ -57,18 +73,28 @@ def test_reports_are_the_one_cached_report(session):
     assert all(r is f.last_report for r in batch.reports)
     assert f.last_report.calls
     assert batch.total_flops == f.last_report.total_flops * len(feed_sets)
+    plan = f.get_concrete(*feed_sets[0]).plan
+    assert f.last_report == _run_reference(plan, feed_sets[0], reference)[1]
 
 
-def test_first_outputs_helper(session):
-    batch = session.run_batch(session.compile(gram), _feed_sets(3))
+def test_first_outputs_helper(session, reference):
+    feed_sets = _feed_sets(3)
+    batch = session.run_batch(session.compile(gram), feed_sets)
     firsts = batch.first_outputs()
     assert len(firsts) == 3
     assert all(isinstance(f, np.ndarray) for f in firsts)
+    assert [f.tobytes() for f in firsts] == _expected(feed_sets, reference)
 
 
-def test_empty_batch(session):
-    batch = session.run_batch(session.compile(gram), [])
+def test_empty_batch(session, reference):
+    """An empty batch runs nothing: the executor's next answer is still
+    the reference's."""
+    f = session.compile(gram)
+    batch = session.run_batch(f, [])
     assert len(batch) == 0 and batch.total_flops == 0
+    feed_sets = _feed_sets(1)
+    assert f(*feed_sets[0]).data.tobytes() \
+        == _expected(feed_sets, reference)[0]
 
 
 # -- failure paths ------------------------------------------------------------
@@ -78,9 +104,9 @@ def test_empty_batch(session):
 # slot table and buffers valid (every slot is rewritten by the next run).
 
 
-def test_bad_feed_surfaces_and_leaves_executor_valid(session):
+def test_bad_feed_surfaces_and_leaves_executor_valid(session, reference):
     feed_sets = _feed_sets()
-    expected = _expected(feed_sets)
+    expected = _expected(feed_sets, reference)
     f = session.compile(gram)
     earlier = session.run_batch(f, feed_sets)
     bad = list(feed_sets)
@@ -99,7 +125,7 @@ def test_failure_inside_execution_releases_the_executor(monkeypatch):
     free and the buffers reusable."""
     feed_sets = _feed_sets()
     expected = _expected(feed_sets)
-    with api.Session(arena="preallocated", fusion=True) as s:
+    with api.Session(fusion=True) as s:
         f = s.compile(gram)
         f(*feed_sets[0])  # the recording pass; later calls serve
         real = PinnedBinding.execute
@@ -126,8 +152,8 @@ def test_failure_inside_execution_releases_the_executor(monkeypatch):
 
 def test_batches_and_single_calls_interleave_on_one_executor():
     """The executor's lock is taken per feed, so batches and single
-    calls from more threads than cores share one slot table without
-    ever seeing each other's feeds."""
+    calls from more threads than cores share one slot table — of a bare
+    default-options session — without ever seeing each other's feeds."""
     threads_n = 4
     per_thread = [_feed_sets(4, n=12) for _ in range(threads_n)]
     for t, sets in enumerate(per_thread):  # distinct data per thread
@@ -135,7 +161,7 @@ def test_batches_and_single_calls_interleave_on_one_executor():
             feeds[0].data[...] += t
     expected = [_expected(sets) for sets in per_thread]
     errors: list = []
-    with api.Session(arena="preallocated", fusion=True) as s:
+    with api.Session() as s:
         f = s.compile(gram)
 
         def worker(t):

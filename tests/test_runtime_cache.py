@@ -96,16 +96,28 @@ class TestGraphSignature:
 
     def test_signature_is_walked_once_per_graph(self, monkeypatch):
         """A graph never changes, so its signature is kept on it (loop
-        bodies included): cache hits, ``contains`` and every other
-        re-keying of the same graph object cost a hash, not a walk."""
+        bodies included): a ``PlanCache().get`` build walks each graph
+        once — the cache key's walk, which the compile reuses — and cache
+        hits, ``contains`` and every other re-keying of the same graph
+        object cost a hash, not a walk."""
         idx = builder.input_node((1, 1), name="i")
         x = builder.input_node((4, 4), name="x")
         c = builder.input_node((4, 4), name="c")
         body = Graph([builder.matmul(c, x)], inputs=[idx, x, c])
         a, b = _inputs(4)
         graph = Graph([builder.loop(body, a, [b], trip_count=2)], inputs=[a, b])
+        walks = []  # a graph read before its signature is cached on it
+        real_topological = Graph.topological
+
+        def counted(self):
+            if self._signature_cache is None:
+                walks.append(id(self))
+            return real_topological(self)
+
+        monkeypatch.setattr(Graph, "topological", counted)
         cache = PlanCache()
         plan = cache.get(graph)
+        assert sorted(walks) == sorted([id(graph), id(body)])
         sig = graph_signature(graph)
 
         def walked(self):

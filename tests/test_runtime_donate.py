@@ -146,7 +146,7 @@ class TestSessionBinding:
         b_f = Tensor(np.asfortranarray(b_c.data))
         with api.Session() as plain:
             ref = plain.run(self.FN, a_c, b_c)
-        with api.Session(fusion=True, arena="preallocated") as s:
+        with api.Session(fusion=True) as s:
             f = s.compile(self.FN)
             for _ in range(3):
                 assert f(a_f, b_f).data.tobytes() == ref.data.tobytes()
@@ -168,7 +168,7 @@ class TestSessionBinding:
         with api.Session() as plain:
             g = plain.compile(self.FN)
             ref_ab, ref_ob = g(a, b), g(other, b)
-        with api.Session(fusion=True, arena="preallocated") as s:
+        with api.Session(fusion=True) as s:
             f = s.compile(self.FN)
             a_f = Tensor(np.asfortranarray(a.data))
             other_f = Tensor(np.asfortranarray(other.data))
@@ -183,10 +183,3 @@ class TestSessionBinding:
                 before = arena.bytes_copied
                 assert f(first, b_f).data.tobytes() == ref.data.tobytes()
                 assert arena.bytes_copied - before == staged
-
-    def test_per_call_sessions_never_stage(self):
-        a, b = random_general(16, seed=1), random_general(16, seed=2)
-        with api.Session() as s:
-            f = s.compile(self.FN)
-            f(a, b)
-            assert f.get_concrete(a, b).binding is None

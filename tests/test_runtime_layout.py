@@ -29,11 +29,12 @@ from repro.ir import Interpreter, trace
 from repro.kernels import blas2, blas3
 from repro.passes import aware_pipeline, default_pipeline
 from repro.runtime import PlanCache, compile_plan
-from repro.runtime import compiler as compiler_module
+from repro.runtime import signature as signature_module
 from repro.tensor import (
     random_diagonal,
     random_general,
     random_lower_triangular,
+    random_orthogonal,
     random_tridiagonal,
     random_vector,
 )
@@ -203,6 +204,31 @@ def test_elementwise_result_is_relaid_once_for_all_consumers():
     assert rep.live_bytes == rep_i.live_bytes
 
 
+@pytest.mark.parametrize("fusion", [False, True], ids=["plain", "fused"])
+def test_identity_kernel_keeps_its_operands_order(fusion):
+    """Aware ``QᵀQ·A`` with orthogonal ``Q`` is ``const I`` then an
+    ``identity``-hinted matmul: a copy of ``A``.  The untransposed copy
+    is elementwise, so it writes ``A``'s C order — no transposing copy
+    into an F destination, and nothing staged on a warm call."""
+    q, a = random_orthogonal(N, seed=3), random_general(N, seed=4)
+    graph = aware_pipeline().run(trace(lambda p, m: p.T @ p @ m, [q, a]))
+    plan = compile_plan(graph, fusion=fusion)
+    (kernel,) = [c.kernel for i in plan.instructions for c in i.calls]
+    assert kernel == "identity"
+    (out,) = plan.output_slots
+    assert plan.slot_orders[out] == "C"
+    feeds = [q.data, a.data]
+    assert feeds[1].flags.c_contiguous
+    ref, _ = Interpreter(record=False).run(graph, feeds)
+    arena = plan.new_arena()
+    plan.execute(feeds, arena=arena)
+    before = arena.bytes_copied
+    outs, _ = plan.execute(feeds, record=False, arena=arena)
+    assert arena.bytes_copied - before == 0
+    assert outs[0].tobytes() == ref[0].tobytes()
+    assert outs[0].flags.c_contiguous
+
+
 def test_constant_never_lands_in_a_recycled_slot():
     """A constant is staged once; a temporary sharing its slot would
     overwrite the staged payload on every later call."""
@@ -303,12 +329,11 @@ class TestHandOff:
 
         a, b = random_general(32, seed=1), random_general(32, seed=2)
         c, d = random_general(32, seed=3), random_general(32, seed=4)
-        with api.Session() as plain:
-            reference = plain.compile(fn)
-            want_ab = [t.data.copy() for t in reference(a, b)]
-            want_cd = [t.data.copy() for t in reference(c, d)]
-        with api.Session(fusion=fusion, arena="preallocated") as s:
+        # Unfused, a bare default session: no option selects the arena.
+        with api.Session(**({"fusion": True} if fusion else {})) as s:
             f = s.compile(fn)
+            want_ab = [t.data.copy() for t in f.interpret(a, b)]
+            want_cd = [t.data.copy() for t in f.interpret(c, d)]
             kept = []
             for args, want in ((a, b), want_ab), ((c, d), want_cd), \
                     ((a, b), want_ab), ((a, b), want_ab):
@@ -327,31 +352,27 @@ class TestHandOff:
 
     def test_results_keep_their_producers_layout(self):
         """BLAS writes F, the C-computing kernels C; nothing is
-        transposed on the way out, in either arena mode — and a result
-        chained into the next compiled call aliases at zero bytes."""
+        transposed on the way out — and a result chained into the next
+        compiled call aliases at zero bytes."""
         a, b = random_general(32, seed=1), random_general(32, seed=2)
-        for arena in ("per-call", "preallocated"):
-            with api.Session(fusion=True, arena=arena) as s:
-                gemm = s.compile(lambda p, q: p @ q)
-                add = s.compile(lambda p, q: p + q)
-                g = gemm(a, b)
-                assert g.data.flags.f_contiguous
-                assert add(a, b).data.flags.c_contiguous
-                chained = gemm(g, g)
-                assert np.array_equal(
-                    chained.data, blas3.gemm(g.data, g.data)
-                )
-                if arena == "preallocated":
-                    staged = gemm.get_concrete(g, g).binding.arena.bytes_copied
-                    assert staged == a.data.nbytes + b.data.nbytes
-                # C where C is required is one call away.
-                assert np.ascontiguousarray(g.data).flags.c_contiguous
+        with api.Session(fusion=True) as s:
+            gemm = s.compile(lambda p, q: p @ q)
+            add = s.compile(lambda p, q: p + q)
+            g = gemm(a, b)
+            assert g.data.flags.f_contiguous
+            assert add(a, b).data.flags.c_contiguous
+            chained = gemm(g, g)
+            assert np.array_equal(chained.data, blas3.gemm(g.data, g.data))
+            staged = gemm.get_concrete(g, g).binding.arena.bytes_copied
+            assert staged == a.data.nbytes + b.data.nbytes
+            # C where C is required is one call away.
+            assert np.ascontiguousarray(g.data).flags.c_contiguous
 
     def test_hand_off_allocates_no_copy_for_written_results(self):
         """The array a caller gets *is* the buffer the final kernel wrote
         (no detach copy), and the slot continues with a fresh one."""
         a, b = random_general(32, seed=1), random_general(32, seed=2)
-        with api.Session(arena="preallocated") as s:
+        with api.Session() as s:
             f = s.compile(lambda p, q: p @ q)
             f(a, b)
             binding = f.get_concrete(a, b).binding
@@ -377,15 +398,21 @@ class TestHandOff:
 
 def test_plan_cache_computes_the_signature_once_per_build(monkeypatch):
     """``PlanCache`` keys on ``graph_signature``; the compile it triggers
-    is handed that signature instead of recomputing it."""
-    def recomputed(graph):
-        raise AssertionError("compile_plan recomputed the signature")
+    reuses that signature (it is kept on the graph) instead of
+    recomputing it, and so does a later bare ``compile_plan``."""
+    keyed = []
+    real_node_key = signature_module._node_key
+
+    def counted(node, index_of):
+        keyed.append(id(node))
+        return real_node_key(node, index_of)
 
     graph, _ = _aware("chain_rl")
-    monkeypatch.setattr(compiler_module, "graph_signature", recomputed)
+    monkeypatch.setattr(signature_module, "_node_key", counted)
     plan = PlanCache().get(graph, fusion=True)
-    monkeypatch.undo()
+    assert len(keyed) == len(graph)  # one walk, for the cache key
     assert compile_plan(graph).signature == plan.signature  # called bare
+    assert len(keyed) == len(graph)
 
 
 def test_loop_body_feeds_alias_every_trip():

@@ -167,7 +167,7 @@ class TestGeneratedServingPass:
 
     def test_nothing_is_generated_by_a_single_session_call(self):
         a, b = random_general(8, seed=1), random_general(8, seed=2)
-        with api.Session(arena="preallocated", fusion=True) as session:
+        with api.Session(fusion=True) as session:
             f = session.compile(lambda p, q: (p @ q + p) @ q)
             first = f(a, b)
             plan = f.get_concrete(a, b).plan
@@ -336,7 +336,7 @@ class TestSlotOrdersAndPinning:
 
 class TestSessionPin:
     def test_pin_registry(self):
-        with api.Session(arena="preallocated") as s:
+        with api.Session() as s:
             t1 = s.pin("x", (8, 8))
             t2 = s.pin("x", (8, 8))
             assert t1 is t2
@@ -355,7 +355,7 @@ class TestSessionPin:
             g = plain.compile(fn)
             ref, ref2 = g(A, B, C), g(C, B, C)
 
-        with api.Session(fusion=True, arena="preallocated") as s:
+        with api.Session(fusion=True) as s:
             f = s.compile(fn)
             a = s.pin("a", (16, 16))
             b = s.pin("b", (16, 16))
@@ -383,7 +383,7 @@ class TestSessionPin:
         def fn(a, b):
             return a @ b + a
 
-        with api.Session(fusion=True, arena="preallocated") as s:
+        with api.Session(fusion=True) as s:
             f = s.compile(fn)
             strided = Tensor(wide[:, ::2])
             assert not strided.data.flags.c_contiguous

@@ -2,12 +2,16 @@
 
 The acceptance contract: ``Plan.execute`` must produce **bit-identical**
 outputs to the reference ``Interpreter`` in **all four mode combinations**
-(fusion on/off × arena preallocated/per-call) — on raw traced graphs,
+(fusion on/off × through an arena or arena-less) — on raw traced graphs,
 default-optimized graphs and aware-optimized graphs alike, across the
 expression shapes the existing experiment workloads use.  The report is
 equal field-for-field (kernel call list, FLOPs, peak bytes) with fusion
 off; with fusion on the call list uses the documented combined fused-call
 representation while total FLOPs and peak/live bytes stay equal.
+
+The Session has one executor (each ``Concrete``'s arena binding); its
+suite checks it against the Interpreter and against the same plan run at
+plan level in each of the four combinations.
 """
 
 from __future__ import annotations
@@ -70,7 +74,8 @@ def _graphs(case, operands):
     return graph, feeds
 
 
-#: The four execution-mode combinations of the acceptance contract.
+#: The four plan-level execution combinations of the acceptance contract:
+#: (fusion, through an arena) — arena-less is the per-call reference.
 MODES = {
     "plain": (False, False),
     "fused": (True, False),
@@ -273,21 +278,25 @@ def _as_bytes(result) -> list[bytes]:
     return [t.numpy().tobytes() for t in tensors]
 
 
+def _plan_level(plan, args, use_arena):
+    """``plan`` run at plan level on ``args``: through a fresh arena or
+    arena-less."""
+    arena = plan.new_arena() if use_arena else None
+    return plan.execute([a.data for a in args], arena=arena)
+
+
 @pytest.mark.parametrize("mode", MODES, ids=list(MODES))
 @pytest.mark.parametrize("pipe", ["default", "aware"])
 @pytest.mark.parametrize("case", CASES, ids=list(CASES))
 def test_session_call_path_matches_interpreter(case, pipe, mode, operands):
-    """A ``Concrete`` has one way to run per arena mode: call 1 records,
-    later calls (and ``run_batch``) serve and hand the cached report
-    back — bit- and report-identical to the interpreter on every
-    workload shape, in the whole ``fusion × arena`` matrix."""
+    """A ``Concrete`` has one way to run: call 1 records, later calls
+    (and ``run_batch``) serve and hand the cached report back — bit- and
+    report-identical to the interpreter on every workload shape, and to
+    its plan run at plan level in ``mode``."""
     fn, keys = CASES[case]
     args = [operands[k] for k in keys]
     fusion, use_arena = MODES[mode]
-    with api.Session(
-        pipeline=pipe, fusion=fusion,
-        arena="preallocated" if use_arena else "per-call",
-    ) as session:
+    with api.Session(pipeline=pipe, fusion=fusion) as session:
         f = session.compile(fn)
         want = _as_bytes(f.interpret(*args))
         rep_i = f.last_report
@@ -295,9 +304,13 @@ def test_session_call_path_matches_interpreter(case, pipe, mode, operands):
             assert _as_bytes(f(*args)) == want
         rep = f.last_report
         batch = session.run_batch(f, [args] * 2)
-    for outs in batch.outputs:
+        plan_outs, plan_rep = _plan_level(
+            f.get_concrete(*args).plan, args, use_arena
+        )
+    for outs in batch.outputs + [plan_outs]:
         assert [np.ascontiguousarray(o).tobytes() for o in outs] == want
     assert all(r is rep for r in batch.reports)
+    assert rep == plan_rep
     assert rep.total_flops == rep_i.total_flops
     assert rep.peak_bytes == rep_i.peak_bytes
     assert rep.live_bytes == rep_i.live_bytes
@@ -310,7 +323,8 @@ def test_session_call_path_matches_interpreter(case, pipe, mode, operands):
 @pytest.mark.parametrize("mode", MODES, ids=list(MODES))
 def test_session_loop_parity(mode, operands):
     """Loop bodies ride the same rule (carried values alias the other
-    child arena) under the cached-report call path."""
+    child arena) under the cached-report call path, matching the plan
+    run at plan level in ``mode``."""
     a, b = operands["A"], operands["B"]
 
     def body(i, acc, aa, bb):
@@ -320,9 +334,7 @@ def test_session_loop_parity(mode, operands):
         return tfsim.fori_loop(3, body, tfsim.zeros(*p.shape), [p, q])
 
     fusion, use_arena = MODES[mode]
-    with api.Session(
-        fusion=fusion, arena="preallocated" if use_arena else "per-call",
-    ) as session:
+    with api.Session(fusion=fusion) as session:
         f = session.compile(fn)
         want = _as_bytes(f.interpret(a, b))
         rep_i = f.last_report
@@ -330,3 +342,8 @@ def test_session_loop_parity(mode, operands):
             assert _as_bytes(f(a, b)) == want
         assert f.last_report.total_flops == rep_i.total_flops
         assert f.last_report.peak_bytes == rep_i.peak_bytes
+        plan_outs, plan_rep = _plan_level(
+            f.get_concrete(a, b).plan, [a, b], use_arena
+        )
+    assert [o.tobytes() for o in plan_outs] == want
+    assert f.last_report == plan_rep

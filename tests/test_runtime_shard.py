@@ -435,7 +435,7 @@ class TestSessionSharding:
         def fn(a, b, c):
             return (a @ b + c) @ a.T
 
-        with api.Session(fusion=True, arena="preallocated") as s:
+        with api.Session(fusion=True) as s:
             f = s.compile(fn)
             ref = s.run_batch(f, [[A, B, C]] * 5)
             sharded = s.run_sharded(f, [[A, B, C]] * 5, shards=2)

@@ -411,11 +411,14 @@ class TestSessionWarmStart:
         warm.close()
 
     @pytest.mark.parametrize("fusion", [False, True])
-    @pytest.mark.parametrize("arena", ["per-call", "preallocated"])
+    @pytest.mark.parametrize("reference", ["per-call", "preallocated"])
     def test_warm_session_parity_all_combos(self, tmp_path, feeds,
-                                            fusion, arena):
-        root = tmp_path / f"{int(fusion)}-{arena}"
-        opts = dict(fusion=fusion, arena=arena, plan_store=str(root))
+                                            fusion, reference):
+        """A warm start answers like the cold session, and like the
+        restored plan executed at plan level — arena-less
+        (``"per-call"``) or through a fresh arena."""
+        root = tmp_path / str(int(fusion))
+        opts = dict(fusion=fusion, plan_store=str(root))
 
         cold = api.Session(**opts)
         f = cold.compile(_model)
@@ -434,6 +437,11 @@ class TestSessionWarmStart:
         assert g.last_report.peak_bytes == ref_report.peak_bytes
         assert g.last_report.calls == ref_report.calls
         assert st.fused_sites == ref_sites
+        plan = g.get_concrete(*feeds).plan
+        arena = plan.new_arena() if reference == "preallocated" else None
+        outs, report = plan.execute([t.data for t in feeds], arena=arena)
+        assert np.array_equal(outs[0], out.data)
+        assert report == g.last_report
         warm.close()
 
     def test_corrupt_store_never_crashes_session(self, tmp_path, feeds):
