@@ -12,7 +12,7 @@ The trace/optimize/plan-compile work itself lives in
 the ``Compiled`` object owns only the per-signature concrete table and
 the user-facing conveniences (``interpret``, graph introspection,
 ``last_report``).  Each :class:`Concrete` is its own executor: one
-arena binding, one recording pass, then the cached report.
+arena binding, and the report its plan derived when it was built.
 
 A steady-state call does only what depends on the call: the retrace key
 (:func:`input_signature` — shapes, ``np.dtype`` objects and the props
@@ -75,11 +75,6 @@ class Concrete:
     #: off before they reach the caller, so user-visible results never
     #: alias arena storage.  The arena lives as long as the concrete.
     binding: PinnedBinding
-    #: The signature key fixes shapes, dtypes and props, so the
-    #: :class:`ExecutionReport` is a constant of the concrete: the first
-    #: execution records it, every later one runs without accounting and
-    #: hands this back.
-    report: ExecutionReport | None = None
     #: Guards the binding: one buffer set supports one execution at a
     #: time, so concurrent calls through one concrete serialize.
     lock: threading.Lock = dataclasses.field(default_factory=threading.Lock)
@@ -94,36 +89,27 @@ class Concrete:
 
     def install(self, plan: Plan) -> None:
         """Swap in ``plan`` (an autotune winner, or the same plan when
-        the session closes) over fresh, empty buffers; the report is
-        re-recorded on the next call.  Caller holds :attr:`lock`."""
+        the session closes) over fresh, empty buffers.  Caller holds
+        :attr:`lock`."""
         self.plan = plan
         self.binding = PinnedBinding(plan, plan.new_arena())
-        self.report = None
 
     def execute(
         self, feeds: Sequence[object]
     ) -> tuple[list[np.ndarray], ExecutionReport]:
         """Run one feed set: ``(outputs, report)``, the outputs
         independent of later calls and in the layout their producer
-        wrote (F for BLAS results).  One recording pass, then rebind →
-        generated serving pass → hand-off (the lock orders every pass
-        against :meth:`install`)."""
+        wrote (F for BLAS results), the report the plan's: the
+        signature key fixes shapes, dtypes and props, so it is a
+        constant and nothing here accounts.  Rebind → serving pass (a
+        warming one on call 1) → hand-off; the lock orders every pass
+        against :meth:`install`."""
         with self.lock:
-            binding, report = self.binding, self.report
-            if report is None:
-                # The recording pass also warms and certifies the arena,
-                # so the binding's first serving pass already runs (and
-                # builds) the plan's generated pass.
-                outputs, report = binding.plan.execute(
-                    feeds, arena=binding.arena
-                )
-                self.report = report
-            else:
-                binding.rebind(feeds)
-                outputs = binding.execute()
+            binding = self.binding
+            binding.rebind(feeds)
             # The next call rewrites the arena: hand the result buffers
             # over instead of copying out of them.
-            return binding.hand_off(outputs), report
+            return binding.hand_off(binding.execute()), binding.plan.report
 
 
 class Compiled:

@@ -53,9 +53,9 @@ class Options:
     fusion:
         Whether plans are compiled with the post-schedule kernel-fusion
         stage (elementwise-chain collapsing + GEMM alpha folding; keys
-        the plan cache separately).  Outputs are bit-identical; reports
-        represent fused sites as combined kernel-call records while
-        preserving FLOP totals and peak bytes.
+        the plan cache separately).  Outputs and reports are identical
+        either way: a plan's report is derived from its schedule before
+        fusion.
 
         Whatever the options, every compiled function executes through
         a per-``Concrete`` :class:`~repro.runtime.PlanArena`: repeated

@@ -392,8 +392,8 @@ class Session:
         to the same plan (shape-checked by the plan itself).  A plain
         loop over the same warm executor single calls use — its lock is
         taken per feed, so a concurrent single call is not parked behind
-        the whole batch — with every entry of ``reports`` the concrete's
-        one cached report.  With ``Options(shards=N)`` the batch routes
+        the whole batch — with every entry of ``reports`` its plan's
+        report.  With ``Options(shards=N)`` the batch routes
         to :meth:`run_sharded` instead, the multi-process path.
         """
         if not isinstance(fn, Compiled):
@@ -475,8 +475,8 @@ class Session:
         ``options.shards``, else :func:`repro.runtime.default_shards`)
         through a session-cached :class:`~repro.runtime.ShardPool`;
         feeds stream through shared-memory rings, so workers execute
-        copy-free.  Reports are empty (workers never account): use
-        ``run_batch`` on an unsharded session for reported batches.
+        copy-free.  ``reports`` holds the plan's report once per feed
+        set, as ``run_batch``'s does.
         """
         if not isinstance(fn, Compiled):
             raise TypeError(
@@ -844,7 +844,7 @@ class Session:
         Called by the autotuner (possibly from its worker-driving
         thread).  The cache swap makes every *future* build of this
         signature resolve to the winner; the concrete swap (under its
-        lock, paired with fresh buffers and a re-recorded report) moves
+        lock, paired with fresh buffers and the winner's report) moves
         the live serving path over atomically; the store
         re-alias persists the winner plus its derivation record so a
         restarted process warm-starts straight onto it.

@@ -20,7 +20,7 @@ This package is that compile-once / execute-many layer:
                fusion=True)``): adjacent elementwise chains collapse into
                single fused closures and trailing scales fold into GEMM's
                alpha — fewer kernel launches, no materialized
-               intermediates, FLOP-total/peak-bytes-preserving reports.
+               intermediates; reports, derived before fusion, unchanged.
 ``plan``       The :class:`Plan` object and its executor, plus
                :class:`PlanArena` — preallocated per-slot ndarray storage
                driven through the kernels' destination-aware (``out=``)

@@ -10,11 +10,11 @@ call:
   TRMM/SYRK/SYMM/diag/tridiag/zero/identity) is resolved here; each
   instruction carries a closure that calls the chosen BLAS kernel
   directly, plus the pre-built :class:`KernelCall` records (dims and
-  FLOPs are static, so the modelled-cost accounting costs nothing at
-  execution time).  Ops with a destination-aware kernel variant
-  additionally carry an ``fn_out`` closure writing into a caller-provided
-  buffer — the hook :class:`~repro.runtime.plan.PlanArena` execution uses
-  to stay allocation-free.
+  FLOPs are static: the plan derives its report from them at build, and
+  nothing accounts at execution time).  Ops with a destination-aware
+  kernel variant additionally carry an ``fn_out`` closure writing into a
+  caller-provided buffer — the hook :class:`~repro.runtime.plan.PlanArena`
+  execution uses to stay allocation-free.
 * **Layout plan** — every ``_compile_*`` declares what its kernel needs
   of each operand's memory order ("F" where BLAS reads it as a matrix,
   abstain, or "same as my peers" for elementwise kernels) and what order
@@ -34,9 +34,9 @@ call:
   finished instruction stream (:mod:`repro.runtime.fusion`): adjacent
   single-consumer elementwise chains collapse into one fused closure, and
   a ``scale``/``neg`` trailing a dense GEMM folds into the GEMM's alpha.
-  Outputs stay bit-identical; reports keep FLOP totals and peak bytes,
-  with fused sites represented as combined kernel-call records (the
-  parity contract in :mod:`repro.runtime.plan`).
+  Outputs stay bit-identical, and reports are untouched: the plan
+  derives them from the pre-fusion schedule (the parity contract in
+  :mod:`repro.runtime.plan`).
 * **Constant preloading** — ``const`` payloads are captured into the
   instruction at compile time; with ``fold_constants=True`` the
   :class:`~repro.passes.constant_folding.ConstantFolding` pass
@@ -117,13 +117,13 @@ _BLAS_ORDERS = ("F", "F")
 # -- per-op compilation -------------------------------------------------------
 #
 # Each _compile_* returns an _Op: the executor closure(s) and the static
-# kernel-call records appended per execution.
+# kernel-call records the plan's report is derived from.
 
 
 def _compile_const(node: Node) -> _Op:
     value = node.attrs["value"]
 
-    def run(args, report, record):
+    def run(args):
         return value
 
     # "C" until a consumer demands F: a constant is staged once, directly
@@ -132,7 +132,7 @@ def _compile_const(node: Node) -> _Op:
 
 
 def _compile_transpose(node: Node) -> _Op:
-    def run(args, report, record):
+    def run(args):
         return np.ascontiguousarray(args[0].T)
 
     def run_out(args, out):
@@ -143,7 +143,7 @@ def _compile_transpose(node: Node) -> _Op:
 
 
 def _compile_add(node: Node) -> _Op:
-    def run(args, report, record):
+    def run(args):
         return args[0] + args[1]
 
     def run_out(args, out):
@@ -160,7 +160,7 @@ def _compile_add(node: Node) -> _Op:
 
 
 def _compile_sub(node: Node) -> _Op:
-    def run(args, report, record):
+    def run(args):
         return args[0] - args[1]
 
     def run_out(args, out):
@@ -177,7 +177,7 @@ def _compile_sub(node: Node) -> _Op:
 
 
 def _compile_neg(node: Node) -> _Op:
-    def run(args, report, record):
+    def run(args):
         return -args[0]
 
     def run_out(args, out):
@@ -196,7 +196,7 @@ def _compile_neg(node: Node) -> _Op:
 def _compile_scale(node: Node) -> _Op:
     alpha = node.attrs["alpha"]
 
-    def run(args, report, record):
+    def run(args):
         a = args[0]
         return a * a.dtype.type(alpha)
 
@@ -214,7 +214,7 @@ def _compile_scale(node: Node) -> _Op:
 
 
 def _dot_fns(length_hint: int) -> tuple[ExecFn, OutFn]:
-    def run(args, report, record):
+    def run(args):
         a, b = args
         av = np.ascontiguousarray(a).ravel()
         bv = np.ascontiguousarray(b).ravel()
@@ -249,7 +249,7 @@ def _compile_slice(node: Node) -> _Op:
             sel.append(slice(s[0], s[1]))
     sel = tuple(sel)
 
-    def run(args, report, record):
+    def run(args):
         return np.ascontiguousarray(args[0][sel])
 
     def run_out(args, out):
@@ -262,7 +262,7 @@ def _compile_slice(node: Node) -> _Op:
 def _compile_concat(node: Node) -> _Op:
     axis = node.attrs.get("axis", 0)
 
-    def run(args, report, record):
+    def run(args):
         return np.concatenate(args, axis=axis)
 
     def run_out(args, out):
@@ -275,7 +275,7 @@ def _compile_concat(node: Node) -> _Op:
 def _compile_tridiagonal_matmul(node: Node) -> _Op:
     t, b = node.inputs
 
-    def run(args, report, record):
+    def run(args):
         return special.tridiagonal_matmul(args[0], args[1])
 
     def run_out(args, out, scratch):
@@ -306,18 +306,16 @@ def _compile_loop(node: Node, fusion: bool) -> _Op:
         for spec in sub_plan.inputs[1:]
     )
 
-    def run(args, report, record):
+    def run(args):
         carried = args[0]
         captured = args[1:]
         for i in range(trip):
             idx = np.array([[float(i)]], dtype=carried.dtype)
-            outs, _ = sub_plan.execute(
-                [idx, carried, *captured], report=report, record=record
-            )
+            outs, _ = sub_plan.execute([idx, carried, *captured], record=False)
             carried = outs[0]
         return carried
 
-    def run_loop(args, out, state, report, record):
+    def run_loop(args, out, state):
         # Arena mode: iterations ping-pong between the LoopState's two
         # child arenas, so the carried value (living in the *other*
         # arena's buffers, or the outer arena's for iteration 0) and the
@@ -336,8 +334,7 @@ def _compile_loop(node: Node, fusion: bool) -> _Op:
             idx = state.idx(carried.dtype)
             idx[0, 0] = i
             outs, _ = sub_plan.execute(
-                [idx, carried, *captured], report=report, record=record,
-                arena=arenas[i & 1],
+                [idx, carried, *captured], record=False, arena=arenas[i & 1]
             )
             carried = outs[0]
             if carried is idx:
@@ -355,7 +352,8 @@ def _compile_loop(node: Node, fusion: bool) -> _Op:
         return out
 
     return _Op(
-        run, (), fn_loop=run_loop, sub_plan=sub_plan, arg_orders=arg_orders
+        run, (), params=(trip,), fn_loop=run_loop, sub_plan=sub_plan,
+        arg_orders=arg_orders,
     )
 
 
@@ -376,7 +374,7 @@ def make_gemm_fns(
     tb = 1 if trans_b else 0
     routines = blas3._GEMM
 
-    def run(args, report, record):
+    def run(args):
         return blas3.gemm(
             args[0], args[1], alpha=alpha, trans_a=trans_a, trans_b=trans_b
         )
@@ -389,7 +387,7 @@ def make_gemm_fns(
             # wrapper, which coerces or raises exactly like arena-less
             # execution.  The result bypasses the (wrong-dtype) arena
             # buffer — the executor stores whatever fn_out returns.
-            return run(args, None, False)
+            return run(args)
         # alpha passes as a python float: f2py casts it to the routine's
         # scalar type in C — same value, same bits as pre-building a
         # numpy scalar, without allocating one per call.
@@ -411,7 +409,7 @@ def _gemv_fns(mat: int, vec: int, trans: bool) -> tuple[ExecFn, OutFn]:
     routines = blas2._GEMV
     reshape = (-1, 1) if vec == 1 else (1, -1)
 
-    def run(args, report, record):
+    def run(args):
         x = np.ascontiguousarray(args[vec]).ravel()
         return blas2.gemv(args[mat], x, trans=trans).reshape(reshape)
 
@@ -470,7 +468,7 @@ def make_gemm_beta_fns(
         g = blas3.gemm(a, b, trans_a=trans_a, trans_b=trans_b)
         return ufunc(g, c) if g_first else ufunc(c, g)
 
-    def run(args, report, record):
+    def run(args):
         a, b, c = args
         routine = routines.get(a.dtype)
         if routine is None or b.dtype != a.dtype or c.dtype != a.dtype:
@@ -557,7 +555,7 @@ def _compile_structured_matmul(
         return a_eff, b_eff
 
     if hint == "zero":
-        def run(args, report, record):
+        def run(args):
             return np.zeros((m, n), dtype=args[0].dtype)
 
         def run_out(args, out):
@@ -569,7 +567,7 @@ def _compile_structured_matmul(
     # elementwise and keeps the operand's order (as diag_matmul does);
     # only a transposed copy writes F.
     if hint == "identity":
-        def run(args, report, record):
+        def run(args):
             return eff(args)[1].copy()
 
         def run_out(args, out):
@@ -582,7 +580,7 @@ def _compile_structured_matmul(
                                        arg_orders=(None, _PEERS))),
         )
     if hint == "identity_right":
-        def run(args, report, record):
+        def run(args):
             return eff(args)[0].copy()
 
         def run_out(args, out):
@@ -599,7 +597,7 @@ def _compile_structured_matmul(
     # (``eff`` allocates), so those stay on the compute-then-copy path.
     plain = not trans_a and not trans_b
     if hint == "diag_matmul":
-        def run(args, report, record):
+        def run(args):
             return special.diag_matmul(*eff(args))
 
         def run_out(args, out):
@@ -613,7 +611,7 @@ def _compile_structured_matmul(
             **(dict(out_order=_PEERS, arg_orders=(None, _PEERS)) if plain else {}),
         )
     if hint == "tridiagonal_matmul":
-        def run(args, report, record):
+        def run(args):
             return special.tridiagonal_matmul(*eff(args))
 
         def run_out(args, out, scratch):
@@ -630,7 +628,7 @@ def _compile_structured_matmul(
     if hint == "trmm":
         lower = opts.get("lower", True)
 
-        def run(args, report, record):
+        def run(args):
             a_eff, b_eff = eff(args)
             return blas3.trmm(a_eff, b_eff, lower=lower)
 
@@ -647,7 +645,7 @@ def _compile_structured_matmul(
     if hint == "trmm_right":
         lower = opts.get("lower", True)
 
-        def run(args, report, record):
+        def run(args):
             a_eff, b_eff = eff(args)
             return blas3.trmm(b_eff, a_eff, side_left=False, lower=lower)
 
@@ -662,7 +660,7 @@ def _compile_structured_matmul(
             arg_orders=(None, "F") if plain else _BLAS_ORDERS,
         )
     if hint == "symm":
-        def run(args, report, record):
+        def run(args):
             return blas3.symm(*eff(args))
 
         def run_out(args, out):
@@ -678,7 +676,7 @@ def _compile_structured_matmul(
             raise KernelError("syrk hint requires exactly one transpose flag")
         trans = trans_a
 
-        def run(args, report, record):
+        def run(args):
             return blas3.syrk(args[0], trans=trans)
 
         def run_out(args, out):
@@ -715,12 +713,12 @@ def _relayout_instruction(
     """The one C→F conversion of ``node``'s value, placed right behind
     its producer: every consumer then reads the F copy, the C original
     dies here.  It models nothing — the value merely changes layout — so
-    it records no kernel call and no alloc/free (``fused_events=()``) and
-    the report stays equal to the Interpreter's.  ``kind="relayout"``
-    makes it opaque to the fusion pass (a chain cannot span it) and lets
-    arena execution count its bytes (``Plan._exec_into``)."""
+    the report derivation (``Plan.report_for``) passes over it.
+    ``kind="relayout"`` also makes it opaque to the fusion pass (a chain
+    cannot span it) and lets arena execution count its bytes
+    (``Plan._exec_into``)."""
 
-    def run(args, report, record):
+    def run(args):
         return np.asfortranarray(args[0])
 
     return Instruction(
@@ -733,7 +731,6 @@ def _relayout_instruction(
         label=node.name,
         out_shape=node.shape,
         kind="relayout",
-        fused_events=(),
     )
 
 
@@ -966,15 +963,17 @@ def _compile(
             release_slot(node.shape, out_slot)
             slot_of[key] = f_slot
 
+    # The pre-fusion list is the Interpreter's schedule: the plan derives
+    # its report from it, whatever fusion reorders or merges below.
+    schedule = fused = tuple(instructions)
     fusion_stats = None
     if fusion:
         from .fusion import fuse_instructions
 
-        instructions, fusion_stats = fuse_instructions(tuple(instructions), inputs)
-        instructions = list(instructions)
+        fused, fusion_stats = fuse_instructions(schedule)
 
     return Plan(
-        instructions=tuple(instructions),
+        instructions=fused,
         inputs=tuple(inputs),
         output_slots=tuple(slot_of[id(o)] for o in graph.outputs),
         num_slots=len(slot_orders),
@@ -983,4 +982,6 @@ def _compile(
         fusion_stats=fusion_stats,
         slot_orders=tuple(slot_orders),
         source=(graph, fold_constants, fusion),
+        schedule=schedule,
+        input_dtypes=tuple(node.dtype for node in graph.inputs),
     )

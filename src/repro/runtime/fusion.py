@@ -43,31 +43,27 @@ members of a fused site always share one memory order, and the
 slot-level legality checks of the fold-aware scheduler treat it like any
 other opaque instruction.
 
-Parity contract (verified case-by-case by the runtime parity suite):
-
-* **Outputs** are bit-identical to the unfused plan and the Interpreter —
-  elementwise in-place ufuncs compute the same values, and BLAS applies
-  ``alpha`` after the dot-product accumulation, exactly like a separate
-  scale pass over the result.
-* **Reports**: a fused site contributes **one** combined
-  :class:`~repro.ir.interpreter.KernelCall` — ``kernel`` is
-  ``"fused(<member>+<member>+...)"``, ``flops`` the members' sum, ``dims``
-  the site's result shape, ``node_op`` ``"fused"`` — so total FLOPs are
-  preserved while the call list shortens.  Peak/live bytes are preserved
-  exactly: each fused instruction carries the members' original
-  alloc/free sequence (:attr:`~repro.runtime.plan.Instruction.fused_events`,
-  signed element counts) which the executor replays against the report.
+Parity contract: outputs are bit-identical to the unfused plan and the
+Interpreter — elementwise in-place ufuncs compute the same values, and
+BLAS applies ``alpha`` after the dot-product accumulation, exactly like
+a separate scale pass over the result.  Reports are not this module's
+concern: the plan derives them from the schedule as it was before this
+pass ran (:mod:`repro.runtime.plan`).  A fused site carries one combined
+:class:`~repro.ir.interpreter.KernelCall` — ``kernel``
+``"fused(<member>+<member>+...)"``, ``flops`` the members' sum, ``dims``
+the site's result shape, ``node_op`` ``"fused"`` — which
+:attr:`~repro.runtime.plan.Plan.flops` and ``describe()`` read, and
+which marks a GEMM as already folded.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
 
 import numpy as np
 
 from ..ir.interpreter import KernelCall
-from .plan import Instruction, PlanInput
+from .plan import Instruction
 
 
 @dataclasses.dataclass(frozen=True)
@@ -100,32 +96,21 @@ class FusionStats:
         )
 
 
-def _elems(shape: tuple[int, ...]) -> int:
-    return math.prod(shape) if shape else 1
-
-
-def _default_events(
-    inst: Instruction, shape_of
-) -> tuple[int, ...]:
-    """The interpreter's alloc/free sequence for one unfused instruction,
-    as signed element counts (alloc result, then free dead operands)."""
-    ev = [_elems(inst.out_shape)]
-    ev.extend(-_elems(shape_of(s)) for s in inst.free_slots)
-    return tuple(ev)
-
-
 def _combined_call(
     members: str, dims: tuple[int, ...], flops: int
 ) -> KernelCall:
     return KernelCall(f"fused({members})", dims, flops, "fused")
 
 
+def _folded(gemm: Instruction) -> bool:
+    """Whether ``gemm`` is already a fold site: one fold per GEMM."""
+    return gemm.calls[0].node_op == "fused"
+
+
 # -- GEMM alpha folding -------------------------------------------------------
 
 
-def _fold_gemm(
-    gemm: Instruction, ew: Instruction, shape_of
-) -> Instruction:
+def _fold_gemm(gemm: Instruction, ew: Instruction) -> Instruction:
     """Merge an (unfused) ``gemm`` and the trailing ``scale``/``neg``
     ``ew`` into one GEMM instruction with the factor folded into alpha."""
     from .compiler import make_gemm_fns  # deferred: compiler imports this module
@@ -147,9 +132,6 @@ def _fold_gemm(
             np.copyto(out, direct(args, staging))
             return out
 
-    events = _default_events(gemm, shape_of) + (
-        _elems(ew.out_shape), -_elems(gemm.out_shape),
-    )
     flops = gemm.calls[0].flops + ew.calls[0].flops
     members = f"{gemm.calls[0].kernel}+{ew.calls[0].kernel}"
     return Instruction(
@@ -167,7 +149,6 @@ def _fold_gemm(
         fn_out=fn_out,
         kind="gemm",
         params=(trans_a, trans_b, new_alpha),
-        fused_events=events,
         scratch=scratch,
     )
 
@@ -189,7 +170,7 @@ def _beta_foldable(gemm: Instruction, ew: Instruction) -> bool:
       ``C`` aliasing ``A``/``B``) and not the GEMM result itself
       (``G + G`` is a scale, not an accumulate).
     """
-    if gemm.kind != "gemm" or gemm.fused_events is not None:
+    if gemm.kind != "gemm" or _folded(gemm):
         return False
     if ew.kind != "ew" or ew.params[0] not in ("add", "sub"):
         return False
@@ -204,9 +185,7 @@ def _beta_foldable(gemm: Instruction, ew: Instruction) -> bool:
     return addend in ew.free_slots and addend not in gemm.arg_slots
 
 
-def _fold_gemm_beta(
-    gemm: Instruction, ew: Instruction, shape_of
-) -> Instruction:
+def _fold_gemm_beta(gemm: Instruction, ew: Instruction) -> Instruction:
     """Merge an (unfolded) ``gemm`` and the trailing ``add``/``sub``
     ``ew`` into one GEMM instruction accumulating into the dead addend."""
     from .compiler import make_gemm_beta_fns  # deferred: compiler imports this module
@@ -235,14 +214,6 @@ def _fold_gemm_beta(
             np.copyto(out, direct(args, staging))
             return out
 
-    # Replay the members' original accounting: the GEMM's alloc/frees,
-    # then the ew's — resolving the (never materialized) GEMM result's
-    # shape locally.
-    ev = list(_default_events(gemm, shape_of))
-    ev.append(_elems(ew.out_shape))
-    for s in ew.free_slots:
-        shape = gemm.out_shape if s == gemm.out_slot else shape_of(s)
-        ev.append(-_elems(shape))
     flops = gemm.calls[0].flops + ew.calls[0].flops
     members = f"{gemm.calls[0].kernel}+{ew.calls[0].kernel}"
     return Instruction(
@@ -263,7 +234,6 @@ def _fold_gemm_beta(
         fn_out=fn_out,
         kind="gemm",
         params=(trans_a, trans_b, alpha, beta),
-        fused_events=tuple(ev),
         scratch=scratch,
     )
 
@@ -313,7 +283,7 @@ def _chain_step(op: str, sel: tuple[int, ...], alpha: float):
     return lambda val, args: ufunc(args[i], val, out=val)
 
 
-def _fuse_chain(group: list[Instruction], shape_of) -> Instruction:
+def _fuse_chain(group: list[Instruction]) -> Instruction:
     """Collapse a linear elementwise chain into one fused instruction."""
     intermediates = {g.out_slot for g in group[:-1]}
     ext_slots: list[int] = []
@@ -336,7 +306,7 @@ def _fuse_chain(group: list[Instruction], shape_of) -> Instruction:
     first, first_out = _first_step(*steps[0])
     rest_steps = tuple(_chain_step(*st) for st in steps[1:])
 
-    def run(args, report, record):
+    def run(args):
         val = first(args)
         for step in rest_steps:
             val = step(val, args)
@@ -374,19 +344,6 @@ def _fuse_chain(group: list[Instruction], shape_of) -> Instruction:
                 step(out, args)
             return out
 
-    # Replay events and accounting: the members' original protocol, with
-    # group-internal shapes resolved against the group itself (a member
-    # may free an earlier member's value before the global map knows it).
-    local: dict[int, tuple[int, ...]] = {}
-
-    def local_shape(s: int) -> tuple[int, ...]:
-        return local[s] if s in local else shape_of(s)
-
-    events: list[int] = []
-    for g in group:
-        events.extend(_default_events(g, local_shape))
-        local[g.out_slot] = g.out_shape
-
     members = "+".join(g.calls[0].kernel for g in group)
     flops = sum(g.calls[0].flops for g in group)
     # External slots the chain kills — minus the chain's own intermediates
@@ -409,7 +366,6 @@ def _fuse_chain(group: list[Instruction], shape_of) -> Instruction:
         label=group[-1].label,
         out_shape=group[-1].out_shape,
         fn_out=run_out,
-        fused_events=tuple(events),
         scratch=scratch,
     )
 
@@ -454,16 +410,14 @@ def _sink_for_beta_folds(
     above the GEMM — legality checked per instruction against the GEMM
     alone, since the interveners keep their relative order — which sinks
     the GEMM to just above its consumer.  Values are untouched (only
-    independent work moves); the report's alloc/free *order* shifts with
-    the schedule, exactly as if the trace had been written in the sunk
-    order.
+    independent work moves), and so is the report, which the plan
+    derives from the schedule as it was before this pass.
     """
     sinks = 0
     i = 0
     while i < len(insts):
         gemm = insts[i]
-        if gemm.kind != "gemm" or gemm.fused_events is not None \
-                or len(gemm.params) < 3 or gemm.params[2] != 1.0:
+        if gemm.kind != "gemm" or _folded(gemm) or gemm.params[2] != 1.0:
             i += 1
             continue
         # First consumer of the GEMM result decides everything: it must
@@ -494,16 +448,11 @@ def _sink_for_beta_folds(
 
 
 def fuse_instructions(
-    instructions: tuple[Instruction, ...], inputs: list[PlanInput]
+    instructions: tuple[Instruction, ...],
 ) -> tuple[tuple[Instruction, ...], FusionStats]:
     """Run both fusion rewrites over ``instructions``; returns the fused
     stream and a :class:`FusionStats` summary."""
     before = len(instructions)
-    slot_shape: dict[int, tuple[int, ...]] = {p.slot: p.shape for p in inputs}
-
-    def shape_of(slot: int) -> tuple[int, ...]:
-        return slot_shape[slot]
-
     # Pass 0 — fold-aware scheduling: sink each GEMM adjacent to its
     # beta-foldable consumer so pass 1b catches non-adjacent pairs too.
     insts, fold_sinks = _sink_for_beta_folds(list(instructions))
@@ -512,7 +461,7 @@ def fuse_instructions(
     # cascade: a second factor premultiplied into alpha would merge two
     # rounded multiplies into one, and an alpha-scaled accumulate could
     # FMA-contract against C — either breaks bit-identity with the
-    # interpreter (the ``fused_events is None`` guard stops re-folding).
+    # interpreter (the ``_folded`` guard stops re-folding).
     gemm_folds = 0
     gemm_beta_folds = 0
     idx = 0
@@ -521,25 +470,23 @@ def fuse_instructions(
         nxt = insts[idx + 1] if idx + 1 < len(insts) else None
         if (
             inst.kind == "gemm"
-            and inst.fused_events is None
+            and not _folded(inst)
             and nxt is not None
             and nxt.kind == "ew"
             and nxt.params[0] in ("scale", "neg")
             and nxt.arg_slots == (inst.out_slot,)
             and inst.out_slot in nxt.free_slots
         ):
-            insts[idx:idx + 2] = [_fold_gemm(inst, nxt, shape_of)]
+            insts[idx:idx + 2] = [_fold_gemm(inst, nxt)]
             gemm_folds += 1
             continue  # re-examine: the guard stops a second fold
         if nxt is not None and _beta_foldable(inst, nxt):
-            insts[idx:idx + 2] = [_fold_gemm_beta(inst, nxt, shape_of)]
+            insts[idx:idx + 2] = [_fold_gemm_beta(inst, nxt)]
             gemm_beta_folds += 1
             continue  # re-examine: the guard stops a second fold
-        slot_shape[inst.out_slot] = inst.out_shape
         idx += 1
 
     # Pass 2 — elementwise chains.
-    slot_shape = {p.slot: p.shape for p in inputs}
     fused: list[Instruction] = []
     ew_chains = 0
     ew_ops_fused = 0
@@ -548,7 +495,6 @@ def fuse_instructions(
         inst = insts[i]
         if inst.kind != "ew":
             fused.append(inst)
-            slot_shape[inst.out_slot] = inst.out_shape
             i += 1
             continue
         group = [inst]
@@ -567,14 +513,11 @@ def fuse_instructions(
                 break
         if len(group) == 1:
             fused.append(inst)
-            slot_shape[inst.out_slot] = inst.out_shape
             i += 1
             continue
-        fused.append(_fuse_chain(group, shape_of))
+        fused.append(_fuse_chain(group))
         ew_chains += 1
         ew_ops_fused += len(group)
-        for g in group:
-            slot_shape[g.out_slot] = g.out_shape
         i = j
 
     stats = FusionStats(

@@ -11,35 +11,32 @@ Parity contract
 ---------------
 ``Plan.execute`` produces bit-identical outputs to ``Interpreter.run`` on
 the same graph and feeds — fusion on or off, through an arena or without
-one.  Every Session call runs through its ``Concrete``'s arena; the
+one — and an :class:`~repro.ir.interpreter.ExecutionReport` equal to the
+Interpreter's field for field (kernel-call list, FLOPs, peak/live
+bytes).  Every Session call runs through its ``Concrete``'s arena; the
 arena-less ``Plan.execute(feeds)`` is the plan-level reference the
 parity suites, autotune's bit-identity gate and the benchmark's
-``runtime.plan.exec_percall_us`` probe call.  The report contract has
-two levels:
+``runtime.plan.exec_percall_us`` probe call.
 
-* fusion **off**: the :class:`~repro.ir.interpreter.ExecutionReport` is
-  equal field-for-field (kernel-call list, FLOPs, peak/live bytes).  The
-  executor replicates the Interpreter's accounting protocol exactly:
-  record kernel calls during the op, alloc the result, then free operands
-  whose last consumer this was (inputs and constants stay live).
-* fusion **on**: a fused site is reported as **one** combined
-  :class:`~repro.ir.interpreter.KernelCall` — ``kernel`` is
-  ``"fused(add+scale+...)"`` (or ``"fused(gemm+scale)"`` for an alpha
-  fold), ``dims`` is the site's result shape, ``flops`` is the *sum* of
-  the member kernels' modelled FLOPs, ``node_op`` is ``"fused"``.  Total
-  FLOPs and peak/live bytes stay **equal** to the Interpreter's: each
-  fused instruction replays the member ops' original alloc/free sequence
-  (:attr:`Instruction.fused_events`), so the modelled memory high-water
-  mark is unchanged even though the call list is shorter.
+The report holds by construction: every quantity in it is fixed by the
+input dtypes, so nothing that executes accounts.  The compiler hands the
+plan its *pre-fusion* schedule — the Interpreter's topological order and
+free-at-last-use rule — and :meth:`Plan.report_for` walks it once per
+input-dtype tuple: the kernel calls, then alloc the result, then free
+the operands whose last consumer this was (inputs and constants stay
+live); a loop replays its body once per trip; a ``relayout`` changes a
+value's memory order, not the value, and models nothing.
+:attr:`Plan.report` is the walk at the traced dtypes, done at build.
+Fusion, the fold-aware reordering and the arena change none of it.
+Fused instructions still carry one combined
+:class:`~repro.ir.interpreter.KernelCall` each (``"fused(gemm+scale)"``,
+``flops`` the members' sum) for :attr:`Plan.flops` and
+:meth:`Plan.describe`; reports never see them.
 
-The **arena** never affects the report: it changes where results are
-materialized (preallocated per-slot storage, written through the
-``out=``-aware kernels), not what is modelled.  Neither does the layout
-plan: a ``relayout`` instruction changes a value's memory order, not the
-value, and records nothing.  Arena-mode outputs alias the arena's
-buffers — the next execution through the same arena overwrites them;
-keep what you need via :meth:`PinnedBinding.hand_off` (the Session layer
-does this for you) or copy it.
+Arena-mode outputs alias the arena's buffers — the next execution
+through the same arena overwrites them; keep what you need via
+:meth:`PinnedBinding.hand_off` (the Session layer does this for you) or
+copy it.
 
 Feed binding: one rule
 ----------------------
@@ -87,20 +84,18 @@ A :class:`PinnedBinding` is a *persistent* slot table over one arena:
 :meth:`PinnedBinding.rebind` applies the binding rule in place (one walk
 over the inputs: unwrap, shape, order, alias-or-copy, dtype) and
 :meth:`PinnedBinding.execute` runs a serving pass with no slot-list
-build and no accounting.  The first pass through an arena — and the
-first after a dtype change — is a *warming* loop that checks every
-instruction's buffer and certifies the arena for the bound feeds'
-dtypes; every certified pass after it runs the plan as **generated
-straight-line Python** (:meth:`Plan._generate_serve`, text in
-:attr:`Plan.generated_source`): one call line per instruction, slots as
-locals, closures pre-bound, built once per plan on its first certified
-pass and shared by all its bindings.  A Session keeps one binding per
-``Concrete``, rebinds
-it on every call and takes the results with
-:meth:`PinnedBinding.hand_off` — the buffers the final kernels wrote
-become the caller's, in the layout they were written in, and the slots
-get fresh ones; nothing is copied or transposed on the way out.
-:meth:`Plan.bind_pinned` is the strict
+build.  The first pass through an arena — and the first after a dtype
+change — is a *warming* loop that checks every instruction's buffer and
+certifies the arena for the bound feeds' dtypes; every certified pass
+after it runs the plan as **generated straight-line Python**
+(:meth:`Plan._generate_serve`, text in :attr:`Plan.generated_source`):
+one call line per instruction, slots as locals, closures pre-bound,
+built once per plan on its first certified pass and shared by all its
+bindings.  A Session keeps one binding per ``Concrete``, rebinds it on
+every call and takes the results with :meth:`PinnedBinding.hand_off` —
+the buffers the final kernels wrote become the caller's, in the layout
+they were written in, and the slots get fresh ones; nothing is copied or
+transposed on the way out.  :meth:`Plan.bind_pinned` is the strict
 front door for callers that bind once and only rewrite the arrays'
 *contents* afterwards (the shard workers' shared-memory input slots) —
 there a feed the rule would have to copy is an error, because the copy
@@ -111,6 +106,7 @@ from __future__ import annotations
 
 import dataclasses
 import linecache
+import math
 import weakref
 from collections.abc import Callable, Mapping, Sequence
 
@@ -118,10 +114,10 @@ import numpy as np
 
 from ..errors import GraphError
 from ..ir.interpreter import ExecutionReport, KernelCall, _normalize_feed
+from ..kernels.validation import SUPPORTED_DTYPES, as_ndarray
 
-#: An op executor: ``fn(args, report, record) -> ndarray``.  Most ops
-#: ignore ``report``/``record``; ``loop`` threads them into its sub-plan.
-ExecFn = Callable[[list, ExecutionReport, bool], np.ndarray]
+#: An op executor: ``fn(args) -> ndarray``.
+ExecFn = Callable[[list], np.ndarray]
 
 #: A destination-aware op executor: ``fn(args, out) -> ndarray``.  Writes
 #: the result into the preallocated ``out`` buffer and returns it; ops
@@ -129,12 +125,11 @@ ExecFn = Callable[[list, ExecutionReport, bool], np.ndarray]
 #: back to compute-then-copy.
 OutFn = Callable[[list, np.ndarray], np.ndarray]
 
-#: A loop-body executor for arena mode:
-#: ``fn(args, out, state, report, record) -> ndarray``.  Drives the
-#: nested sub-plan through the persistent per-:class:`PlanArena`
-#: ``state`` (ping-pong child arenas + index buffer) so iterative
-#: workloads stay allocation-free after warmup.
-LoopFn = Callable[[list, np.ndarray, "LoopState", ExecutionReport, bool], np.ndarray]
+#: A loop-body executor for arena mode: ``fn(args, out, state) ->
+#: ndarray``.  Drives the nested sub-plan through the persistent
+#: per-:class:`PlanArena` ``state`` (ping-pong child arenas + index
+#: buffer) so iterative workloads stay allocation-free after warmup.
+LoopFn = Callable[[list, np.ndarray, "LoopState"], np.ndarray]
 
 
 #: One execution's feeds: positional, or keyed by input name/position.
@@ -171,11 +166,11 @@ class Instruction:
     arg_slots: tuple[int, ...]
     #: The compiled executor for this op (kernel already selected).
     fn: ExecFn
-    #: Kernel-call records to append per execution (dims and FLOPs are
-    #: static, so the records are built once and shared).
+    #: The op's kernel-call records (dims and FLOPs are static, so they
+    #: are built once and shared) — one combined record for a fused site.
     calls: tuple[KernelCall, ...]
-    #: Slots whose value dies here (last consumer): freed from the report
-    #: and cleared from the slot table so the slot can be reused.
+    #: Slots whose value dies here (last consumer): cleared from the slot
+    #: table so the slot can be reused.
     free_slots: tuple[int, ...]
     #: Source node's op and name — for introspection/debugging only.
     op: str
@@ -189,20 +184,13 @@ class Instruction:
     #: Semantic tag the fusion pass dispatches on: "ew" (add/sub/neg/
     #: scale), "gemm" (plain dense matmul, alpha-foldable), "const"
     #: (result is an aliased compile-time payload), "relayout" (the
-    #: layout plan's C→F copy of its one operand — opaque to fusion,
-    #: invisible to the report via empty ``fused_events``), or ``None``
-    #: (opaque).
+    #: layout plan's C→F copy of its one operand — opaque to fusion, and
+    #: modelling nothing in the report), or ``None`` (opaque).
     kind: str | None = None
     #: Fusion-relevant parameters: ``("add",)``/``("sub",)``/``("neg",)``/
     #: ``("scale", alpha)`` for "ew"; ``(trans_a, trans_b, alpha)`` for
-    #: "gemm".
+    #: "gemm"; ``(trip_count,)`` for a ``loop``.
     params: tuple = ()
-    #: For fused instructions only: the member ops' alloc/free sequence as
-    #: signed *element* counts, replayed against the report in order
-    #: (positive → ``alloc(n * itemsize)``, negative → ``free``).  Keeps
-    #: peak/live bytes bit-equal to the Interpreter's accounting even
-    #: though the fused site materializes no intermediates.
-    fused_events: tuple[int, ...] | None = None
     #: Slot of a guaranteed alias-free staging buffer for arena execution
     #: — used by fused sites whose destination slot recycles one of their
     #: own operand slots (the fused site's dead intermediate slot is
@@ -262,6 +250,30 @@ def _storage_order(order: str) -> str:
     """The numpy allocation order backing a slot of order ``order``
     (an "A" slot stages the rare non-contiguous feed in C)."""
     return "F" if order == "F" else "C"
+
+
+#: Kernels that compute in float32/float64 only: the kernel layer casts
+#: any other operand first (``kernels.validation.as_ndarray``).
+_FLOAT_KERNELS = frozenset({
+    "gemm", "gemv", "trmm", "symm", "syrk", "diag_matmul",
+    "tridiagonal_matmul",
+})
+_FLOATS = frozenset(map(np.dtype, SUPPORTED_DTYPES))
+
+
+def _result_dtype(inst: Instruction, dtypes: list) -> np.dtype:
+    """The dtype of ``inst``'s result on operands of ``dtypes``: the
+    constant's own, else numpy's promotion (of the cast operands, for a
+    float-only kernel)."""
+    if inst.kind == "const":
+        return inst.fn(dtypes).dtype
+    if inst.calls[0].kernel in _FLOAT_KERNELS:
+        dtypes = [d if d in _FLOATS else as_ndarray(np.empty(0, d), "").dtype
+                  for d in dtypes]
+    first = dtypes[0]
+    if dtypes.count(first) == len(dtypes):
+        return first
+    return np.result_type(*dtypes)
 
 
 class LoopState:
@@ -419,7 +431,10 @@ class Plan:
         "compile_seconds",
         "fusion_stats",
         "slot_orders",
+        "report",
         "_source",
+        "_schedule",
+        "_reports",
         "_slot_shapes",
         "_by_name",
         "_by_pos",
@@ -442,6 +457,8 @@ class Plan:
         fusion_stats: "object | None" = None,
         slot_orders: tuple[str, ...] | None = None,
         source: tuple | None = None,
+        schedule: tuple[Instruction, ...] | None = None,
+        input_dtypes: tuple | None = None,
     ) -> None:
         self.instructions = instructions
         self.inputs = inputs
@@ -459,6 +476,10 @@ class Plan:
         # (graph, fold_constants, fusion) — what pickling reconstructs
         # the plan from (see __reduce__).  None for hand-built plans.
         self._source = source
+        # The pre-fusion instruction list the report is derived from
+        # (see report_for), and the derivations so far by input dtypes.
+        self._schedule = instructions if schedule is None else schedule
+        self._reports: dict[tuple, tuple] = {}
         # Static per-slot shapes: inputs + instruction outputs + scratch
         # workspaces (scratch shares the out shape of its requester).
         shapes: dict[int, tuple[int, ...]] = {p.slot: p.shape for p in inputs}
@@ -482,6 +503,12 @@ class Plan:
         # the first certified pass (see _generate_serve), and its text.
         self._serve = None
         self._serve_source: str | None = None
+        #: The :class:`ExecutionReport` of one execution at the traced
+        #: input dtypes (``None`` for a hand-built plan) — a constant of
+        #: the plan, what every Session call returns.
+        self.report = (
+            None if input_dtypes is None else self.report_for(input_dtypes)
+        )
 
     def new_arena(self) -> PlanArena:
         """A fresh preallocated-buffer arena for this plan."""
@@ -515,6 +542,59 @@ class Plan:
             _rebuild_plan,
             (graph_to_payload(graph), fold_constants, fusion),
         )
+
+    # -- the report -----------------------------------------------------------
+
+    def report_for(self, dtypes: Sequence[np.dtype]) -> ExecutionReport:
+        """The report of one execution on feeds of ``dtypes`` (one per
+        input), derived from the pre-fusion schedule (module docstring)
+        and memoized: every call with these dtypes gets the same object,
+        which callers must not mutate."""
+        return self._account(tuple(dtypes))[0]
+
+    def _account(self, dtypes: tuple) -> tuple[ExecutionReport, tuple]:
+        """``(report, output dtypes)`` at input ``dtypes``: the
+        Interpreter's accounting protocol, walked over the schedule."""
+        known = self._reports.get(dtypes)
+        if known is not None:
+            return known
+        calls: list[KernelCall] = []
+        live = peak = 0
+        dtype_of = {p.slot: d for p, d in zip(self.inputs, dtypes)}
+        size_of: dict[int, int] = {}
+        for inst in self._schedule:
+            args = [dtype_of[s] for s in inst.arg_slots]
+            if inst.kind == "relayout":
+                dtype_of[inst.out_slot] = args[0]
+                size_of[inst.out_slot] = size_of[inst.arg_slots[0]]
+                continue
+            if inst.sub_plan is None:
+                calls.extend(inst.calls)
+                dtype = _result_dtype(inst, args)
+            else:
+                # A body's outputs are never freed, so live bytes grow
+                # trip by trip; each trip's output dtype feeds the next.
+                dtype, *captured = args
+                for _ in range(inst.params[0]):
+                    body, outs = inst.sub_plan._account(
+                        (dtype, dtype, *captured)
+                    )
+                    calls.extend(body.calls)
+                    peak = max(peak, live + body.peak_bytes)
+                    live += body.live_bytes
+                    dtype = outs[0]
+            size = math.prod(inst.out_shape) * dtype.itemsize
+            live += size
+            peak = max(peak, live)
+            for s in inst.free_slots:
+                live -= size_of[s]
+            dtype_of[inst.out_slot] = dtype
+            size_of[inst.out_slot] = size
+        known = self._reports[dtypes] = (
+            ExecutionReport(calls, peak, live),
+            tuple(dtype_of[s] for s in self.output_slots),
+        )
+        return known
 
     # -- external buffer backing ----------------------------------------------
 
@@ -629,7 +709,7 @@ class Plan:
         path and hands BLAS operands it can use without f2py's hidden
         copies; values are unchanged, so outputs stay bit-identical).
         Returns the bound arrays' dtypes, the signature a serving pass
-        is certified for."""
+        is certified for and the report is derived at."""
         inputs = self.inputs
         if not isinstance(feeds, (list, tuple)):
             feeds = self._positional(feeds) \
@@ -660,12 +740,7 @@ class Plan:
     # -- execution ------------------------------------------------------------
 
     def _exec_into(
-        self,
-        inst: Instruction,
-        args: list,
-        arena: PlanArena,
-        report: ExecutionReport,
-        record: bool,
+        self, inst: Instruction, args: list, arena: PlanArena
     ) -> np.ndarray:
         """Run one instruction with its result in the arena's slot buffer.
 
@@ -679,7 +754,7 @@ class Plan:
             # Constant payloads never change: stage them into arena
             # storage (the order their consumers read) once, when the
             # slot buffer is first created.
-            value = inst.fn(args, report, record)
+            value = inst.fn(args)
             buf = arena.buffers[inst.out_slot]
             if buf is None or buf.shape != value.shape or buf.dtype != value.dtype:
                 buf = arena.buffer(inst.out_slot, value.shape, value.dtype)
@@ -702,7 +777,7 @@ class Plan:
             if state is None:
                 state = arena.loops[id(inst)] = LoopState(inst, inst.sub_plan)
             buf = arena.buffer(inst.out_slot, inst.out_shape, dtype)
-            return inst.fn_loop(args, buf, state, report, record)
+            return inst.fn_loop(args, buf, state)
         mixed = any(a.dtype != dtype for a in args)
         if inst.fn_out is not None and not mixed:
             buf = arena.buffer(inst.out_slot, inst.out_shape, dtype)
@@ -717,7 +792,7 @@ class Plan:
         # No in-place kernel, or mixed operand dtypes: compute as
         # arena-less execution does, then land the result in the slot's
         # stable storage when it fits.
-        result = inst.fn(args, report, record)
+        result = inst.fn(args)
         buf = arena.buffer(inst.out_slot, result.shape, result.dtype)
         np.copyto(buf, result)
         arena.bytes_copied += result.nbytes
@@ -741,7 +816,7 @@ class Plan:
             return "  # " + " ".join(f"{kind} {name}".split())
 
         namespace: dict = {}
-        lines = ["def serve(slots, bufs, exec_into, arena, report):"]
+        lines = ["def serve(slots, bufs, exec_into, arena):"]
         for spec in self.inputs:
             lines.append(f"    s{spec.slot} = slots[{spec.slot}]"
                          + note("input", spec.name))
@@ -755,7 +830,7 @@ class Plan:
                 call = f"f{i}([{args}], bufs[{out}]{scratch})"
             else:
                 namespace[f"i{i}"] = inst
-                call = f"exec_into(i{i}, [{args}], arena, report, False)"
+                call = f"exec_into(i{i}, [{args}], arena)"
             lines.append(f"    s{out} = {call}" + note(inst.op, inst.label))
         # The slot table ends the pass as the instruction loops leave it.
         written = dict.fromkeys(inst.out_slot for inst in self.instructions)
@@ -787,73 +862,34 @@ class Plan:
         self,
         feeds: Sequence[object] | Mapping[object, object],
         *,
-        report: ExecutionReport | None = None,
         record: bool = True,
         arena: PlanArena | None = None,
     ) -> tuple[list[np.ndarray], ExecutionReport]:
-        """Run the plan; returns ``(outputs, report)`` like Interpreter.run.
+        """Run the plan; returns ``(outputs, report)`` like Interpreter.run
+        — the report is :meth:`report_for` the bound feeds' dtypes
+        (``record=False`` returns an empty one).
 
-        ``arena`` switches execution onto preallocated per-slot buffers
-        (see :class:`PlanArena`) with feeds bound by the alias-else-copy
-        rule (module docstring); outputs then alias arena storage and
-        are only valid until the next execution through the same arena.
+        ``arena`` runs the pass through a throwaway :class:`PinnedBinding`
+        over those preallocated buffers (see :class:`PlanArena`), feeds
+        bound by the alias-else-copy rule (module docstring); outputs
+        then alias arena storage and are only valid until the next
+        execution through the same arena.
         """
-        report = report if report is not None else ExecutionReport()
-        if arena is not None and not record:
-            # The serving loop lives in one place: a throwaway binding
-            # here, a persistent one per Concrete / shard ring entry.
+        if arena is not None:
             binding = PinnedBinding(self, arena)
             binding.rebind(feeds)
-            return binding.execute(), report
-        slots: list = [None] * self.num_slots
-        sig = self._bind(feeds, slots, arena)
-        if not record:
+            outputs, sig = binding.execute(), binding._sig
+        else:
+            slots: list = [None] * self.num_slots
+            sig = self._bind(feeds, slots)
             for inst in self.instructions:
-                args = [slots[s] for s in inst.arg_slots]
-                slots[inst.out_slot] = inst.fn(args, report, record)
+                slots[inst.out_slot] = inst.fn([slots[s] for s in inst.arg_slots])
                 for s in inst.free_slots:
                     slots[s] = None
-            return [slots[s] for s in self.output_slots], report
-        bufs = None
-        if arena is not None:
-            bufs = arena.buffers
-            # A recording pass can (re)warm buffers, so it takes part in
-            # the certification protocol (PinnedBinding.execute):
-            # invalidate first, certify after.
-            arena._turbo_sig = None
-            arena._mixed = False
-        calls = report.calls
-        for inst in self.instructions:
-            args = [slots[s] for s in inst.arg_slots]
-            if bufs is None:
-                result = inst.fn(args, report, record)
-            else:
-                result = self._run_arena(inst, args, arena, bufs,
-                                         report, record)
-            slots[inst.out_slot] = result
-            if inst.calls:
-                calls.extend(inst.calls)
-            if inst.fused_events is None:
-                report.alloc(result.nbytes)
-                for s in inst.free_slots:
-                    report.free(slots[s].nbytes)
-                    slots[s] = None
-            else:
-                # Replay the fused members' original alloc/free
-                # sequence so peak/live bytes match the Interpreter.
-                isz = result.itemsize
-                for e in inst.fused_events:
-                    if e >= 0:
-                        report.alloc(e * isz)
-                    else:
-                        report.free(-e * isz)
-                for s in inst.free_slots:
-                    slots[s] = None
-        if bufs is not None and not arena._mixed:
-            arena._turbo_sig = sig
-        return [slots[s] for s in self.output_slots], report
+            outputs = [slots[s] for s in self.output_slots]
+        return outputs, self.report_for(sig) if record else ExecutionReport()
 
-    def _run_arena(self, inst, args, arena, bufs, report, record):
+    def _run_arena(self, inst, args, arena, bufs):
         """Arena dispatch: warm in-place fast path, general path otherwise.
 
         The fast path requires every operand to share the warm buffer's
@@ -872,7 +908,7 @@ class Plan:
                         break
                 else:
                     return fn_out(args, buf)
-        return self._exec_into(inst, args, arena, report, record)
+        return self._exec_into(inst, args, arena)
 
     __call__ = execute
 
@@ -931,19 +967,17 @@ class PinnedBinding:
     (re)bound at their slots, and every other slot is rewritten by its
     producing instruction before anything reads it (the schedule
     guarantees write-before-read within a pass), so no per-call
-    clearing is needed.  Execution is the serving path (no accounting)
-    — outputs alias arena storage and are valid until the next call.
+    clearing is needed.  Outputs alias arena storage and are valid until
+    the next call.
     """
 
-    __slots__ = ("plan", "arena", "slots", "_sig", "_report")
+    __slots__ = ("plan", "arena", "slots", "_sig")
 
     def __init__(self, plan: Plan, arena: PlanArena) -> None:
         self.plan = plan
         self.arena = arena
         self.slots: list = [None] * plan.num_slots
         self._sig: tuple | None = None
-        # One reusable report: the serving loop never records into it.
-        self._report = ExecutionReport()
 
     def rebind(
         self, feeds: Sequence[object] | Mapping[object, object]
@@ -968,7 +1002,7 @@ class PinnedBinding:
         bufs = arena.buffers
         if self._sig == arena._turbo_sig:
             serve = plan._serve or plan._generate_serve()
-            return serve(slots, bufs, plan._exec_into, arena, self._report)
+            return serve(slots, bufs, plan._exec_into, arena)
         # Warming pass: per-instruction checks, and the certification
         # protocol (invalidate first so a mid-pass exception can't
         # certify half-warm buffers).
@@ -976,9 +1010,7 @@ class PinnedBinding:
         arena._mixed = False
         for inst in plan.instructions:
             args = [slots[s] for s in inst.arg_slots]
-            slots[inst.out_slot] = plan._run_arena(
-                inst, args, arena, bufs, self._report, False
-            )
+            slots[inst.out_slot] = plan._run_arena(inst, args, arena, bufs)
         if not arena._mixed:
             arena._turbo_sig = self._sig
         return [slots[s] for s in plan.output_slots]

@@ -70,7 +70,7 @@ import numpy as np
 
 from .. import faults
 from ..errors import GraphError
-from ..ir.interpreter import ExecutionReport, _normalize_feed
+from ..ir.interpreter import _normalize_feed
 from .plan import BatchResult, FeedSet, Plan
 
 __all__ = ["ShardPool", "ShardWorkerError", "default_shards"]
@@ -545,8 +545,9 @@ class ShardPool:
         each; the parent writes every feed straight into the target
         shard's input slots and reads results straight out of its output
         slots.  Returns a :class:`~repro.runtime.plan.BatchResult`
-        whose outputs are parent-owned copies (reports are empty — the
-        shard path is the serving path, ``record=False``).
+        whose outputs are parent-owned copies and whose reports are the
+        plan's at the pool's dtype, once per feed set — a plan constant,
+        so no worker accounts.
         """
         if self._closed:
             raise ShardWorkerError("pool is closed")
@@ -601,9 +602,10 @@ class ShardPool:
                         error = exc
             if error is not None:
                 raise error
+        report = self.plan.report_for((self.dtype,) * len(self.plan.inputs))
         return BatchResult(
             outputs=[out for out in outputs],
-            reports=[ExecutionReport() for _ in range(n)],
+            reports=[report] * n,
         )
 
     # -- supervision -----------------------------------------------------------

@@ -228,11 +228,12 @@ class TestPromotion:
 
     @pytest.mark.parametrize("reference", ["per-call", "preallocated"])
     def test_promotion_re_records_the_cached_report(self, reference):
-        """The report is a constant of (concrete, plan): swapping the
-        plan in must drop the canonical report, or ``last_report`` would
-        keep advertising the FLOPs the promotion just removed.  The
-        re-recorded report is the promoted plan's, executed at plan level
-        arena-less (``"per-call"``) or through a fresh arena."""
+        """The report is a constant of the plan: swapping the plan in
+        must swap the report, or ``last_report`` would keep advertising
+        the FLOPs the promotion just removed.  The next call returns the
+        promoted plan's ``report``, which its plan-level execution —
+        arena-less (``"per-call"``) or through a fresh arena — returns
+        too."""
         (a, b, x), want = _int_chain()
         with api.Session(autotune={
             "hot_threshold": 3, "budget_seconds": _AMPLE_BUDGET,
@@ -252,7 +253,7 @@ class TestPromotion:
         assert np.array_equal(out.data, want)
         assert tuned is not canonical
         assert tuned.total_flops < canonical.total_flops
-        assert tuned == plan_report
+        assert tuned is plan.report and tuned == plan_report
 
     def test_below_threshold_never_tunes(self):
         (a, b, x), _ = _int_chain(n=16)

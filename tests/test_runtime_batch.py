@@ -127,7 +127,7 @@ def test_failure_inside_execution_releases_the_executor(monkeypatch):
     expected = _expected(feed_sets)
     with api.Session(fusion=True) as s:
         f = s.compile(gram)
-        f(*feed_sets[0])  # the recording pass; later calls serve
+        f(*feed_sets[0])  # the warming pass; later calls serve
         real = PinnedBinding.execute
         calls = []
 

@@ -47,9 +47,8 @@ class TestElementwiseChains:
         )
         _, rep_plain = plain.execute(feeds)
         _, rep_fused = fused.execute(feeds)
-        assert rep_fused.total_flops == rep_plain.total_flops
-        assert rep_fused.peak_bytes == rep_plain.peak_bytes
-        assert len(rep_fused.calls) < len(rep_plain.calls)
+        assert rep_fused == rep_plain
+        assert len(fused.instructions) < len(plain.instructions)
 
     def test_multiuse_value_blocks_fusion(self, ab):
         # t is consumed twice -> it must be materialized, not fused away.
@@ -111,8 +110,7 @@ class TestGemmAlphaFold:
         outs_i, rep_i = Interpreter(record=True).run(graph, feeds)
         outs_f, rep_f = fused.execute(feeds)
         assert outs_i[0].tobytes() == outs_f[0].tobytes()
-        assert rep_i.total_flops == rep_f.total_flops
-        assert rep_i.peak_bytes == rep_f.peak_bytes
+        assert rep_i == rep_f
 
     def test_inexact_factor_pair_stays_bit_identical(self, ab):
         """Regression for the cascade bug: 3.0 * (3.0 * (A@B)) — folding
@@ -153,7 +151,7 @@ class TestGemmBetaFold:
     """A single-consumer ``add``/``sub`` of a GEMM result with a *dead*
     addend folds into the BLAS call's C-accumulate (``beta=±1``).  The
     contract: bit-identical to the interpreter in every fusion × arena
-    combination, FLOP totals and modelled memory preserved."""
+    combination, and the interpreter's report."""
 
     EXPRS = {
         "add": lambda a, b: a @ b + b @ a,
@@ -174,13 +172,11 @@ class TestGemmBetaFold:
         for use in (None, arena, arena):  # per-call, warming, warm
             outs_f, rep_f = fused.execute(feeds, arena=use)
             assert outs_i[0].tobytes() == outs_f[0].tobytes()
-            assert rep_f.total_flops == rep_i.total_flops
-            assert rep_f.peak_bytes == rep_i.peak_bytes
-            assert rep_f.live_bytes == rep_i.live_bytes
+            assert rep_f == rep_i
 
     def test_combined_call_record(self, ab):
         fused = _plan_pair(lambda a, b: a @ b + b @ a, ab, pipeline=False)[1]
-        (inst,) = [i for i in fused.instructions if i.fused_events is not None]
+        (inst,) = [i for i in fused.instructions if i.calls[0].node_op == "fused"]
         assert inst.calls[0].kernel == "fused(gemm+add)"
         assert inst.calls[0].node_op == "fused"
 
@@ -204,9 +200,8 @@ class TestFoldAwareScheduling:
     adjacent (the dead addend's producer sits between them) becomes
     adjacent by hoisting the independent interveners above the GEMM —
     then pass 1b folds as usual.  Values must be bit-identical to the
-    interpreter; the schedule (and hence the report's alloc/free
-    ordering) legitimately changes, so only value parity and FLOP
-    totals are pinned here."""
+    interpreter, and so must the report: the plan derives it from the
+    schedule before the hoist."""
 
     def test_non_adjacent_pair_folds(self, ab):
         # Schedule: [gemm, sub(c-producer), add] — sub is independent of
@@ -223,7 +218,7 @@ class TestFoldAwareScheduling:
         for use in (None, arena, arena):
             outs_f, rep_f = fused.execute(feeds, arena=use)
             assert outs_i[0].tobytes() == outs_f[0].tobytes()
-            assert rep_f.total_flops == rep_i.total_flops
+            assert rep_f == rep_i
 
     def test_adjacent_pair_needs_no_sink(self, ab):
         # The addend's producer is scheduled *before* the GEMM already:
@@ -433,11 +428,19 @@ class TestPlanProperties:
         assert plain.fusion_stats is None
 
     def test_fused_events_replay_matches_interpreter_memory(self, ab):
-        fn = lambda a, b: (a @ b + b - a) @ (2.0 * a)  # noqa: E731
-        graph = trace(fn, ab)
-        feeds = [t.data for t in ab]
-        _, rep_i = Interpreter(record=True).run(graph, feeds)
-        fused = compile_plan(graph, fusion=True)
-        _, rep_f = fused.execute(feeds)
-        assert rep_f.peak_bytes == rep_i.peak_bytes
-        assert rep_f.live_bytes == rep_i.live_bytes
+        """The report comes from the schedule before fusion: chains and
+        an alpha fold, and a beta fold the scheduler sank below its
+        addend's producer, report exactly what the interpreter does —
+        per call, through an arena and as ``plan.report``."""
+        for fn, sinks in (
+            (lambda a, b: (a @ b + b - a) @ (2.0 * a), 0),
+            (lambda a, b: a @ b + (b - a), 1),
+        ):
+            graph = trace(fn, ab)
+            feeds = [t.data for t in ab]
+            _, rep_i = Interpreter(record=True).run(graph, feeds)
+            fused = compile_plan(graph, fusion=True)
+            assert fused.fusion_stats.fold_sinks == sinks
+            assert fused.report == rep_i
+            for arena in (None, fused.new_arena()):
+                assert fused.execute(feeds, arena=arena)[1] == rep_i

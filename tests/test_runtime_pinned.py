@@ -189,7 +189,7 @@ class TestGeneratedServingPass:
                 raise KernelError("no kernel for this operand")
             return np.negative(args[0], out=out)
 
-        def unused(args, report, record):  # per-call executor: not run here
+        def unused(args):  # arena-less executor: not run here
             raise AssertionError
 
         plan = Plan(

@@ -442,6 +442,31 @@ class TestSessionSharding:
             for r, sh in zip(ref.outputs, sharded.outputs):
                 assert np.array_equal(r[0], sh[0])
 
+    def test_sharded_batches_report_like_in_process_ones(self, fault_plan):
+        """``BatchResult.reports`` is the plan's report once per feed set
+        whichever path ran the batch — the in-process loop, the shard
+        pool, or its inline fallback after a worker died — so
+        ``total_flops`` agrees across the three."""
+        A, B, C = (random_general(16, seed=s) for s in (1, 2, 3))
+
+        def fn(a, b, c):
+            return (a @ b + c) @ a.T
+
+        paths = ({}, {"shards": 2},
+                 {"shards": 2, "shard_fallback": "inline",
+                  "faults": "worker.exec:crash@1w0"})
+        flops = []
+        for opts in paths:
+            with api.Session(fusion=True, **opts) as s:
+                f = s.compile(fn)
+                batch = s.run_batch(f, [[A, B, C]] * 4)
+                report = f.get_concrete(A, B, C).plan.report
+                fallbacks = s.stats().shard_fallback_runs
+            assert all(r == report for r in batch.reports)
+            flops.append(batch.total_flops)
+        assert fallbacks == 1
+        assert flops == [4 * report.total_flops] * 3 and flops[0] > 0
+
     def test_options_shards_routes_run_batch_and_caches_pool(self):
         A, B, C = (random_general(16, seed=s) for s in (4, 5, 6))
 
