@@ -13,10 +13,10 @@ from repro.kernels import blas3
 @pytest.fixture(scope="module")
 def quad(w, n):
     return (
-        w.fortran(w.general(0)),
-        w.fortran(w.general(1)),
-        w.fortran(w.general(2)),
-        w.fortran(w.general_rect(n, n, 3)),
+        w.blas_operand(w.general(0)),
+        w.blas_operand(w.general(1)),
+        w.blas_operand(w.general(2)),
+        w.blas_operand(w.general_rect(n, n, 3)),
     )
 
 

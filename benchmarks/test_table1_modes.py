@@ -39,7 +39,7 @@ def compiled(dense):
 class TestRow1:
     def test_mkl_c_reference(self, benchmark, dense, w):
         a, b, _ = dense
-        af, bf = w.fortran(a), w.fortran(b)
+        af, bf = w.blas_operand(a), w.blas_operand(b)
         benchmark(lambda: gemm_reference(af, bf, trans_a=True))
 
     def test_tf_eager(self, benchmark, dense):
@@ -66,7 +66,7 @@ class TestRow2:
     def test_mkl_c_two_gemms(self, benchmark, dense, w):
         """Hand-written reference with an explicit temporary (2 GEMMs)."""
         a, b, _ = dense
-        af, bf = w.fortran(a), w.fortran(b)
+        af, bf = w.blas_operand(a), w.blas_operand(b)
         benchmark(lambda: gram_reference(af, bf))
 
     def test_tf_eager(self, benchmark, dense):

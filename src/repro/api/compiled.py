@@ -99,7 +99,8 @@ class Concrete:
     ) -> tuple[list[np.ndarray], ExecutionReport]:
         """Run one feed set: ``(outputs, report)``, the outputs
         independent of later calls and in the layout their producer
-        wrote (F for BLAS results), the report the plan's: the
+        wrote (C-ordered, BLAS results included: the kernels make
+        row-major calls), the report the plan's: the
         signature key fixes shapes, dtypes and props, so it is a
         constant and nothing here accounts.  Rebind → serving pass (a
         warming one on call 1) → hand-off; the lock orders every pass

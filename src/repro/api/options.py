@@ -61,11 +61,11 @@ class Options:
         a per-``Concrete`` :class:`~repro.runtime.PlanArena`: repeated
         calls perform zero intermediate allocations after warmup, and
         each feed is aliased when it is contiguous in its input slot's
-        order (Fortran where BLAS reads the feed as a matrix — what
-        ``Session.pin`` hands out; the C order tensors carry where only
-        elementwise kernels read it; either where no kernel cares) and
-        copied into the slot's buffer otherwise.  Results come back in
-        the layout their producer wrote (Fortran for BLAS results).
+        order (the C order tensors carry — what ``Session.pin`` hands
+        out — wherever a kernel reads the feed's layout, BLAS included:
+        it reads a C matrix through its Fortran view; either order where
+        no kernel cares) and copied into the slot's buffer otherwise.
+        Results come back C-ordered, the layout every kernel writes.
     shards:
         Multi-process sharded batching.  ``N >= 1`` routes
         ``session.run_batch`` through a per-plan

@@ -425,7 +425,7 @@ class Session:
     ) -> Tensor:
         """A Tensor whose buffer is session-pinned input storage.
 
-        The returned tensor owns a Fortran-ordered zeroed buffer that
+        The returned tensor owns a C-ordered zeroed buffer that
         lives for the session's lifetime; rewrite its ``.data`` in place
         between calls.  A pinned tensor is aliased straight into its
         plan input slot on every call — no staging copy — because it
@@ -434,12 +434,9 @@ class Session:
         agree and raises otherwise — two owners of one pin slot is
         always a bug.
 
-        Pins are Fortran-ordered: they alias every input slot a BLAS
-        routine reads as a matrix and every slot no kernel's layout
-        depends on.  An input only elementwise kernels read has a
-        *C*-ordered slot (the kernels compute in the order tensors
-        carry); an F pin is copied there per call, a default
-        C-contiguous ``Tensor`` is what aliases.
+        Pins are C-ordered, the order every input slot accepts: BLAS
+        reads a C matrix in place through its Fortran view, and
+        elementwise kernels compute in the order tensors carry.
         """
         if dtype is None:
             from ..config import config
@@ -456,7 +453,7 @@ class Session:
                         f"{tuple(shape)} {dtype}"
                     )
                 return existing
-            buf = np.zeros(tuple(shape), dtype=dtype, order="F")
+            buf = np.zeros(tuple(shape), dtype=dtype)
             tensor = Tensor(buf, dtype=dtype)
             assert tensor.data is buf  # pinning relies on zero-copy wrap
             self._pinned[name] = tensor

@@ -50,8 +50,8 @@ def run(n: int | None = None, repetitions: int | None = None) -> ExperimentTable
     t = w.tridiagonal()
     d = w.diagonal()
 
-    af, bf = w.fortran(a), w.fortran(b)
-    lf, tf_arr, df = w.fortran(l), w.fortran(t), w.fortran(d)
+    af, bf = w.blas_operand(a), w.blas_operand(b)
+    lf, tf_arr, df = w.blas_operand(l), w.blas_operand(t), w.blas_operand(d)
 
     @tfsim.function
     def tf_matmul(p, q):

@@ -34,8 +34,8 @@ from .workloads import Workloads
 def run(n: int | None = None, repetitions: int | None = None) -> ExperimentTable:
     n = experiment_size(n)
     w = Workloads(n)
-    a, b = w.fortran(w.general(0)), w.fortran(w.general(1))
-    c, d = w.fortran(w.general(2)), w.fortran(w.general_rect(n, n, 3))
+    a, b = w.blas_operand(w.general(0)), w.blas_operand(w.general(1))
+    c, d = w.blas_operand(w.general(2)), w.blas_operand(w.general_rect(n, n, 3))
     flush = CacheFlusher()
 
     def variant1():

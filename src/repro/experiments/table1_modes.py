@@ -62,7 +62,7 @@ def run(n: int | None = None, repetitions: int | None = None) -> ExperimentTable
     n = experiment_size(n)
     w = Workloads(n)
     a, b = w.general(0), w.general(1)
-    af, bf = w.fortran(a), w.fortran(b)
+    af, bf = w.blas_operand(a), w.blas_operand(b)
 
     table = ExperimentTable(
         title=f"Table I: execution time (s), n = {n}",

@@ -74,10 +74,18 @@ class Workloads:
         b2 = random_general(half, self.n, seed=self._s(903))
         return a1, a2, b1, b2
 
-    # -- raw fortran-ordered arrays for the BLAS reference column ------------------------
+    # -- raw arrays for the reference columns ------------------------------------------
+
+    @staticmethod
+    def blas_operand(t: Tensor) -> np.ndarray:
+        """C-ordered array for a BLAS reference call: the layout the
+        kernel layer's row-major calls read in place, so no f2py copy
+        lands inside the timed region."""
+        return np.ascontiguousarray(t.data)
 
     @staticmethod
     def fortran(t: Tensor) -> np.ndarray:
-        """Fortran-ordered copy (what a hand-written MKL-C harness passes,
-        avoiding the f2py row-major copy inside the timed region)."""
+        """Fortran-ordered copy for a LAPACK reference call (LAPACK stays
+        column-major: what a hand-written harness passes, avoiding the
+        f2py copy inside the timed region)."""
         return np.asfortranarray(t.data)

@@ -43,6 +43,12 @@ def gemv(
     materializing the transpose — the trick the paper's right-to-left chain
     evaluation relies on.
 
+    Row-major call: BLAS reads the C-ordered ``A`` in place through its
+    Fortran view ``A.T``, with the TRANS flag flipped (``A x`` is
+    ``(A.T)ᵀ x``); a Fortran-ordered or strided ``A`` is copied once by
+    f2py, so the bits depend on the values and ``trans``, not the layout
+    (see :mod:`repro.kernels.blas3`).
+
     ``out`` is the destination-aware mode: the result vector is written into
     the caller's contiguous 1-D buffer (BLAS's ``y`` argument with
     ``beta=0``, ``overwrite_y=1``) and that buffer is returned — no
@@ -64,8 +70,9 @@ def gemv(
     else:
         check_matvec_shapes(a, x)
     fn = _routine(_GEMV, a.dtype, "gemv")
+    flipped = 0 if trans else 1
     if out is None:
-        return fn(a.dtype.type(alpha), a, x, trans=1 if trans else 0)
+        return fn(a.dtype.type(alpha), a.T, x, trans=flipped)
     result_len = a.shape[1] if trans else a.shape[0]
     if out.ndim != 1 or out.shape[0] != result_len:
         from ..errors import ShapeError
@@ -81,12 +88,12 @@ def gemv(
         raise KernelError("gemv: out must be a contiguous vector")
     return fn(
         a.dtype.type(alpha),
-        a,
+        a.T,
         x,
         beta=a.dtype.type(0.0),
         y=out,
         overwrite_y=1,
-        trans=1 if trans else 0,
+        trans=flipped,
     )
 
 

@@ -3,9 +3,34 @@
 These are the kernels whose relative costs drive every experiment in the
 paper: GEMM (the 2mnk baseline), TRMM and SYRK (the half-cost structured
 kernels of Experiment 3), SYMM, and TRSM.
+
+Row-major calls
+---------------
+Operands and results are C-ordered (the layout tensors carry), and BLAS
+is column-major.  Rather than copying each operand into Fortran order,
+GEMM, TRMM, SYMM and SYRK hand BLAS the Fortran *view* ``X.T`` of every
+C buffer — the same memory, read as the transposed matrix — and compute
+the transposed problem, exactly as row-major frameworks call a
+column-major BLAS:
+
+* GEMM: ``C = op(A) op(B)`` runs as ``Cᵀ = op(B)ᵀ op(A)ᵀ`` — operands
+  swap, and so do their TRANS flags;
+* TRMM / SYMM: ``op(A) B`` runs as ``Bᵀ op(A)ᵀ`` — the side flips, and
+  so does ``uplo`` (the view of a lower triangle is an upper one);
+* SYRK: ``A Aᵀ`` runs as ``(Aᵀ)ᵀ Aᵀ`` — ``trans`` flips, and ``uplo``
+  flips so the triangle named by ``lower`` is still the one computed.
+
+Results therefore come out C-ordered, and an ``out=`` destination must be
+C-contiguous.  A Fortran-ordered or strided operand is copied once by
+f2py on its way in, so the bits are a function of the logical operands
+and the flags, never of their memory layout.  The compiled runtime
+(:mod:`repro.runtime.compiler`) issues these same routines with these
+same flags on views it keeps with its slot buffers.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 from scipy.linalg import blas as _blas
@@ -39,9 +64,9 @@ def _check_out(
     """Validate a caller-provided destination buffer.
 
     Every destination-aware kernel has the same contract: exact result
-    shape, operand dtype, Fortran order (the layout BLAS writes — any
-    other layout would force a hidden f2py copy, silently defeating the
-    zero-allocation point).
+    shape, operand dtype, C order (its ``.T`` is the Fortran buffer BLAS
+    writes — any other layout would force a hidden f2py copy, silently
+    defeating the zero-allocation point).
     """
     if out.shape != shape:
         raise ShapeError(f"{name}: out has shape {out.shape}, result is {shape}")
@@ -49,30 +74,53 @@ def _check_out(
         raise KernelError(
             f"{name}: out dtype {out.dtype} does not match operands ({dtype})"
         )
-    if not out.flags.f_contiguous:
+    if not out.flags.c_contiguous:
         raise KernelError(
-            f"{name}: out must be Fortran-contiguous (use np.empty(..., "
-            "order='F')) — any other layout forces a hidden copy"
+            f"{name}: out must be C-contiguous — any other layout forces "
+            "a hidden copy"
         )
+
+
+#: Diagonal blocks at most this wide are mirrored in one gather/scatter.
+_MIRROR_LEAF = 32
+
+
+@functools.lru_cache(maxsize=None)
+def _upper_indices(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(size, 1)``, built once per block size."""
+    return np.triu_indices(size, 1)
 
 
 def _mirror_triangle(c: np.ndarray, *, lower: bool) -> np.ndarray:
     """Fill the missing triangle of ``c`` with the computed one, in place.
 
-    Row/column slice assignments only — no temporary matrices — so the
-    arena path stays free of ndarray-data allocations.  The mirrored
-    entries are bit-copies of the computed triangle, which is also what
-    the historical ``c + np.tril(c, -1).T`` fill produced (adding a
-    strictly-triangular transpose to exact zeros), minus its two
-    full-matrix temporaries.
+    Recursive halving: each off-diagonal block is one transposing slice
+    assignment, and each diagonal block of at most :data:`_MIRROR_LEAF`
+    rows one gather/scatter through a cached index pair — about
+    ``2n/32`` copies rather than one Python-level copy per row.  No
+    matrix-sized temporary: a leaf's gather holds at most 32·31/2
+    entries, freed at once, so nothing allocated outlives the call.  The
+    mirrored entries are bit-copies of the computed triangle, which is
+    also what the historical ``c + np.tril(c, -1).T`` fill produced
+    (adding a strictly-triangular transpose to exact zeros), minus its
+    two full-matrix temporaries.
     """
-    n = c.shape[0]
-    if lower:
-        for i in range(1, n):
-            c[:i, i] = c[i, :i]
-    else:
-        for i in range(1, n):
-            c[i, :i] = c[:i, i]
+    # Copy the strictly lower triangle of ``v`` into its upper one; for
+    # an upper source that is the transposed view.
+    v = c if lower else c.T
+
+    def fill(lo: int, hi: int) -> None:
+        if hi - lo <= _MIRROR_LEAF:
+            block = v[lo:hi, lo:hi]
+            upper = _upper_indices(hi - lo)
+            block[upper] = block.T[upper]
+            return
+        mid = (lo + hi) // 2
+        v[lo:mid, mid:hi] = v[mid:hi, lo:mid].T
+        fill(lo, mid)
+        fill(mid, hi)
+
+    fill(0, c.shape[0])
     return c
 
 
@@ -97,13 +145,12 @@ def gemm(
     product at no cost.
 
     ``out`` is the destination-aware mode: the result is written into the
-    caller's ``C`` buffer (BLAS's own ``C`` argument, ``overwrite_c=1``) and
-    that same buffer is returned — no allocation.  The buffer must be
-    Fortran-contiguous (the layout BLAS writes; anything else would force
-    f2py to make a hidden copy, silently defeating the point), of the
-    result's exact shape and dtype.  ``beta`` defaults to 0 so ``out`` acts
-    as a pure destination; a nonzero ``beta`` accumulates into it and
-    requires ``out``.
+    caller's buffer (the Fortran view of it is BLAS's own ``C`` argument,
+    ``overwrite_c=1``) and that same buffer is returned — no allocation.
+    The buffer must be C-contiguous (see *Row-major calls* above), of the
+    result's exact shape and dtype.  ``beta`` defaults to 0 so ``out``
+    acts as a pure destination; a nonzero ``beta`` accumulates into it
+    and requires ``out``.
     """
     a = require_matrix(as_ndarray(a, "a"), "a")
     b = require_matrix(as_ndarray(b, "b"), "b")
@@ -112,40 +159,18 @@ def gemm(
     op_b = b.T if trans_b else b
     check_matmul_shapes(op_a, op_b)
     fn = _routine(_GEMM, a.dtype, "gemm")
+    # Cᵀ = op(B)ᵀ op(A)ᵀ: the operands swap, and their flags with them.
+    flags = dict(trans_a=1 if trans_b else 0, trans_b=1 if trans_a else 0)
     if out is None:
         if beta != 0.0:
             raise KernelError("gemm: beta != 0 accumulates into C — pass out=")
-        return fn(
-            a.dtype.type(alpha),
-            a,
-            b,
-            trans_a=1 if trans_a else 0,
-            trans_b=1 if trans_b else 0,
-        )
-    expected = (op_a.shape[0], op_b.shape[1])
-    if out.shape != expected:
-        raise ShapeError(
-            f"gemm: out has shape {out.shape}, result is {expected}"
-        )
-    if out.dtype != a.dtype:
-        raise KernelError(
-            f"gemm: out dtype {out.dtype} does not match operands ({a.dtype})"
-        )
-    if not out.flags.f_contiguous:
-        raise KernelError(
-            "gemm: out must be Fortran-contiguous (use np.empty(..., order='F')) "
-            "— any other layout forces a hidden copy"
-        )
-    return fn(
-        a.dtype.type(alpha),
-        a,
-        b,
-        beta=a.dtype.type(beta),
-        c=out,
-        overwrite_c=1,
-        trans_a=1 if trans_a else 0,
-        trans_b=1 if trans_b else 0,
+        return fn(a.dtype.type(alpha), b.T, a.T, **flags).T
+    _check_out(out, (op_a.shape[0], op_b.shape[1]), a.dtype, "gemm")
+    fn(
+        a.dtype.type(alpha), b.T, a.T, beta=a.dtype.type(beta), c=out.T,
+        overwrite_c=1, **flags,
     )
+    return out
 
 
 def trmm(
@@ -168,7 +193,7 @@ def trmm(
     ``out`` is the destination-aware mode.  BLAS TRMM has no separate
     ``C`` argument — it overwrites ``B`` in place — so the out mode
     stages ``B`` into ``out`` (one memcpy, no allocation) and runs the
-    routine there with ``overwrite_b=1``.  Same routine, same bits as the
+    routine on its Fortran view with ``overwrite_b=1``.  Same routine, same bits as the
     allocating path, which f2py realizes as exactly this copy-then-
     overwrite sequence on a hidden fresh buffer.
     """
@@ -181,19 +206,18 @@ def trmm(
     if not side_left and b.shape[1] != n:
         raise ShapeError(f"trmm: A is {a.shape}, B is {b.shape} (right multiply)")
     fn = _routine(_TRMM, a.dtype, "trmm")
+    # Bᵀ op(A)ᵀ on the views: the other side, the other triangle.
     kwargs = dict(
-        side=0 if side_left else 1,
-        lower=1 if lower else 0,
+        side=1 if side_left else 0,
+        lower=0 if lower else 1,
         trans_a=1 if trans_a else 0,
         diag=1 if unit_diag else 0,
     )
     if out is None:
-        return fn(a.dtype.type(alpha), a, b, **kwargs)
+        return fn(a.dtype.type(alpha), a.T, b.T, **kwargs).T
     _check_out(out, b.shape, a.dtype, "trmm")
     np.copyto(out, b)
-    result = fn(a.dtype.type(alpha), a, out, overwrite_b=1, **kwargs)
-    if result is not out:  # pragma: no cover - overwrite honored for F out
-        np.copyto(out, result)
+    fn(a.dtype.type(alpha), a.T, out.T, overwrite_b=1, **kwargs)
     return out
 
 
@@ -215,18 +239,18 @@ def syrk(
     raw one-triangle BLAS output.
 
     ``out`` is the destination-aware mode: BLAS writes the computed
-    triangle straight into the caller's buffer (``c=out``, ``beta=0``,
+    triangle straight into the caller's buffer (``c=out.T``, ``beta=0``,
     ``overwrite_c=1``) and the mirror fill runs in place — no allocation,
     and the untouched triangle of a dirty buffer is fully overwritten by
     the fill (``out`` therefore requires ``fill=True``).
     """
     a = require_matrix(as_ndarray(a, "a"), "a")
     fn = _routine(_SYRK, a.dtype, "syrk")
+    # (Aᵀ)ᵀAᵀ on the view; C is symmetric, so its Fortran view is C
+    # itself, with the triangles swapped.
+    flags = dict(trans=0 if trans else 1, lower=0 if lower else 1)
     if out is None:
-        c = fn(
-            a.dtype.type(alpha), a, trans=1 if trans else 0,
-            lower=1 if lower else 0,
-        )
+        c = fn(a.dtype.type(alpha), a.T, **flags).T
         return _mirror_triangle(c, lower=lower) if fill else c
     if not fill:
         # BLAS leaves the unreferenced triangle of C untouched; without
@@ -234,14 +258,11 @@ def syrk(
         raise KernelError("syrk: out= requires fill=True")
     n = a.shape[1] if trans else a.shape[0]
     _check_out(out, (n, n), a.dtype, "syrk")
-    c = fn(
-        a.dtype.type(alpha), a, beta=a.dtype.type(0.0), c=out, overwrite_c=1,
-        trans=1 if trans else 0, lower=1 if lower else 0,
+    fn(
+        a.dtype.type(alpha), a.T, beta=a.dtype.type(0.0), c=out.T,
+        overwrite_c=1, **flags,
     )
-    if c is not out:  # pragma: no cover - overwrite honored for F out
-        np.copyto(out, c)
-        c = out
-    return _mirror_triangle(c, lower=lower)
+    return _mirror_triangle(out, lower=lower)
 
 
 def symm(
@@ -257,9 +278,9 @@ def symm(
     GEMM but only one triangle of ``A`` is read, halving its memory traffic).
 
     ``out`` is the destination-aware mode: the result is written into the
-    caller's buffer (BLAS's own ``C`` argument with ``beta=0``,
-    ``overwrite_c=1``) and that buffer is returned — no allocation, same
-    bits as the allocating path.
+    caller's buffer (its Fortran view is BLAS's own ``C`` argument, with
+    ``beta=0``, ``overwrite_c=1``) and that buffer is returned — no
+    allocation, same bits as the allocating path.
     """
     a = require_square(as_ndarray(a, "a"), "a")
     b = require_matrix(as_ndarray(b, "b"), "b")
@@ -270,18 +291,16 @@ def symm(
     if not side_left and b.shape[1] != n:
         raise ShapeError(f"symm: A is {a.shape}, B is {b.shape} (right multiply)")
     fn = _routine(_SYMM, a.dtype, "symm")
-    kwargs = dict(side=0 if side_left else 1, lower=1 if lower else 0)
+    # Bᵀ Aᵀ on the views: the other side, the other stored triangle.
+    kwargs = dict(side=1 if side_left else 0, lower=0 if lower else 1)
     if out is None:
-        return fn(a.dtype.type(alpha), a, b, **kwargs)
+        return fn(a.dtype.type(alpha), a.T, b.T, **kwargs).T
     _check_out(out, b.shape if side_left else (b.shape[0], n), a.dtype, "symm")
-    result = fn(
-        a.dtype.type(alpha), a, b, beta=a.dtype.type(0.0), c=out,
+    fn(
+        a.dtype.type(alpha), a.T, b.T, beta=a.dtype.type(0.0), c=out.T,
         overwrite_c=1, **kwargs,
     )
-    if result is not out:  # pragma: no cover - overwrite honored for F out
-        np.copyto(out, result)
-        return out
-    return result
+    return out
 
 
 def trsm(

@@ -15,21 +15,22 @@ call:
   kernel variant additionally carry an ``fn_out`` closure writing into a
   caller-provided buffer — the hook :class:`~repro.runtime.plan.PlanArena`
   execution uses to stay allocation-free.
-* **Layout plan** — every ``_compile_*`` declares what its kernel needs
-  of each operand's memory order ("F" where BLAS reads it as a matrix,
-  abstain, or "same as my peers" for elementwise kernels) and what order
-  it writes; one worklist propagation (:func:`_plan_layouts`) turns
-  that into an order per value and per input slot, and a ``relayout``
-  instruction — one C→F copy — where a C-computed value meets an
-  F-demanding consumer.  No BLAS call, flag or operand value changes:
-  the plan only decides where the copies f2py would otherwise make
-  happen, and that each happens once.
+* **Layout** — every value is C-ordered, the order tensors carry.  BLAS
+  kernels issue the kernel layer's row-major calls (the Fortran view
+  ``X.T`` of each C buffer, flags flipped — :mod:`repro.kernels.blas3`):
+  same routine, same flags, so the bits are the Interpreter's by
+  construction, and nothing is staged into Fortran order.  A BLAS
+  closure reads those views as the plan's arena keeps them, built with
+  its slot buffers and at feed binding (``Instruction.views``), never
+  per instruction.  Each ``_compile_*`` declares which operands its
+  kernel wants C-contiguous (BLAS matrices, elementwise operands); an
+  input slot is "C" when some consumer does, else "A" (any contiguous
+  feed aliases).
 * **Buffer table** — liveness analysis assigns every value a slot; slots
-  of dead temporaries are recycled *shape- and order-aware* (a slot only
-  ever holds values of one shape and memory order — what lets an arena
-  back each slot with a single preallocated buffer; inputs, constants
-  and graph outputs stay live for the whole run, matching the
-  interpreter's memory model).
+  of dead temporaries are recycled *shape-aware* (a slot only ever holds
+  values of one shape — what lets an arena back each slot with a single
+  preallocated buffer; inputs, constants and graph outputs stay live for
+  the whole run, matching the interpreter's memory model).
 * **Fusion** (opt-in, ``fusion=True``) — a post-schedule pass over the
   finished instruction stream (:mod:`repro.runtime.fusion`): adjacent
   single-consumer elementwise chains collapse into one fused closure, and
@@ -90,28 +91,15 @@ class _Op:
     #: The destination-aware kernel needs a result-shaped workspace; the
     #: scheduler assigns a shared per-shape scratch slot.
     needs_scratch: bool = False
-    #: Memory order the kernel writes its result (and scratch) in: "F"
-    #: (BLAS's layout), "C" (the tridiagonal row-scaling kernel — its
-    #: offset row slices degenerate into strided inner loops against an
-    #: F destination, measured ~2x slower than allocating), or
-    #: :data:`_PEERS` (an elementwise kernel: whatever order the operands
-    #: marked :data:`_PEERS` share).
-    out_order: str = "F"
-    #: Per-operand layout demand, the layout plan's input (see
-    #: :func:`_plan_layouts`): "F" only where a BLAS routine reads the
-    #: operand *as a matrix* (f2py would otherwise copy it), ``None``
-    #: abstains (slices, diagonal/band extraction, vectors, operands the
-    #: kernel copies anyway), :data:`_PEERS` ties the operand to the
-    #: result's order.  Empty means every operand abstains.
-    arg_orders: tuple = ()
-
-
-#: Layout marker of elementwise kernels: result and marked operands share
-#: one order — C when every operand is C-laid, F as soon as one is.
-_PEERS = "="
-_EW_ORDERS = dict(out_order=_PEERS, arg_orders=(_PEERS, _PEERS))
-#: Both operands of a two-matrix BLAS-3 call.
-_BLAS_ORDERS = ("F", "F")
+    #: Operand positions ``fn_out`` reads through their Fortran views —
+    #: the matrices a BLAS routine reads (see ``Instruction.views``).
+    views: tuple[int, ...] = ()
+    #: Further operand positions the kernel wants C-contiguous: elementwise
+    #: operands (numpy's mixed-layout path is several times slower than
+    #: a pure one).  Slices, diagonal/band extraction, vectors and
+    #: operands the kernel copies anyway abstain; an input that neither
+    #: this nor :attr:`views` names gets an "A" slot.
+    c_args: tuple[int, ...] = ()
 
 
 # -- per-op compilation -------------------------------------------------------
@@ -126,9 +114,7 @@ def _compile_const(node: Node) -> _Op:
     def run(args):
         return value
 
-    # "C" until a consumer demands F: a constant is staged once, directly
-    # in the order it is read in.
-    return _Op(run, (), kind="const", out_order="C")
+    return _Op(run, (), kind="const")
 
 
 def _compile_transpose(node: Node) -> _Op:
@@ -155,7 +141,7 @@ def _compile_add(node: Node) -> _Op:
         run_out,
         kind="ew",
         params=("add",),
-        **_EW_ORDERS,
+        c_args=(0, 1),
     )
 
 
@@ -172,7 +158,7 @@ def _compile_sub(node: Node) -> _Op:
         run_out,
         kind="ew",
         params=("sub",),
-        **_EW_ORDERS,
+        c_args=(0, 1),
     )
 
 
@@ -189,7 +175,7 @@ def _compile_neg(node: Node) -> _Op:
         run_out,
         kind="ew",
         params=("neg",),
-        **_EW_ORDERS,
+        c_args=(0,),
     )
 
 
@@ -209,7 +195,7 @@ def _compile_scale(node: Node) -> _Op:
         run_out,
         kind="ew",
         params=("scale", alpha),
-        **_EW_ORDERS,
+        c_args=(0,),
     )
 
 
@@ -288,7 +274,6 @@ def _compile_tridiagonal_matmul(node: Node) -> _Op:
         (_call("tridiagonal_matmul", (t.shape[0], b.shape[1]), node.op),),
         run_out,
         needs_scratch=True,
-        out_order="C",
     )
 
 
@@ -296,14 +281,12 @@ def _compile_loop(node: Node, fusion: bool) -> _Op:
     body: Graph = node.attrs["body"]
     trip: int = node.attrs["trip_count"]
     # The body's feeds are outer-arena values handed over trip after
-    # trip: it is compiled against F-laid feeds, and the loop demands F
-    # of exactly the operands whose body slot cares (a slot no body
-    # kernel reads as a matrix takes any layout), so the outer plan
-    # converts once per call and every trip aliases.
-    sub_plan = _compile(body, fusion=fusion, feed_order="F")
-    arg_orders = tuple(
-        None if sub_plan.slot_orders[spec.slot] == "A" else "F"
-        for spec in sub_plan.inputs[1:]
+    # trip, all C-ordered: the loop wants C of exactly the operands whose
+    # body slot does, so every trip aliases.
+    sub_plan = _compile(body, fusion=fusion)
+    c_args = tuple(
+        pos for pos, spec in enumerate(sub_plan.inputs[1:])
+        if sub_plan.slot_orders[spec.slot] == "C"
     )
 
     def run(args):
@@ -353,7 +336,7 @@ def _compile_loop(node: Node, fusion: bool) -> _Op:
 
     return _Op(
         run, (), params=(trip,), fn_loop=run_loop, sub_plan=sub_plan,
-        arg_orders=arg_orders,
+        c_args=c_args,
     )
 
 
@@ -364,14 +347,18 @@ def make_gemm_fns(
 
     Shared with the fusion pass, which rebuilds GEMM closures when it
     folds a trailing ``scale``/``neg`` into the product.  The
-    destination-aware closure calls the dtype-dispatched f2py routine
-    directly: shapes and flags were validated at compile time, the arena
-    guarantees an F-contiguous destination, and the per-call wrapper
-    checks are exactly the dispatch overhead a compiled plan exists to
-    remove.  Same routine, same bits as :func:`repro.kernels.blas3.gemm`.
+    destination-aware closure gets the Fortran views of both operands
+    and of the destination (``Instruction.views``) and issues the kernel
+    layer's row-major call, ``Cᵀ = op(B)ᵀ op(A)ᵀ``, on the
+    dtype-dispatched f2py routine directly: shapes and flags were
+    validated at compile time, and the per-call wrapper checks are
+    exactly the dispatch overhead a compiled plan exists to remove.
+    Same routine, same flags, same bits as
+    :func:`repro.kernels.blas3.gemm`.
     """
-    ta = 1 if trans_a else 0
-    tb = 1 if trans_b else 0
+    # The operands swap, and their flags with them.
+    ta = 1 if trans_b else 0
+    tb = 1 if trans_a else 0
     routines = blas3._GEMM
 
     def run(args):
@@ -379,33 +366,36 @@ def make_gemm_fns(
             args[0], args[1], alpha=alpha, trans_a=trans_a, trans_b=trans_b
         )
 
-    def run_out(args, out):
-        a, b = args
-        routine = routines.get(a.dtype)
+    def run_out(args, out, out_t):
+        a_t, b_t = args
+        routine = routines.get(a_t.dtype)
         if routine is None:
             # Non-BLAS dtype (e.g. integer feeds): take the validating
-            # wrapper, which coerces or raises exactly like arena-less
-            # execution.  The result bypasses the (wrong-dtype) arena
-            # buffer — the executor stores whatever fn_out returns.
-            return run(args)
+            # wrapper on the logical operands, which coerces or raises
+            # exactly like arena-less execution.  The result bypasses
+            # the (wrong-dtype) arena buffer — the executor stores
+            # whatever fn_out returns.
+            return run([a_t.T, b_t.T])
         # alpha passes as a python float: f2py casts it to the routine's
         # scalar type in C — same value, same bits as pre-building a
         # numpy scalar, without allocating one per call.
-        return routine(
-            alpha, a, b, beta=0.0, c=out, overwrite_c=1,
+        routine(
+            alpha, b_t, a_t, beta=0.0, c=out_t, overwrite_c=1,
             trans_a=ta, trans_b=tb,
         )
+        return out
 
     return run, run_out
 
 
 def _gemv_fns(mat: int, vec: int, trans: bool) -> tuple[ExecFn, OutFn]:
     """Executor pair for a matrix-vector product (``args[mat] @ args[vec]``
-    modulo ``trans``).  The destination-aware closure calls the
-    dtype-dispatched f2py routine directly — shapes and flags were
+    modulo ``trans``).  The destination-aware closure reads the matrix
+    through its Fortran view and calls the dtype-dispatched f2py routine
+    with the kernel layer's flipped TRANS flag — shapes and flags were
     validated at compile time, exactly like the GEMM closures.
     """
-    t = 1 if trans else 0
+    flipped = 0 if trans else 1
     routines = blas2._GEMV
     reshape = (-1, 1) if vec == 1 else (1, -1)
 
@@ -413,16 +403,19 @@ def _gemv_fns(mat: int, vec: int, trans: bool) -> tuple[ExecFn, OutFn]:
         x = np.ascontiguousarray(args[vec]).ravel()
         return blas2.gemv(args[mat], x, trans=trans).reshape(reshape)
 
-    def run_out(args, out):
-        a = args[mat]
-        routine = routines.get(a.dtype)
+    def run_out(args, out, out_t):
+        a_t = args[mat]
+        routine = routines.get(a_t.dtype)
         x = np.ascontiguousarray(args[vec]).ravel()
         if routine is None:
             # Non-BLAS dtype: the validating wrapper raises the same
             # KernelError arena-less execution would.
-            blas2.gemv(a, x, trans=trans, out=out.reshape(-1))
+            blas2.gemv(a_t.T, x, trans=trans, out=out.reshape(-1))
             return out
-        routine(1.0, a, x, beta=0.0, y=out.reshape(-1), overwrite_y=1, trans=t)
+        routine(
+            1.0, a_t, x, beta=0.0, y=out.reshape(-1), overwrite_y=1,
+            trans=flipped,
+        )
         return out
 
     return run, run_out
@@ -446,7 +439,10 @@ def make_gemm_beta_fns(
     * ``sub``, ``G - C``: ``alpha=1,  beta=-1``
     * ``sub``, ``C - G``: ``alpha=-1, beta=1``
 
-    ``args`` is ``[a, b, addend]``.  The arena-less closure lets f2py copy
+    ``args`` is ``[a, b, addend]`` — the destination-aware closure reads
+    ``a`` and ``b`` through their Fortran views and accumulates into the
+    view of its destination, the row-major call of
+    :func:`make_gemm_fns`.  The arena-less closure lets f2py copy
     the addend into the accumulate destination (``overwrite_c=0``):
     slot-level liveness is not object-level ownership — an upstream op
     can pass an *input array* through unchanged (e.g. a ``fori_loop``
@@ -458,8 +454,8 @@ def make_gemm_beta_fns(
     validating wrapper plus the original ufunc — raising or promoting
     exactly like the unfused plan.
     """
-    ta = 1 if trans_a else 0
-    tb = 1 if trans_b else 0
+    ta = 1 if trans_b else 0
+    tb = 1 if trans_a else 0
     routines = blas3._GEMM
     ufunc = np.add if ew_op == "add" else np.subtract
 
@@ -474,23 +470,24 @@ def make_gemm_beta_fns(
         if routine is None or b.dtype != a.dtype or c.dtype != a.dtype:
             return _fallback(args)
         return routine(
-            alpha, a, b, beta=beta, c=c,
+            alpha, b.T, a.T, beta=beta, c=c.T,
             overwrite_c=0, trans_a=ta, trans_b=tb,
-        )
+        ).T
 
-    def run_out(args, out):
-        a, b, c = args
-        routine = routines.get(a.dtype)
-        if routine is None or b.dtype != a.dtype or c.dtype != a.dtype:
-            return _fallback(args)
+    def run_out(args, out, out_t):
+        a_t, b_t, c = args
+        routine = routines.get(a_t.dtype)
+        if routine is None or b_t.dtype != a_t.dtype or c.dtype != a_t.dtype:
+            return _fallback([a_t.T, b_t.T, c])
         if c is not out:
             np.copyto(out, c)
         # alpha/beta (±1) pass as python floats: f2py's C-side cast is
         # exact, and no per-call numpy scalar is allocated.
-        return routine(
-            alpha, a, b, beta=beta, c=out,
+        routine(
+            alpha, b_t, a_t, beta=beta, c=out_t,
             overwrite_c=1, trans_a=ta, trans_b=tb,
         )
+        return out
 
     return run, run_out
 
@@ -516,14 +513,14 @@ def _compile_matmul(node: Node) -> _Op:
         return _Op(
             run, (_call("gemv", (a_node.shape[0], a_node.shape[1]), node.op),),
             run_out,
-            arg_orders=("F", None),
+            views=(0,),
         )
     if m == 1 and n > 1:
         run, run_out = _gemv_fns(1, 0, not trans_b)
         return _Op(
             run, (_call("gemv", (b_node.shape[0], b_node.shape[1]), node.op),),
             run_out,
-            arg_orders=(None, "F"),
+            views=(1,),
         )
 
     run, run_out = make_gemm_fns(trans_a, trans_b)
@@ -533,7 +530,7 @@ def _compile_matmul(node: Node) -> _Op:
         run_out,
         kind="gemm",
         params=(trans_a, trans_b, 1.0),
-        arg_orders=_BLAS_ORDERS,
+        views=(0, 1),
     )
 
 
@@ -563,9 +560,7 @@ def _compile_structured_matmul(
             return out
 
         return _Op(run, (_call_free("zero", node.op),), run_out)
-    # The identity forms copy one operand.  Untransposed, that copy is
-    # elementwise and keeps the operand's order (as diag_matmul does);
-    # only a transposed copy writes F.
+    # The identity forms copy one operand, elementwise when untransposed.
     if hint == "identity":
         def run(args):
             return eff(args)[1].copy()
@@ -576,8 +571,7 @@ def _compile_structured_matmul(
 
         return _Op(
             run, (_call_free("identity", node.op),), run_out,
-            **({} if trans_b else dict(out_order=_PEERS,
-                                       arg_orders=(None, _PEERS))),
+            c_args=() if trans_b else (1,),
         )
     if hint == "identity_right":
         def run(args):
@@ -589,9 +583,12 @@ def _compile_structured_matmul(
 
         return _Op(
             run, (_call_free("identity", node.op),), run_out,
-            **({} if trans_a else dict(out_order=_PEERS,
-                                       arg_orders=(_PEERS, None))),
+            c_args=() if trans_a else (0,),
         )
+    if hint == "syrk":
+        if trans_b == trans_a:
+            raise KernelError("syrk hint requires exactly one transpose flag")
+        return _compile_syrk(node, trans_a, m, k)
     # Destination-aware variants exist for the untransposed operand
     # forms; a transposed operand would have to be materialized first
     # (``eff`` allocates), so those stay on the compute-then-copy path.
@@ -604,11 +601,11 @@ def _compile_structured_matmul(
             return special.diag_matmul(args[0], args[1], out=out)
 
         # D is read through its diagonal; the row scaling itself is
-        # elementwise over B, so the plain form computes in B's order.
+        # elementwise over B.
         return _Op(
             run, (_call("diag_matmul", (k, n), node.op),),
             run_out if plain else None,
-            **(dict(out_order=_PEERS, arg_orders=(None, _PEERS)) if plain else {}),
+            c_args=(1,) if plain else (),
         )
     if hint == "tridiagonal_matmul":
         def run(args):
@@ -623,70 +620,101 @@ def _compile_structured_matmul(
             run, (_call("tridiagonal_matmul", (k, n), node.op),),
             run_out if plain else None,
             needs_scratch=plain,
-            out_order="C" if plain else "F",
         )
+    lower = opts.get("lower", True)
     if hint == "trmm":
-        lower = opts.get("lower", True)
-
         def run(args):
-            a_eff, b_eff = eff(args)
-            return blas3.trmm(a_eff, b_eff, lower=lower)
+            return blas3.trmm(*eff(args), lower=lower)
 
-        def run_out(args, out):
-            return blas3.trmm(args[0], args[1], lower=lower, out=out)
-
-        # The out= form copies B into the destination before BLAS
-        # overwrites it there: only the triangle is read as a matrix.
-        return _Op(
-            run, (_call("trmm", (m, n), node.op),),
-            run_out if plain else None,
-            arg_orders=("F", None) if plain else _BLAS_ORDERS,
-        )
-    if hint == "trmm_right":
-        lower = opts.get("lower", True)
-
+        call = _call("trmm", (m, n), node.op)
+        fn_out = _trmm_out(run, 0, side_left=True, lower=lower)
+    elif hint == "trmm_right":
         def run(args):
             a_eff, b_eff = eff(args)
             return blas3.trmm(b_eff, a_eff, side_left=False, lower=lower)
 
-        def run_out(args, out):
-            return blas3.trmm(
-                args[1], args[0], side_left=False, lower=lower, out=out
-            )
-
-        return _Op(
-            run, (_call("trmm", (n, m), node.op),),
-            run_out if plain else None,
-            arg_orders=(None, "F") if plain else _BLAS_ORDERS,
-        )
-    if hint == "symm":
+        call = _call("trmm", (n, m), node.op)
+        fn_out = _trmm_out(run, 1, side_left=False, lower=lower)
+    elif hint == "symm":
         def run(args):
             return blas3.symm(*eff(args))
 
-        def run_out(args, out):
-            return blas3.symm(args[0], args[1], out=out)
+        call = _call("symm", (m, n), node.op)
+        fn_out = _symm_out(run)
+    else:
+        raise KernelError(f"unknown matmul kernel hint {hint!r}")
+    if not plain:
+        # The kernel layer's row-major call on the materialized operands.
+        return _Op(run, (call,), c_args=(0, 1))
+    views = (0, 1) if hint == "symm" else (0 if hint == "trmm" else 1,)
+    return _Op(run, (call,), fn_out, views=views)
 
-        return _Op(
-            run, (_call("symm", (m, n), node.op),),
-            run_out if plain else None,
-            arg_orders=_BLAS_ORDERS,
+
+def _trmm_out(run: ExecFn, tri: int, *, side_left: bool, lower: bool) -> OutFn:
+    """Destination-aware TRMM with the triangle at ``args[tri]``: the
+    kernel layer's row-major call (:func:`repro.kernels.blas3.trmm`) —
+    the other operand is staged into the destination, the triangle read
+    through its Fortran view, the side and the triangle flipped."""
+    side = 1 if side_left else 0
+    uplo = 0 if lower else 1
+    routines = blas3._TRMM
+
+    def run_out(args, out, out_t):
+        t_view, b = args[tri], args[1 - tri]
+        routine = routines.get(t_view.dtype)
+        if routine is None:
+            # Non-BLAS dtype: the validating wrapper on the logical
+            # operands, like the GEMM closures.
+            logical = list(args)
+            logical[tri] = t_view.T
+            return run(logical)
+        np.copyto(out, b)
+        routine(1.0, t_view, out_t, overwrite_b=1, side=side, lower=uplo)
+        return out
+
+    return run_out
+
+
+def _symm_out(run: ExecFn) -> OutFn:
+    """Destination-aware SYMM ``A B`` on the Fortran views: the kernel
+    layer's row-major ``Bᵀ Aᵀ`` — right side, the other stored
+    triangle (:func:`repro.kernels.blas3.symm`)."""
+    routines = blas3._SYMM
+
+    def run_out(args, out, out_t):
+        a_t, b_t = args
+        routine = routines.get(a_t.dtype)
+        if routine is None:
+            return run([a_t.T, b_t.T])
+        routine(1.0, a_t, b_t, beta=0.0, c=out_t, overwrite_c=1, side=1, lower=0)
+        return out
+
+    return run_out
+
+
+def _compile_syrk(node: Node, trans: bool, m: int, k: int) -> _Op:
+    """``A Aᵀ`` (``Aᵀ A`` when ``trans``) as the kernel layer's row-major
+    SYRK on the Fortran view of ``A`` — ``trans`` and the triangle
+    flipped — then the in-place mirror fill
+    (:func:`repro.kernels.blas3.syrk`)."""
+    flipped = 0 if trans else 1
+    routines = blas3._SYRK
+
+    def run(args):
+        return blas3.syrk(args[0], trans=trans)
+
+    def run_out(args, out, out_t):
+        a_t = args[0]
+        routine = routines.get(a_t.dtype)
+        if routine is None:
+            return run([a_t.T])
+        routine(
+            1.0, a_t, beta=0.0, c=out_t, overwrite_c=1, trans=flipped,
+            lower=0,
         )
-    if hint == "syrk":
-        if trans_b == trans_a:
-            raise KernelError("syrk hint requires exactly one transpose flag")
-        trans = trans_a
+        return blas3._mirror_triangle(out, lower=True)
 
-        def run(args):
-            return blas3.syrk(args[0], trans=trans)
-
-        def run_out(args, out):
-            return blas3.syrk(args[0], trans=trans, out=out)
-
-        return _Op(
-            run, (_call("syrk", (m, k), node.op),), run_out,
-            arg_orders=_BLAS_ORDERS,
-        )
-    raise KernelError(f"unknown matmul kernel hint {hint!r}")
+    return _Op(run, (_call("syrk", (m, k), node.op),), run_out, views=(0,))
 
 
 _COMPILERS: dict[str, Callable[[Node], _Op]] = {
@@ -702,122 +730,6 @@ _COMPILERS: dict[str, Callable[[Node], _Op]] = {
     "tridiagonal_matmul": _compile_tridiagonal_matmul,
     "matmul": _compile_matmul,
 }
-
-
-# -- the layout plan ----------------------------------------------------------
-
-
-def _relayout_instruction(
-    node: Node, src_slot: int, out_slot: int
-) -> Instruction:
-    """The one C→F conversion of ``node``'s value, placed right behind
-    its producer: every consumer then reads the F copy, the C original
-    dies here.  It models nothing — the value merely changes layout — so
-    the report derivation (``Plan.report_for``) passes over it.
-    ``kind="relayout"`` also makes it opaque to the fusion pass (a chain
-    cannot span it) and lets arena execution count its bytes
-    (``Plan._exec_into``)."""
-
-    def run(args):
-        return np.asfortranarray(args[0])
-
-    return Instruction(
-        out_slot=out_slot,
-        arg_slots=(src_slot,),
-        fn=run,
-        calls=(),
-        free_slots=(src_slot,),
-        op="relayout",
-        label=node.name,
-        out_shape=node.shape,
-        kind="relayout",
-    )
-
-
-def _plan_layouts(
-    order: list[Node], ops: dict[int, _Op], feed_order: str
-) -> tuple[dict[int, str], dict[int, str]]:
-    """Decide every value's memory order from the kernels' demands.
-
-    Returns ``(natural, effective)`` keyed by ``id(node)``: ``natural``
-    is the order of the value's slot — what the producer writes and its
-    arena buffer is allocated in; for an input, the order feeds are
-    bound against, "A" when no consumer's layout depends on it — and
-    ``effective`` the order consumers read.  They differ exactly where a
-    relayout instruction converts a C-computed value for an F-demanding
-    consumer.
-
-    Everything starts in ``feed_order`` (inputs), the kernel's declared
-    order, or C (elementwise results), and can only ever flip C→F:
-
-    * an operand a BLAS routine reads as a matrix is demanded F;
-    * an elementwise kernel computes in F as soon as one peer operand is
-      F, and then demands F of its other peers — numpy's mixed-layout
-      path is several times slower than either pure one;
-    * an F demand on an *input* makes its slot F (the binding rule
-      stages a C feed once, and an F feed aliases); on a constant it
-      picks the order the payload is staged in; on a C-computed value it
-      asks for the relayout.
-
-    A value flips at most once and each flip visits its elementwise
-    consumers once, so the worklist is O(nodes + edges).  Values with a
-    unit dimension are contiguous in both orders and take no part.
-    """
-    natural: dict[int, str] = {}
-    effective: dict[int, str] = {}
-    cared: set[int] = set()
-    peer_consumers: dict[int, list[Node]] = {}
-    work: list[Node] = []
-    hard: list[Node] = []
-    for node in order:
-        key = id(node)
-        if node.op == "input":
-            natural[key] = effective[key] = feed_order
-            if feed_order == "F":
-                work.append(node)
-            continue
-        op = ops[key]
-        nat = op.out_order
-        if nat == _PEERS:
-            nat = "C"
-        elif nat == "F" and 1 not in node.shape:
-            work.append(node)
-        natural[key] = effective[key] = nat
-        for inp, pref in zip(node.inputs, op.arg_orders):
-            if pref is None or 1 in inp.shape:
-                continue
-            cared.add(id(inp))
-            if pref == "F":
-                hard.append(inp)
-            else:
-                peer_consumers.setdefault(id(inp), []).append(node)
-    for node in hard:
-        if effective[id(node)] == "C":
-            effective[id(node)] = "F"
-            work.append(node)
-    while work:
-        value = work.pop()
-        for consumer in peer_consumers.get(id(value), ()):
-            key = id(consumer)
-            if natural[key] == "F":
-                continue
-            natural[key] = "F"
-            if effective[key] == "C":
-                effective[key] = "F"
-                work.append(consumer)
-            op = ops[key]
-            for inp, pref in zip(consumer.inputs, op.arg_orders):
-                if pref == _PEERS and effective[id(inp)] == "C":
-                    effective[id(inp)] = "F"
-                    work.append(inp)
-    for node in order:
-        key = id(node)
-        if node.op == "input":
-            natural[key] = effective[key] if key in cared else "A"
-        elif ops[key].kind == "const":
-            # Staged once, straight into the order its consumers read.
-            natural[key] = effective[key]
-    return natural, effective
 
 
 # -- the compiler proper ------------------------------------------------------
@@ -839,15 +751,8 @@ def compile_plan(
 
 
 def _compile(
-    graph: Graph,
-    *,
-    fold_constants: bool = False,
-    fusion: bool = False,
-    feed_order: str = "C",
+    graph: Graph, *, fold_constants: bool = False, fusion: bool = False
 ) -> Plan:
-    """:func:`compile_plan` plus ``feed_order``: the layout feeds are
-    assumed to arrive in — C, the order Tensors carry, for a top-level
-    plan; F for a loop body, whose feeds are outer-arena values."""
     start = time.perf_counter()
     # Cached on the graph: free when the plan cache already keyed on it.
     signature = graph_signature(graph)
@@ -859,27 +764,34 @@ def _compile(
     order = graph.topological()
     last_use: dict[int, int] = {}
     ops: dict[int, _Op] = {}
+    # Inputs some kernel wants C-contiguous (see _Op.c_args); a unit
+    # dimension makes a value contiguous in every order.
+    c_inputs: set[int] = set()
     for idx, node in enumerate(order):
         for inp in node.inputs:
             last_use[id(inp)] = idx
         if node.op == "input":
             continue
         if node.op == "loop":
-            ops[id(node)] = _compile_loop(node, fusion)
+            op = _compile_loop(node, fusion)
         else:
             compiler = _COMPILERS.get(node.op)
             if compiler is None:
                 raise GraphError(f"runtime has no compiler for op {node.op!r}")
-            ops[id(node)] = compiler(node)
+            op = compiler(node)
+        ops[id(node)] = op
+        for pos in op.views + op.c_args:
+            inp = node.inputs[pos]
+            if inp.op == "input" and 1 not in inp.shape:
+                c_inputs.add(id(inp))
     for out in graph.outputs:
         last_use[id(out)] = len(order)  # outputs stay live
-    natural, effective = _plan_layouts(order, ops, feed_order)
 
     # Slot assignment: inputs first (positional feed order), then one slot
-    # per executed node.  Recycling is shape- and order-aware — a dead
-    # temporary's slot is only reused for a value of the same shape laid
-    # out the same way, so every slot has exactly one static shape and
-    # order and an arena can back it with one buffer.
+    # per executed node.  Recycling is shape-aware — a dead temporary's
+    # slot is only reused for a value of the same shape, so every slot
+    # has exactly one static shape and an arena can back it with one
+    # buffer.
     slot_of: dict[int, int] = {}
     inputs: list[PlanInput] = []
     slot_orders: list[str] = []
@@ -888,24 +800,24 @@ def _compile(
         inputs.append(PlanInput(node.name, node.shape, i))
         # "A" (also for a declared input nothing reaches): no kernel's
         # layout depends on it, the binding rule aliases any contiguous feed.
-        slot_orders.append(natural.get(id(node), "A"))
+        slot_orders.append("C" if id(node) in c_inputs else "A")
     free_pool: dict[tuple, list[int]] = {}
     # Workspace slots for destination-aware kernels that need one
-    # (tridiagonal row scalings).  Shared per (shape, order): a scratch
-    # is only live *within* one instruction, so every same-shaped site
-    # can reuse one buffer.  Never fed from (or released into) the value
-    # pool — a pooled slot could alias a live operand.
+    # (tridiagonal row scalings).  Shared per shape: a scratch is only
+    # live *within* one instruction, so every same-shaped site can reuse
+    # one buffer.  Never fed from (or released into) the value pool — a
+    # pooled slot could alias a live operand.
     scratch_pool: dict[tuple, int] = {}
 
-    def take_slot(shape: tuple, slot_order: str, pooled: bool = True) -> int:
-        pool = free_pool.get((shape, slot_order)) if pooled else None
+    def take_slot(shape: tuple, pooled: bool = True) -> int:
+        pool = free_pool.get(shape) if pooled else None
         if pool:
             return pool.pop()
-        slot_orders.append(slot_order)
+        slot_orders.append("C")
         return len(slot_orders) - 1
 
     def release_slot(shape: tuple, slot: int) -> None:
-        free_pool.setdefault((shape, slot_orders[slot]), []).append(slot)
+        free_pool.setdefault(shape, []).append(slot)
 
     instructions: list[Instruction] = []
     for idx, node in enumerate(order):
@@ -915,10 +827,9 @@ def _compile(
                 raise GraphError(f"reachable input {node.name!r} not declared")
             continue
         op = ops[key]
-        slot_order = natural[key]
         # A constant is staged once, so never into a recycled slot: the
         # temporary that owned it would overwrite the payload every call.
-        out_slot = take_slot(node.shape, slot_order, pooled=op.kind != "const")
+        out_slot = take_slot(node.shape, pooled=op.kind != "const")
         slot_of[key] = out_slot
         frees: list[int] = []
         seen: set[int] = set()
@@ -931,11 +842,10 @@ def _compile(
                 release_slot(inp.shape, slot_of[id(inp)])
         scratch = None
         if op.needs_scratch:
-            scratch_key = (node.shape, slot_order)
-            scratch = scratch_pool.get(scratch_key)
+            scratch = scratch_pool.get(node.shape)
             if scratch is None:
-                scratch = scratch_pool[scratch_key] = take_slot(
-                    node.shape, slot_order, pooled=False
+                scratch = scratch_pool[node.shape] = take_slot(
+                    node.shape, pooled=False
                 )
         instructions.append(
             Instruction(
@@ -953,15 +863,9 @@ def _compile(
                 scratch=scratch,
                 fn_loop=op.fn_loop,
                 sub_plan=op.sub_plan,
+                views=op.views,
             )
         )
-        if effective[key] != slot_order:
-            # A C-computed value some consumer demands in F: convert it
-            # once, here, and let every consumer read the F copy.
-            f_slot = take_slot(node.shape, "F")
-            instructions.append(_relayout_instruction(node, out_slot, f_slot))
-            release_slot(node.shape, out_slot)
-            slot_of[key] = f_slot
 
     # The pre-fusion list is the Interpreter's schedule: the plan derives
     # its report from it, whatever fusion reorders or merges below.

@@ -36,13 +36,6 @@ list (slots, liveness and kernel selection already resolved):
    materializes one array (or writes straight into the arena slot), every
    later step runs in place on it.  Intermediates are never materialized.
 
-A ``relayout`` instruction (the compiler's one C→F conversion of a
-C-computed value, see :func:`repro.runtime.compiler._plan_layouts`) is
-neither "ew" nor "gemm": it is a barrier no chain or fold spans, so the
-members of a fused site always share one memory order, and the
-slot-level legality checks of the fold-aware scheduler treat it like any
-other opaque instruction.
-
 Parity contract: outputs are bit-identical to the unfused plan and the
 Interpreter — elementwise in-place ufuncs compute the same values, and
 BLAS applies ``alpha`` after the dot-product accumulation, exactly like
@@ -126,11 +119,7 @@ def _fold_gemm(gemm: Instruction, ew: Instruction) -> Instruction:
         # disjoint from every operand by construction — stage the product
         # there and copy it home.  Still allocation-free under an arena.
         scratch = gemm.out_slot
-        direct = fn_out
-
-        def fn_out(args, out, staging):
-            np.copyto(out, direct(args, staging))
-            return out
+        fn_out = _staged(fn_out)
 
     flops = gemm.calls[0].flops + ew.calls[0].flops
     members = f"{gemm.calls[0].kernel}+{ew.calls[0].kernel}"
@@ -150,7 +139,18 @@ def _fold_gemm(gemm: Instruction, ew: Instruction) -> Instruction:
         kind="gemm",
         params=(trans_a, trans_b, new_alpha),
         scratch=scratch,
+        views=gemm.views,
     )
+
+
+def _staged(direct):
+    """A GEMM ``fn_out`` that computes into its scratch slot (through
+    the scratch's Fortran view) and copies the product home."""
+    def fn_out(args, out, out_t, staging, staging_t):
+        np.copyto(out, direct(args, staging, staging_t))
+        return out
+
+    return fn_out
 
 
 def _beta_foldable(gemm: Instruction, ew: Instruction) -> bool:
@@ -208,11 +208,7 @@ def _fold_gemm_beta(gemm: Instruction, ew: Instruction) -> Instruction:
         # intermediate slot — disjoint from every operand — and copy the
         # result home.  Still allocation-free under an arena.
         scratch = gemm.out_slot
-        direct = fn_out
-
-        def fn_out(args, out, staging):
-            np.copyto(out, direct(args, staging))
-            return out
+        fn_out = _staged(fn_out)
 
     flops = gemm.calls[0].flops + ew.calls[0].flops
     members = f"{gemm.calls[0].kernel}+{ew.calls[0].kernel}"
@@ -235,6 +231,7 @@ def _fold_gemm_beta(gemm: Instruction, ew: Instruction) -> Instruction:
         kind="gemm",
         params=(trans_a, trans_b, alpha, beta),
         scratch=scratch,
+        views=gemm.views,
     )
 
 

@@ -24,8 +24,7 @@ plan its *pre-fusion* schedule — the Interpreter's topological order and
 free-at-last-use rule — and :meth:`Plan.report_for` walks it once per
 input-dtype tuple: the kernel calls, then alloc the result, then free
 the operands whose last consumer this was (inputs and constants stay
-live); a loop replays its body once per trip; a ``relayout`` changes a
-value's memory order, not the value, and models nothing.
+live); a loop replays its body once per trip.
 :attr:`Plan.report` is the walk at the traced dtypes, done at build.
 Fusion, the fold-aware reordering and the arena change none of it.
 Fused instructions still carry one combined
@@ -46,37 +45,31 @@ shared-memory view): **alias the array when it is contiguous in its
 slot's declared order, otherwise copy it into that slot's persistent
 arena buffer**.  Input slots are never written by instructions (inputs
 stay live for the whole run), so an aliased array is read, never
-mutated; the caller must not mutate it during the call.  A feed in the
-wrong layout would silently put downstream kernels back on numpy's
-mixed-layout buffering paths, which is why it is staged instead —
-:attr:`PlanArena.bytes_copied` counts exactly the bytes staged or
-converted: feeds, constants (once), relayout instructions, and results
-of kernels without an ``out=`` form landing in their slot.
+mutated; the caller must not mutate it during the call.
+:attr:`PlanArena.bytes_copied` counts exactly the bytes staged: feeds,
+constants (once), and results of kernels without an ``out=`` form
+landing in their slot.
 
 Slot layouts
 ------------
-Every slot has one memory order, :attr:`Plan.slot_orders`, decided at
-compile time by the layout plan (:func:`repro.runtime.compiler._plan_layouts`)
-from what each kernel declares about its operands:
+Every value is C-ordered, the order ``Tensor`` s carry, and so is every
+arena buffer.  BLAS reads a C buffer in place through its Fortran view
+``X.T`` (the kernel layer's row-major calls, :mod:`repro.kernels.blas3`),
+so :attr:`Plan.slot_orders` has one order for computed values and two
+for inputs:
 
-* ``"F"`` — an input some BLAS routine reads *as a matrix* (GEMM/SYMM/
-  SYRK operands, GEMV's matrix, TRMM's triangle: f2py would copy a
-  C-ordered array on every call) or that an F-computing elementwise
-  kernel combines with a BLAS result; and every BLAS destination.  A
-  C-ordered feed there pays one staging copy — the price of C feeds —
-  an F-ordered one aliases at zero bytes.
-* ``"C"`` — an input only elementwise kernels read, which then compute in
-  the C order ``Tensor`` s carry (the feed aliases); their results; and
-  the tridiagonal row-scaling kernel's destination (its row-slice
-  updates degenerate into strided inner loops against an F buffer).
+* ``"C"`` — an input some kernel wants C-contiguous: a matrix BLAS
+  reads, an elementwise operand.  A C feed aliases at zero bytes; a
+  Fortran-ordered or strided one is copied once — the price of
+  transposed feeds.
 * ``"A"`` (input slots only) — no kernel's layout depends on the feed
   (slices, diagonal/band extraction, vectors, the operand TRMM copies
   into its destination anyway): any contiguous array aliases.
 
-Where a C-computed value meets an F-demanding consumer the compiler
-emits **one** ``relayout`` instruction right behind the producer — a
-single C→F copy, counted in ``bytes_copied`` — instead of staging every
-operand of the producer.
+The Fortran views a BLAS closure reads (:attr:`Instruction.views`) are
+kept with the buffers — :attr:`PlanArena.views`, built when a buffer is
+allocated, installed or handed off, and for an input when its feed is
+bound — so a serving pass builds no view per instruction.
 
 Persistent bindings
 -------------------
@@ -183,9 +176,7 @@ class Instruction:
     fn_out: OutFn | None = None
     #: Semantic tag the fusion pass dispatches on: "ew" (add/sub/neg/
     #: scale), "gemm" (plain dense matmul, alpha-foldable), "const"
-    #: (result is an aliased compile-time payload), "relayout" (the
-    #: layout plan's C→F copy of its one operand — opaque to fusion, and
-    #: modelling nothing in the report), or ``None`` (opaque).
+    #: (result is an aliased compile-time payload), or ``None`` (opaque).
     kind: str | None = None
     #: Fusion-relevant parameters: ``("add",)``/``("sub",)``/``("neg",)``/
     #: ``("scale", alpha)`` for "ew"; ``(trans_a, trans_b, alpha)`` for
@@ -205,6 +196,12 @@ class Instruction:
     #: The compiled loop-body plan (``loop`` ops only) — what a
     #: :class:`LoopState` builds its child arenas from.
     sub_plan: "Plan | None" = None
+    #: Operand positions ``fn_out`` reads through their Fortran views
+    #: (the matrices of a BLAS call, see *Slot layouts*).  Non-empty also
+    #: hands it its destination's view: ``fn_out(args, out, out_t)``, and
+    #: with a scratch slot ``fn_out(args, out, out_t, staging,
+    #: staging_t)``.
+    views: tuple[int, ...] = ()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -230,26 +227,22 @@ class SlotDescriptor:
     name: str  #: input name, or ``"output[i]"`` for outputs
     slot: int
     shape: tuple[int, ...]
-    order: str  #: ``"C"`` or ``"F"``
+    order: str  #: ``"C"`` — every slot's storage order
     dtype: np.dtype
     nbytes: int
 
 
 def _in_order(arr: np.ndarray, order: str) -> bool:
-    """Whether ``arr`` is contiguous in slot order ``order``: "F", "C",
-    or "A" (either — an input slot no kernel's layout depends on)."""
+    """Whether ``arr`` is contiguous in slot order ``order``: "C", or "A"
+    (either order — an input slot no kernel's layout depends on)."""
     flags = arr.flags
-    if order == "F":
-        return flags.f_contiguous
-    if order == "C":
-        return flags.c_contiguous
-    return flags.c_contiguous or flags.f_contiguous
+    return flags.c_contiguous or (order == "A" and flags.f_contiguous)
 
 
-def _storage_order(order: str) -> str:
-    """The numpy allocation order backing a slot of order ``order``
-    (an "A" slot stages the rare non-contiguous feed in C)."""
-    return "F" if order == "F" else "C"
+def _viewed(args: list, positions: tuple[int, ...]) -> list:
+    """``args`` with the operands at ``positions`` as their Fortran
+    views — what the warming loop hands a BLAS closure."""
+    return [a.T if i in positions else a for i, a in enumerate(args)]
 
 
 #: Kernels that compute in float32/float64 only: the kernel layer casts
@@ -300,7 +293,7 @@ class LoopState:
     def idx(self, dtype: np.dtype) -> np.ndarray:
         buf = self._idx
         if buf is None or buf.dtype != dtype:
-            buf = self._idx = np.empty((1, 1), dtype=dtype, order="F")
+            buf = self._idx = np.empty((1, 1), dtype=dtype)
         return buf
 
 
@@ -317,16 +310,13 @@ class PlanArena:
     zero/identity hints), and compute-then-copy for the rest.
 
     Every buffer — including the staged copies of feeds and constants —
-    is allocated in its slot's order (see *Slot layouts* in the module
-    docstring).  The orders are a plan, not a preference: GEMM's
-    in-place ``C`` argument must be F-contiguous, f2py silently copies
-    any C-ordered operand before calling BLAS, and numpy's ufunc
-    machinery falls back to allocating iteration buffers the moment
-    operand layouts mix.  The layout plan keeps every kernel's operands
-    and destination in one order, so every hot path — the elementwise
-    ufuncs, GEMM/GEMV, the staged feeds — stays on the no-copy/
-    no-buffering fast path (measured, not assumed: the allocation
-    regression test pins this down).
+    is C-ordered, and :attr:`views` keeps each one's Fortran view for
+    the BLAS closures (see *Slot layouts* in the module docstring).  One
+    order is what keeps every hot path on the no-copy/no-buffering fast
+    path: f2py copies an operand whose view is not Fortran-contiguous,
+    and numpy's ufunc machinery falls back to allocating iteration
+    buffers the moment operand layouts mix (measured, not assumed: the
+    allocation regression test pins this down).
 
     An arena belongs to one execution stream: two threads must not
     execute through the same arena concurrently (the Session layer
@@ -334,12 +324,16 @@ class PlanArena:
     arena per process).
     """
 
-    __slots__ = ("buffers", "allocations", "bytes_copied", "loops",
-                 "pinned", "_orders", "_turbo_sig", "_mixed")
+    __slots__ = ("buffers", "views", "allocations", "bytes_copied", "loops",
+                 "pinned", "_orders", "_turbo_sig", "_uncertified")
 
     def __init__(self, plan: "Plan") -> None:
         #: Per-slot storage; ``None`` until the slot's first write.
         self.buffers: list[np.ndarray | None] = [None] * plan.num_slots
+        #: Per slot, the Fortran view ``.T`` of its buffer — or, for an
+        #: input slot a BLAS call reads, of the bound feed — set with
+        #: the buffer (or at binding), so no instruction builds one.
+        self.views: list[np.ndarray | None] = [None] * plan.num_slots
         #: Slots backed by caller-owned storage (:meth:`install`): never
         #: silently reallocated — a shape/dtype mismatch raises instead,
         #: because external owners (shared-memory views, pinned Tensors)
@@ -351,7 +345,7 @@ class PlanArena:
         #: warm (asserted by the allocation-free regression test).
         self.allocations = 0
         #: Bytes memcpy'd into arena storage so far (feed staging, const
-        #: staging, relayouts, compute-then-copy landings).  Feeds the
+        #: staging, compute-then-copy landings).  Feeds the
         #: binding rule aliases and results handed off add nothing here,
         #: which is what the ``bytes_copied_per_call`` benchmark metric
         #: measures.
@@ -361,12 +355,13 @@ class PlanArena:
         #: stable).
         self.loops: dict[int, LoopState] = {}
         # Certification: the input-dtype tuple of the last completed
-        # execution that needed no mixed-dtype fallback.  A later call
+        # execution that needed no fallback — no mixed-dtype operands,
+        # every value a BLAS call reads in its slot's buffer.  A later call
         # whose bound feeds match it skips every per-instruction
         # dtype/warmth check and runs the plan's generated pass (see
         # PinnedBinding.execute).
         self._turbo_sig: tuple | None = None
-        self._mixed = False
+        self._uncertified = False
 
     def buffer(
         self, slot: int, shape: tuple[int, ...], dtype: np.dtype
@@ -383,10 +378,9 @@ class PlanArena:
                     f"needs {shape} {dtype} — unpin or rebuild the "
                     "backing buffer"
                 )
-            buf = np.empty(
-                shape, dtype=dtype, order=_storage_order(self._orders[slot])
-            )
+            buf = np.empty(shape, dtype=dtype)
             self.buffers[slot] = buf
+            self.views[slot] = buf.T
             self.allocations += 1
         return buf
 
@@ -408,6 +402,7 @@ class PlanArena:
                 f"{array.shape}"
             )
         self.buffers[slot] = array
+        self.views[slot] = array.T
         if pin:
             self.pinned.add(slot)
 
@@ -441,6 +436,8 @@ class Plan:
         "_serve",
         "_serve_source",
         "_written_slots",
+        "_viewed_slots",
+        "_viewed_inputs",
         # Weakly referenceable so per-plan accounting (Session._plan_stats)
         # can key on plans without pinning evicted ones in memory.
         "__weakref__",
@@ -469,10 +466,10 @@ class Plan:
         #: :class:`~repro.runtime.fusion.FusionStats` when the plan was
         #: compiled with ``fusion=True``, else ``None``.
         self.fusion_stats = fusion_stats
-        #: Per-slot memory order, decided by the compiler's layout plan:
-        #: "F" or "C" — plus, for input slots only, "A": no kernel's
-        #: layout depends on the feed, any contiguous array binds.
-        self.slot_orders = slot_orders or ("F",) * num_slots
+        #: Per-slot memory order (*Slot layouts* in the module
+        #: docstring): "C" — plus, for input slots only, "A": no
+        #: kernel's layout depends on the feed, any contiguous array binds.
+        self.slot_orders = slot_orders or ("C",) * num_slots
         # (graph, fold_constants, fusion) — what pickling reconstructs
         # the plan from (see __reduce__).  None for hand-built plans.
         self._source = source
@@ -499,6 +496,15 @@ class Plan:
         self._written_slots = frozenset(
             inst.out_slot for inst in instructions if inst.kind != "const"
         ).intersection(output_slots)
+        # Slots some BLAS closure reads through a Fortran view: a value
+        # there must be its slot's buffer for a certified pass to read
+        # the arena's view of it, and a feed there gets its view at bind.
+        self._viewed_slots = frozenset(
+            inst.arg_slots[i] for inst in instructions for i in inst.views
+        )
+        self._viewed_inputs = frozenset(
+            p.slot for p in inputs
+        ).intersection(self._viewed_slots)
         # The certified serving pass: one generated function, built on
         # the first certified pass (see _generate_serve), and its text.
         self._serve = None
@@ -564,10 +570,6 @@ class Plan:
         size_of: dict[int, int] = {}
         for inst in self._schedule:
             args = [dtype_of[s] for s in inst.arg_slots]
-            if inst.kind == "relayout":
-                dtype_of[inst.out_slot] = args[0]
-                size_of[inst.out_slot] = size_of[inst.arg_slots[0]]
-                continue
             if inst.sub_plan is None:
                 calls.extend(inst.calls)
                 dtype = _result_dtype(inst, args)
@@ -615,7 +617,7 @@ class Plan:
                 name=spec.name,
                 slot=spec.slot,
                 shape=spec.shape,
-                order=_storage_order(self.slot_orders[spec.slot]),
+                order="C",
                 dtype=dtype,
                 nbytes=int(np.prod(spec.shape)) * dtype.itemsize,
             )
@@ -629,7 +631,7 @@ class Plan:
                     name=f"output[{i}]",
                     slot=slot,
                     shape=shape,
-                    order=_storage_order(self.slot_orders[slot]),
+                    order="C",
                     dtype=dtype,
                     nbytes=int(np.prod(shape)) * dtype.itemsize,
                 )
@@ -669,6 +671,8 @@ class Plan:
                     f"in its slot's order {order!r} — allocate it as "
                     "buffer_descriptors() lays the slot out"
                 )
+        for slot in self._viewed_inputs:
+            arena.views[slot] = binding.slots[slot].T
         return binding
 
     # -- feed binding ---------------------------------------------------------
@@ -706,8 +710,9 @@ class Plan:
         array in its slot's declared order stays aliased, any other is
         copied into the slot's persistent arena buffer (one memcpy that
         keeps every downstream ufunc on the single-layout no-buffering
-        path and hands BLAS operands it can use without f2py's hidden
-        copies; values are unchanged, so outputs stay bit-identical).
+        path and hands BLAS views it reads without f2py's hidden copies;
+        values are unchanged, so outputs stay bit-identical), and an
+        aliased feed a BLAS call reads gets its one Fortran view.
         Returns the bound arrays' dtypes, the signature a serving pass
         is certified for and the report is derived at."""
         inputs = self.inputs
@@ -719,6 +724,7 @@ class Plan:
                 f"plan has {len(inputs)} inputs, got {len(feeds)} feeds"
             )
         orders = self.slot_orders
+        viewed = self._viewed_inputs
         dtypes = []
         for spec, value in zip(inputs, feeds):
             arr = _normalize_feed(value)
@@ -728,11 +734,14 @@ class Plan:
                     f"input declares {spec.shape}"
                 )
             slot = spec.slot
-            if arena is not None and not _in_order(arr, orders[slot]):
-                buf = arena.buffer(slot, arr.shape, arr.dtype)
-                np.copyto(buf, arr)
-                arena.bytes_copied += arr.nbytes
-                arr = buf
+            if arena is not None:
+                if not _in_order(arr, orders[slot]):
+                    buf = arena.buffer(slot, arr.shape, arr.dtype)
+                    np.copyto(buf, arr)
+                    arena.bytes_copied += arr.nbytes
+                    arr = buf
+                if slot in viewed:
+                    arena.views[slot] = arr.T
             slots[slot] = arr
             dtypes.append(arr.dtype)
         return tuple(dtypes)
@@ -761,14 +770,6 @@ class Plan:
                 np.copyto(buf, value)
                 arena.bytes_copied += value.nbytes
             return buf
-        if inst.kind == "relayout":
-            # The layout plan's one C→F conversion of this value: a copy
-            # like feed staging, and counted like it.
-            src = args[0]
-            buf = arena.buffer(inst.out_slot, src.shape, src.dtype)
-            np.copyto(buf, src)
-            arena.bytes_copied += src.nbytes
-            return buf
         dtype = args[0].dtype if args else np.dtype(np.float64)
         if inst.fn_loop is not None:
             # Loops thread a persistent LoopState (ping-pong child arenas
@@ -781,14 +782,19 @@ class Plan:
         mixed = any(a.dtype != dtype for a in args)
         if inst.fn_out is not None and not mixed:
             buf = arena.buffer(inst.out_slot, inst.out_shape, dtype)
-            if inst.scratch is None:
-                return inst.fn_out(args, buf)
-            staging = arena.buffer(inst.scratch, inst.out_shape, dtype)
-            return inst.fn_out(args, buf, staging)
+            dests = [buf]
+            if inst.views:
+                args = _viewed(args, inst.views)
+                dests.append(arena.views[inst.out_slot])
+            if inst.scratch is not None:
+                dests.append(arena.buffer(inst.scratch, inst.out_shape, dtype))
+                if inst.views:
+                    dests.append(arena.views[inst.scratch])
+            return inst.fn_out(args, *dests)
         if mixed:
             # Ufunc promotion must win over in-place destinations; also
             # bars certification until a uniform-dtype pass completes.
-            arena._mixed = True
+            arena._uncertified = True
         # No in-place kernel, or mixed operand dtypes: compute as
         # arena-less execution does, then land the result in the slot's
         # stable storage when it fits.
@@ -802,12 +808,16 @@ class Plan:
         """Emit, compile and cache the certified serving pass as
         straight-line Python: one call line per instruction with the
         slots as locals and each ``fn_out`` closure (or, for ``const``/
-        ``relayout``/``loop``/no-``fn_out`` instructions, the
-        :class:`Instruction` handed to :meth:`_exec_into`) pre-bound as
-        a global — what :meth:`PinnedBinding.execute` runs once the
-        arena is certified.  Buffers are *not* bound: ``hand_off`` swaps
-        them between calls, so every line reads ``bufs[k]`` when it
-        runs.  Built on the first certified pass rather than at compile
+        ``loop``/no-``fn_out`` instructions, the :class:`Instruction`
+        handed to :meth:`_exec_into`) pre-bound as a global — what
+        :meth:`PinnedBinding.execute` runs once the arena is certified.
+        Buffers and views are *not* bound: ``hand_off`` swaps them
+        between calls, so each pass reads the ``bufs[k]`` / ``views[k]``
+        it uses once, into locals, before its first call line (a
+        certified pass allocates no buffer, so they hold for the whole
+        pass; an operand in :attr:`Instruction.views` is read as its
+        slot's view: certification guarantees its value is the
+        buffer).  Built on the first certified pass rather than at compile
         time (``compile()`` costs ~17 µs per instruction, which a plan
         executed once never repays); two threads racing here build the
         same function twice and the last store wins."""
@@ -815,23 +825,43 @@ class Plan:
             # One line whatever the name holds: it ends a source line.
             return "  # " + " ".join(f"{kind} {name}".split())
 
+        # Local name -> the table entry it is loaded from, in first use.
+        loads: dict[str, str] = {}
+
+        def load(table: str, slot: int) -> str:
+            name = f"{table[0]}{slot}"
+            loads.setdefault(name, f"{table}[{slot}]")
+            return name
+
+        def dest(slot: int, viewed: bool) -> str:
+            buf = load("bufs", slot)
+            return f"{buf}, {load('views', slot)}" if viewed else buf
+
         namespace: dict = {}
-        lines = ["def serve(slots, bufs, exec_into, arena):"]
+        body = []
+        for i, inst in enumerate(self.instructions):
+            out = inst.out_slot
+            if inst.fn_out is not None and inst.kind != "const":
+                namespace[f"f{i}"] = inst.fn_out
+                viewed = bool(inst.views)
+                args = ", ".join(
+                    load("views", s) if pos in inst.views else f"s{s}"
+                    for pos, s in enumerate(inst.arg_slots)
+                )
+                scratch = "" if inst.scratch is None \
+                    else ", " + dest(inst.scratch, viewed)
+                call = f"f{i}([{args}], {dest(out, viewed)}{scratch})"
+            else:
+                namespace[f"i{i}"] = inst
+                args = ", ".join(f"s{s}" for s in inst.arg_slots)
+                call = f"exec_into(i{i}, [{args}], arena)"
+            body.append(f"    s{out} = {call}" + note(inst.op, inst.label))
+        lines = ["def serve(slots, bufs, views, exec_into, arena):"]
         for spec in self.inputs:
             lines.append(f"    s{spec.slot} = slots[{spec.slot}]"
                          + note("input", spec.name))
-        for i, inst in enumerate(self.instructions):
-            out = inst.out_slot
-            args = ", ".join(f"s{s}" for s in inst.arg_slots)
-            if inst.fn_out is not None and inst.kind != "const":
-                namespace[f"f{i}"] = inst.fn_out
-                scratch = "" if inst.scratch is None \
-                    else f", bufs[{inst.scratch}]"
-                call = f"f{i}([{args}], bufs[{out}]{scratch})"
-            else:
-                namespace[f"i{i}"] = inst
-                call = f"exec_into(i{i}, [{args}], arena)"
-            lines.append(f"    s{out} = {call}" + note(inst.op, inst.label))
+        lines.extend(f"    {name} = {entry}" for name, entry in loads.items())
+        lines.extend(body)
         # The slot table ends the pass as the instruction loops leave it.
         written = dict.fromkeys(inst.out_slot for inst in self.instructions)
         lines.extend(f"    slots[{s}] = s{s}" for s in written)
@@ -898,7 +928,8 @@ class Plan:
         take the general path.
         """
         fn_out = inst.fn_out
-        if fn_out is not None and inst.scratch is None and inst.kind != "const":
+        if fn_out is not None and inst.scratch is None and not inst.views \
+                and inst.kind != "const":
             buf = bufs[inst.out_slot]
             if buf is not None:
                 bd = buf.dtype
@@ -1002,16 +1033,22 @@ class PinnedBinding:
         bufs = arena.buffers
         if self._sig == arena._turbo_sig:
             serve = plan._serve or plan._generate_serve()
-            return serve(slots, bufs, plan._exec_into, arena)
+            return serve(slots, bufs, arena.views, plan._exec_into, arena)
         # Warming pass: per-instruction checks, and the certification
         # protocol (invalidate first so a mid-pass exception can't
-        # certify half-warm buffers).
+        # certify half-warm buffers).  A value a BLAS call reads through
+        # a view must be its slot's buffer: that is the view the
+        # generated pass reads.
         arena._turbo_sig = None
-        arena._mixed = False
+        arena._uncertified = False
+        viewed = plan._viewed_slots
         for inst in plan.instructions:
             args = [slots[s] for s in inst.arg_slots]
-            slots[inst.out_slot] = plan._run_arena(inst, args, arena, bufs)
-        if not arena._mixed:
+            out = inst.out_slot
+            value = slots[out] = plan._run_arena(inst, args, arena, bufs)
+            if value is not bufs[out] and out in viewed:
+                arena._uncertified = True
+        if not arena._uncertified:
             arena._turbo_sig = self._sig
         return [slots[s] for s in plan.output_slots]
 
@@ -1042,7 +1079,8 @@ class PinnedBinding:
         for slot, out in zip(self.plan.output_slots, outputs):
             if out is bufs[slot] and slot in written \
                     and slot not in arena.pinned:
-                bufs[slot] = np.empty_like(out)
+                bufs[slot] = fresh = np.empty_like(out)
+                arena.views[slot] = fresh.T
                 # The slot table must not keep the caller's array alive
                 # (its producer rewrites the entry before anything reads).
                 self.slots[slot] = None

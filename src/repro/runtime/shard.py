@@ -202,13 +202,20 @@ def _shard_worker(conn, shm_name: str, plan_blob: bytes, dtype_str: str,
         arena = plan.new_arena()
         bindings = []
         ring = []
-        pin_lists = []  # per ring entry: (slot, output view) to install
+        # Per ring entry: the Fortran views bind_pinned built for its
+        # feeds, and (slot, output view, its Fortran view) to install.
+        feed_views = []
+        pin_lists = []
         out_slots = [d.slot for d in descs[n_inputs:]]
         for r in range(ring_slots):
             views = _entry_views(shm.buf, descs, offsets, r * stride)
             ins, outs = views[:n_inputs], views[n_inputs:]
             bindings.append(plan.bind_pinned(ins, arena))
             ring.append((ins, outs))
+            feed_views.append([
+                (slot, arena.views[slot]) for slot in input_slots
+                if arena.views[slot] is not None
+            ])
             pins = [
                 (slot, view)
                 for slot, view in zip(out_slots, outs)
@@ -218,8 +225,9 @@ def _shard_worker(conn, shm_name: str, plan_blob: bytes, dtype_str: str,
             # loop then swaps the (already vetted) buffers in directly.
             for slot, view in pins:
                 plan.pin_slot(arena, slot, view)
-            pin_lists.append(pins)
+            pin_lists.append([(slot, view, view.T) for slot, view in pins])
         bufs = arena.buffers
+        arena_views = arena.views
         conn.send(("ready", warm_started))
         while True:
             try:
@@ -235,8 +243,11 @@ def _shard_worker(conn, shm_name: str, plan_blob: bytes, dtype_str: str,
                     if injector is not None:
                         injector.fire("worker.exec", worker=worker_index)
                     _, outs = ring[i]
-                    for slot, view in pin_lists[i]:
+                    for slot, view_t in feed_views[i]:
+                        arena_views[slot] = view_t
+                    for slot, view, view_t in pin_lists[i]:
                         bufs[slot] = view
+                        arena_views[slot] = view_t
                     results = bindings[i].execute()
                     for view, result in zip(outs, results):
                         if result is view:

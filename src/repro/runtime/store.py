@@ -76,8 +76,12 @@ __all__ = ["PlanStore", "StoreStats", "GCStats", "runtime_fingerprint",
            "STORE_FORMAT_VERSION", "DEFAULT_MMAP_THRESHOLD",
            "DEFAULT_GC_GRACE_SECONDS"]
 
-#: Artifact layout version — bumped on any change to the on-disk shape.
-STORE_FORMAT_VERSION = 1
+#: Artifact layout version — bumped on any change to the on-disk shape,
+#: and on any change to what a stored plan computes.  2: BLAS calls are
+#: row-major (:mod:`repro.kernels.blas3`), so artifacts and autotune
+#: alias records proven bitwise under the column-major calls must miss,
+#: not serve other bits.
+STORE_FORMAT_VERSION = 2
 
 #: Const payloads at or above this many bytes leave the artifact body
 #: for an ``.npy`` sidecar (mmap-loaded).  Below it, a file-per-array

@@ -17,6 +17,7 @@ Design notes
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterable
 
 import numpy as np
@@ -47,15 +48,22 @@ def _as_matrix(data: object, dtype: np.dtype | None) -> np.ndarray:
     return a
 
 
-def _shape_props(a: np.ndarray) -> set[Property]:
+def _shape_props(shape: tuple[int, int]) -> set[Property]:
     props: set[Property] = {Property.GENERAL}
-    if a.shape[0] == a.shape[1]:
+    if shape[0] == shape[1]:
         props.add(Property.SQUARE)
-    if 1 in a.shape:
+    if 1 in shape:
         props.add(Property.VECTOR)
-    if a.shape == (1, 1):
+    if shape == (1, 1):
         props.add(Property.SCALAR)
     return props
+
+
+@functools.lru_cache(maxsize=1024)
+def _shape_closure(shape: tuple[int, int]) -> PropertySet:
+    """The closed property set of an unannotated matrix of ``shape`` —
+    what every compiled call's result gets, computed once per shape."""
+    return closure(_shape_props(shape))
 
 
 class Tensor:
@@ -97,7 +105,8 @@ class Tensor:
         if detect:
             p = detect_properties(arr)
         else:
-            p = closure(set(props) | _shape_props(arr))
+            p = closure(set(props) | _shape_props(arr.shape)) if props \
+                else _shape_closure(arr.shape)
             if verify:
                 from ..errors import PropertyError
 

@@ -13,9 +13,9 @@ on/off.  For every draw:
   on float64 ones into the float32-built graph (the plan derives one
   report per input-dtype tuple);
 * the bytes a warm arena call copies equal the figure *predicted from the
-  layout plan alone*: every feed whose layout its slot's order does not
-  accept, every relayout instruction, and every result of a kernel that
-  has no ``out=`` form (computed, then landed in its slot);
+  slot orders alone*: every feed whose layout its slot's order does not
+  accept, and every result of a kernel that has no ``out=`` form
+  (computed, then landed in its slot);
 * one persistent binding fed a different layout *and dtype* on every
   pass (float32 / float64) crosses warming, certification, the generated
   serving pass and re-certification, and every one of those passes equals
@@ -237,9 +237,9 @@ def make_feeds(layouts, seed: int, dtype=np.float32) -> list[np.ndarray]:
 
 
 def predicted_copy_bytes(plan, layouts, feeds) -> int:
-    """What one warm arena call copies, read off the layout plan — with
+    """What one warm arena call copies, read off the slot orders — with
     its own acceptance table, not the runtime's."""
-    accepts = {"F": {"F"}, "C": {"C"}, "A": {"C", "F"}}
+    accepts = {"C": {"C"}, "A": {"C", "F"}}
     total = 0
     for spec, tag, feed in zip(plan.inputs, layouts, feeds):
         if 1 in spec.shape:  # a vector is contiguous in both orders
@@ -251,7 +251,7 @@ def predicted_copy_bytes(plan, layouts, feeds) -> int:
     for inst in plan.instructions:
         landed = (inst.fn_out is None and inst.fn_loop is None
                   and inst.kind != "const")
-        if inst.kind == "relayout" or landed:
+        if landed:
             total += math.prod(inst.out_shape) * feeds[0].itemsize
     return total
 

@@ -282,7 +282,7 @@ class TestDestinationAware:
         a = _mat(rng, 14, 10)
         b = _mat(rng, 10, 12)
         ref = blas3.gemm(a, b)
-        out = np.empty((14, 12), dtype=a.dtype, order="F")
+        out = np.empty((14, 12), dtype=a.dtype)
         res = blas3.gemm(a, b, out=out)
         assert res is out
         assert out.tobytes() == ref.tobytes()
@@ -291,7 +291,7 @@ class TestDestinationAware:
         a = _mat(rng, 10, 14)
         b = _mat(rng, 10, 12)
         ref = blas3.gemm(a, b, alpha=2.0, trans_a=True)
-        out = np.empty((14, 12), dtype=a.dtype, order="F")
+        out = np.empty((14, 12), dtype=a.dtype)
         assert blas3.gemm(a, b, alpha=2.0, trans_a=True, out=out) is out
         assert out.tobytes() == ref.tobytes()
 
@@ -308,7 +308,7 @@ class TestDestinationAware:
     def test_gemm_beta_accumulates(self, rng):
         a = _mat(rng, 8, 8)
         b = _mat(rng, 8, 8)
-        c = np.asfortranarray(_mat(rng, 8, 8))
+        c = _mat(rng, 8, 8)
         expected = blas3.gemm(a, b) + c
         res = blas3.gemm(a, b, beta=1.0, out=c)
         assert np.allclose(res, expected, atol=1e-5)
@@ -317,11 +317,11 @@ class TestDestinationAware:
         a = _mat(rng, 8, 8)
         b = _mat(rng, 8, 8)
         with pytest.raises(ShapeError):
-            blas3.gemm(a, b, out=np.empty((4, 4), dtype=a.dtype, order="F"))
+            blas3.gemm(a, b, out=np.empty((4, 4), dtype=a.dtype))
         with pytest.raises(KernelError):
-            blas3.gemm(a, b, out=np.empty((8, 8), dtype=np.float64, order="F"))
+            blas3.gemm(a, b, out=np.empty((8, 8), dtype=np.float64))
         with pytest.raises(KernelError):
-            blas3.gemm(a, b, out=np.ones((8, 8), dtype=a.dtype))  # C-order
+            blas3.gemm(a, b, out=np.ones((8, 8), dtype=a.dtype, order="F"))
         with pytest.raises(KernelError):
             blas3.gemm(a, b, beta=0.5)  # beta without out
 
@@ -352,14 +352,14 @@ class TestDestinationAware:
 
 class TestStructuredDestinationAware:
     """``out=`` on TRMM/SYMM/SYRK: bit-identical to the allocating path,
-    written into the caller's Fortran buffer (the contract arena mode's
-    structured kernels rely on)."""
+    written into the caller's C-ordered buffer through its Fortran view
+    (the contract arena mode's structured kernels rely on)."""
 
     def test_trmm_out(self, rng):
         a = np.tril(_mat(rng, 10, 10))
         b = _mat(rng, 10, 7)
         ref = blas3.trmm(a, b)
-        out = np.empty((10, 7), dtype=a.dtype, order="F")
+        out = np.empty((10, 7), dtype=a.dtype)
         assert blas3.trmm(a, b, out=out) is out
         assert out.tobytes() == ref.tobytes()
 
@@ -367,7 +367,7 @@ class TestStructuredDestinationAware:
         a = np.tril(_mat(rng, 7, 7))
         b = _mat(rng, 10, 7)
         ref = blas3.trmm(a, b, side_left=False)
-        out = np.empty((10, 7), dtype=a.dtype, order="F")
+        out = np.empty((10, 7), dtype=a.dtype)
         assert blas3.trmm(a, b, side_left=False, out=out) is out
         assert out.tobytes() == ref.tobytes()
 
@@ -376,7 +376,7 @@ class TestStructuredDestinationAware:
         s = s + s.T
         b = _mat(rng, 9, 6)
         ref = blas3.symm(s, b)
-        out = np.asfortranarray(np.full((9, 6), np.nan, dtype=s.dtype))
+        out = np.full((9, 6), np.nan, dtype=s.dtype)
         assert blas3.symm(s, b, out=out) is out
         assert out.tobytes() == ref.tobytes()
 
@@ -388,7 +388,7 @@ class TestStructuredDestinationAware:
         n = ref.shape[0]
         # A dirty destination must be fully overwritten: BLAS only
         # touches one triangle, the in-place mirror fill covers the rest.
-        out = np.asfortranarray(np.full((n, n), 123.0, dtype=a.dtype))
+        out = np.full((n, n), 123.0, dtype=a.dtype)
         assert blas3.syrk(a, trans=trans, lower=lower, out=out) is out
         assert out.tobytes() == ref.tobytes()
 
@@ -399,7 +399,7 @@ class TestStructuredDestinationAware:
 
     def test_syrk_out_requires_fill(self, rng):
         a = _mat(rng, 6, 4)
-        out = np.empty((6, 6), dtype=a.dtype, order="F")
+        out = np.empty((6, 6), dtype=a.dtype)
         with pytest.raises(KernelError, match="fill"):
             blas3.syrk(a, fill=False, out=out)
 
@@ -407,11 +407,11 @@ class TestStructuredDestinationAware:
         a = np.tril(_mat(rng, 8, 8))
         b = _mat(rng, 8, 5)
         with pytest.raises(ShapeError):
-            blas3.trmm(a, b, out=np.empty((5, 5), dtype=a.dtype, order="F"))
+            blas3.trmm(a, b, out=np.empty((5, 5), dtype=a.dtype))
         with pytest.raises(KernelError, match="dtype"):
-            blas3.trmm(a, b, out=np.empty((8, 5), dtype=np.float64, order="F"))
-        with pytest.raises(KernelError, match="Fortran"):
-            blas3.trmm(a, b, out=np.empty((8, 5), dtype=a.dtype))
+            blas3.trmm(a, b, out=np.empty((8, 5), dtype=np.float64))
+        with pytest.raises(KernelError, match="C-contiguous"):
+            blas3.trmm(a, b, out=np.empty((8, 5), dtype=a.dtype, order="F"))
         s = a + a.T
-        with pytest.raises(KernelError, match="Fortran"):
-            blas3.symm(s, b, out=np.empty((8, 5), dtype=a.dtype))
+        with pytest.raises(KernelError, match="C-contiguous"):
+            blas3.symm(s, b, out=np.empty((8, 5), dtype=a.dtype, order="F"))

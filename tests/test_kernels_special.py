@@ -224,8 +224,8 @@ class TestBandViews:
         t = self._t(rng)
         b = _mat(rng, 9, 5)
         ref = special.tridiagonal_matmul(t, b)
-        out = np.empty((9, 5), dtype=b.dtype, order="F")
-        scratch = np.empty((9, 5), dtype=b.dtype, order="F")
+        out = np.empty((9, 5), dtype=b.dtype)
+        scratch = np.empty((9, 5), dtype=b.dtype)
         assert special.tridiagonal_matmul(t, b, out=out,
                                           scratch=scratch) is out
         assert out.tobytes() == ref.tobytes()
@@ -247,7 +247,7 @@ class TestBandViews:
         d = np.diag((rng.random(8) - 0.5).astype(np.float32))
         b = _mat(rng, 8, 6)
         ref = special.diag_matmul(d, b)
-        out = np.empty((8, 6), dtype=b.dtype, order="F")
+        out = np.empty((8, 6), dtype=b.dtype)
         assert special.diag_matmul(d, b, out=out) is out
         assert out.tobytes() == ref.tobytes()
         with pytest.raises(ShapeError):

@@ -1,15 +1,18 @@
-"""The layout plan and the result hand-off, pinned structurally.
+"""Slot layouts and the result hand-off, pinned structurally.
 
 No timing here (``BENCHMARK.json`` owns that); what makes the timing is
 asserted as counts that repeat exactly:
 
-* per call, the ten LAAB expressions stage exactly the operands a BLAS
-  routine reads as a matrix, plus one relayout where a C-computed value
-  meets an F-demanding consumer — nothing for slices, diagonal/band
-  extraction and vectors;
-* the layout plan moves copies, never BLAS calls: every routine runs with
-  the flags, alpha/beta and operand values the Interpreter issues (and
-  the table recorded at the parent commit);
+* per call, the ten LAAB expressions stage nothing for C-ordered feeds —
+  BLAS reads every C buffer in place through its Fortran view (the
+  kernel layer's row-major calls) — and, for F-ordered feeds, exactly
+  the operands of a "C" input slot: the matrices BLAS reads and the
+  elementwise operands; nothing for slices, diagonal/band extraction and
+  vectors;
+* plans issue the BLAS calls the Interpreter issues: every routine runs
+  with the flags, alpha/beta and operand values the Interpreter's
+  kernel layer uses, whatever the feeds' layout (and the table recorded
+  with the row-major calls);
 * results handed to a Session caller are the caller's: correct, unchanged
   by later calls, sharing memory with nothing else, in their producer's
   layout;
@@ -63,37 +66,40 @@ def _suite():
 
 SUITE = _suite()
 
-#: Bytes one warm arena call copies for C-ordered feeds, in operands:
-#: the matrices BLAS reads (``dist``: A, plus the one relayout of B+C;
-#: ``trmm``: the triangle — B is copied into the destination by the
-#: kernel itself either way).
+#: Operands one warm arena call copies for F-ordered feeds: one per "C"
+#: input slot (``dist``: A for the GEMM, B and C for the add; ``trmm``:
+#: the triangle — B is copied into the destination by the kernel itself
+#: either way).  C-ordered feeds stage nothing anywhere.
 STAGED_OPERANDS = {
-    "cse_sum": 2, "cse_gram": 2, "chain_rl": 1, "chain_mixed": 1, "dist": 2,
-    "eq10": 2, "trmm": 1, "tridiag": 0, "diag": 0, "partial": 0,
+    "cse_sum": 2, "cse_gram": 2, "chain_rl": 1, "chain_mixed": 1, "dist": 3,
+    "eq10": 2, "trmm": 1, "tridiag": 0, "diag": 1, "partial": 0,
 }
 
-#: Input-slot orders: F where BLAS reads a matrix, C where an elementwise
-#: kernel computes in the feeds' order, A where no kernel cares.
+#: Input-slot orders: C where BLAS reads a matrix (through its Fortran
+#: view) or an elementwise kernel computes, A where no kernel cares.
 INPUT_ORDERS = {
-    "cse_sum": "FF", "cse_gram": "FF", "chain_rl": "FA", "chain_mixed": "FAA",
-    "dist": "FCC", "eq10": "FFA", "trmm": "FA", "tridiag": "AA", "diag": "AC",
+    "cse_sum": "CC", "cse_gram": "CC", "chain_rl": "CA", "chain_mixed": "CAA",
+    "dist": "CCC", "eq10": "CCA", "trmm": "CA", "tridiag": "AA", "diag": "AC",
     "partial": "AA",
 }
 
 #: The BLAS calls of the fused aware plans — (routine, nonzero flags,
-#: alpha, beta) — recorded at the parent commit (04d6c36) with the same spy.
+#: alpha, beta) — recorded with the same spy: the row-major calls, so
+#: e.g. ``Aᵀ B`` issues GEMM with ``trans_b`` and ``L B`` TRMM side right
+#: on the upper triangle of ``L``'s Fortran view.
 PARENT_BLAS_CALLS = {
-    "cse_sum": [("gemm", (("trans_a", 1),), 2.0, 0.0)],
-    "cse_gram": [("gemm", (("trans_a", 1),), 1.0, 0.0),
-                 ("syrk", (("trans", 1), ("lower", 1)), 1.0, 0.0)],
-    "chain_rl": [("gemv", (), 1.0, 0.0), ("gemv", (("trans", 1),), 1.0, 0.0)],
-    "chain_mixed": [("gemv", (("trans", 1),), 1.0, 0.0),
-                    ("gemv", (("trans", 1),), 1.0, 0.0),
+    "cse_sum": [("gemm", (("trans_b", 1),), 2.0, 0.0)],
+    "cse_gram": [("gemm", (("trans_b", 1),), 1.0, 0.0),
+                 ("syrk", (), 1.0, 0.0)],
+    "chain_rl": [("gemv", (("trans", 1),), 1.0, 0.0), ("gemv", (), 1.0, 0.0)],
+    "chain_mixed": [("gemv", (), 1.0, 0.0),
+                    ("gemv", (), 1.0, 0.0),
                     ("gemm", (), 1.0, 0.0)],
     "dist": [("gemm", (), 1.0, 0.0)],
-    "eq10": [("gemv", (), 1.0, 0.0), ("gemv", (), 1.0, 0.0),
-             ("gemv", (("trans", 1),), 1.0, 0.0)],
-    "trmm": [("trmm", (("lower", 1),), 1.0, 0.0)],
+    "eq10": [("gemv", (("trans", 1),), 1.0, 0.0),
+             ("gemv", (("trans", 1),), 1.0, 0.0),
+             ("gemv", (), 1.0, 0.0)],
+    "trmm": [("trmm", (("side", 1),), 1.0, 0.0)],
     "tridiag": [], "diag": [], "partial": [],
 }
 
@@ -119,23 +125,24 @@ def test_staged_bytes_per_call(name, fusion):
     for _ in range(2):
         before = arena.bytes_copied
         outs, _ = plan.execute(feeds, record=False, arena=arena)
-        assert arena.bytes_copied - before == STAGED_OPERANDS[name] * MAT
+        assert arena.bytes_copied - before == 0
         assert outs[0].tobytes() == ref[0].tobytes()
-    relayouts = [i for i in plan.instructions if i.kind == "relayout"]
-    assert len(relayouts) == (1 if name == "dist" else 0)
-    # The same feeds F-ordered: only the C slots (elementwise-in-C) copy.
+    # Every value is C: no instruction writes another layout.
+    assert {plan.slot_orders[i.out_slot] for i in plan.instructions} <= {"C"}
+    # The same feeds F-ordered: exactly the C slots copy.
     feeds_f = [np.asfortranarray(f) for f in feeds]
-    before = arena.bytes_copied
-    outs, _ = plan.execute(feeds_f, record=False, arena=arena)
-    assert outs[0].tobytes() == ref[0].tobytes()
-    c_slots = INPUT_ORDERS[name].count("C")
-    assert arena.bytes_copied - before == (c_slots + len(relayouts)) * MAT
+    for _ in range(2):
+        before = arena.bytes_copied
+        outs, _ = plan.execute(feeds_f, record=False, arena=arena)
+        assert outs[0].tobytes() == ref[0].tobytes()
+        assert arena.bytes_copied - before == STAGED_OPERANDS[name] * MAT
+    assert STAGED_OPERANDS[name] == INPUT_ORDERS[name].count("C")
 
 
-def test_dispatch_chain_inputs_all_demand_f():
-    """``c`` only feeds an ``add`` — but its peer is a GEMM result, so the
-    add computes in F and demands F of ``c``: one staging copy, not a
-    relayout per use."""
+def test_dispatch_chain_inputs_all_demand_c():
+    """``a`` and ``b`` are GEMM operands, ``c`` only feeds an ``add`` with
+    a GEMM result: every slot is C, C-ordered tensors alias, and an
+    F-ordered feed costs one staging copy per input, not one per use."""
     ops = [random_general(16, seed=s) for s in (1, 2, 3)]
 
     def fn(a, b, c):
@@ -146,20 +153,23 @@ def test_dispatch_chain_inputs_all_demand_f():
 
     graph = default_pipeline().run(trace(fn, ops))
     plan = compile_plan(graph, fusion=True)
-    assert set(plan.slot_orders) == {"F"}
-    assert not [i for i in plan.instructions if i.kind == "relayout"]
+    assert set(plan.slot_orders) == {"C"}
     arena = plan.new_arena()
     feeds = [t.data for t in ops]
     plan.execute(feeds, record=False, arena=arena)
     before = arena.bytes_copied
     plan.execute(feeds, record=False, arena=arena)
+    assert arena.bytes_copied - before == 0
+    before = arena.bytes_copied
+    plan.execute([np.asfortranarray(f) for f in feeds], record=False,
+                 arena=arena)
     assert arena.bytes_copied - before == 3 * 16 * 16 * 4
 
 
 def test_c_slot_feed_given_f_ordered_is_copied_not_misaliased():
     """``B + C`` computes in C: an F-ordered feed there must be staged
     into the C buffer (aliasing it would put the add on numpy's
-    mixed-layout path and hand the relayout a non-C source)."""
+    mixed-layout path)."""
     graph, feeds = _aware("dist")
     plan = compile_plan(graph)
     _, b_spec, _ = plan.inputs
@@ -172,16 +182,17 @@ def test_c_slot_feed_given_f_ordered_is_copied_not_misaliased():
     staged = arena.buffers[b_spec.slot]
     assert staged is not None and staged.flags.c_contiguous
     assert not np.shares_memory(staged, mixed[1])
-    assert arena.bytes_copied == 3 * MAT  # A staged, B converted, one relayout
+    assert arena.bytes_copied == MAT  # A and C alias, B converted
     # bind_pinned never copies, so it refuses the same feed.
     all_f = [np.asfortranarray(f) for f in feeds]
     with pytest.raises(ValueError, match="order 'C'"):
         plan.bind_pinned(all_f, plan.new_arena())
 
 
-def test_elementwise_result_is_relaid_once_for_all_consumers():
-    """Two GEMMs read ``B + C``: still one relayout, placed right behind
-    the add; a slice of the same value just reads the F copy."""
+def test_elementwise_result_feeds_blas_without_relayout():
+    """Two GEMMs and a slice read ``B + C``: every consumer reads the
+    add's one C buffer — the GEMMs through its Fortran view — and a warm
+    call copies nothing."""
     a, b, c = (random_general(N, seed=s) for s in (1, 2, 3))
 
     def fn(p, q, r):
@@ -190,15 +201,20 @@ def test_elementwise_result_is_relaid_once_for_all_consumers():
 
     graph = trace(fn, [a, b, c])
     plan = compile_plan(graph)
-    ops = [i.op for i in plan.instructions]
-    assert ops.count("relayout") == 1
-    assert ops[ops.index("add") + 1] == "relayout"
+    assert [i.op for i in plan.instructions] \
+        == ["add", "matmul", "matmul", "slice"]
+    add = plan.instructions[0].out_slot
+    for gemm in plan.instructions[1:3]:
+        assert add in gemm.arg_slots and gemm.views == (0, 1)
     feeds = [t.data for t in (a, b, c)]
     outs_i, rep_i = Interpreter(record=True).run(graph, feeds)
-    outs, rep = plan.execute(feeds, arena=plan.new_arena())
+    arena = plan.new_arena()
+    plan.execute(feeds, arena=arena)
+    before = arena.bytes_copied
+    outs, rep = plan.execute(feeds, arena=arena)
+    assert arena.bytes_copied == before
     for got, want in zip(outs, outs_i):
         assert got.tobytes() == want.tobytes()
-    # The relayout models nothing: the report is the Interpreter's.
     assert rep.calls == rep_i.calls
     assert rep.peak_bytes == rep_i.peak_bytes
     assert rep.live_bytes == rep_i.live_bytes
@@ -351,22 +367,21 @@ class TestHandOff:
                     assert got.tobytes() == ref.tobytes()
 
     def test_results_keep_their_producers_layout(self):
-        """BLAS writes F, the C-computing kernels C; nothing is
-        transposed on the way out — and a result chained into the next
-        compiled call aliases at zero bytes."""
+        """BLAS writes C through the Fortran view of its destination, and
+        so does every other kernel; nothing is transposed on the way out
+        — and a result chained into the next compiled call aliases at
+        zero bytes."""
         a, b = random_general(32, seed=1), random_general(32, seed=2)
         with api.Session(fusion=True) as s:
             gemm = s.compile(lambda p, q: p @ q)
             add = s.compile(lambda p, q: p + q)
             g = gemm(a, b)
-            assert g.data.flags.f_contiguous
+            assert g.data.flags.c_contiguous
             assert add(a, b).data.flags.c_contiguous
             chained = gemm(g, g)
             assert np.array_equal(chained.data, blas3.gemm(g.data, g.data))
             staged = gemm.get_concrete(g, g).binding.arena.bytes_copied
-            assert staged == a.data.nbytes + b.data.nbytes
-            # C where C is required is one call away.
-            assert np.ascontiguousarray(g.data).flags.c_contiguous
+            assert staged == 0
 
     def test_hand_off_allocates_no_copy_for_written_results(self):
         """The array a caller gets *is* the buffer the final kernel wrote
@@ -416,9 +431,9 @@ def test_plan_cache_computes_the_signature_once_per_build(monkeypatch):
 
 
 def test_loop_body_feeds_alias_every_trip():
-    """Loop bodies are compiled against F-laid feeds, and the loop
-    demands F of the captures the body cares about: the outer plan stages
-    once per call, no trip copies."""
+    """Loop bodies take C-laid feeds like every plan, and the loop wants
+    C of the captures the body cares about: C feeds alias in the outer
+    plan, and no trip copies."""
     a = random_general(N, seed=1)
     m = random_general(N, seed=2)
 
@@ -427,7 +442,7 @@ def test_loop_body_feeds_alias_every_trip():
 
     graph = default_pipeline().run(trace(fn, [a, m]))
     plan = compile_plan(graph, fusion=True)
-    assert [plan.slot_orders[s.slot] for s in plan.inputs] == ["F", "F"]
+    assert [plan.slot_orders[s.slot] for s in plan.inputs] == ["C", "C"]
     arena = plan.new_arena()
     feeds = [a.data, m.data]
     ref, _ = Interpreter(record=False).run(graph, feeds)
@@ -439,4 +454,4 @@ def test_loop_body_feeds_alias_every_trip():
     before = arena.bytes_copied
     plan.execute(feeds, record=False, arena=arena)
     assert [child.bytes_copied for child in state.arenas] == copied
-    assert arena.bytes_copied - before == 2 * MAT
+    assert arena.bytes_copied - before == 0

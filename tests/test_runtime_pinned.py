@@ -10,11 +10,12 @@ Contracts under test:
 * ``Plan.pin_slot`` backs an arena slot with caller-owned storage;
   instructions write the slot's value straight into it, and a pinned
   slot refuses to be silently reallocated away.
-* The compiler's per-slot memory orders: BLAS destinations and the
-  operands BLAS reads as matrices are "F", tridiagonal destinations go
-  "C", inputs no kernel's layout depends on are "A" (any contiguous
-  array binds), and the binding rule checks feeds against the slot's
-  declared order (``tests/test_runtime_layout.py`` pins the plan itself).
+* The compiler's per-slot memory orders: every computed value, and every
+  input a kernel wants C-contiguous (a matrix BLAS reads through its
+  Fortran view, an elementwise operand), is "C"; inputs no kernel's
+  layout depends on are "A" (any contiguous array binds), and the
+  binding rule checks feeds against the slot's declared order
+  (``tests/test_runtime_layout.py`` pins the plan itself).
 * The certified serving pass is one generated straight-line function per
   plan — a call line per instruction, no loop or branch — built on the
   first certified pass (never by a plan executed once), readable as
@@ -71,11 +72,8 @@ def _structured_workload():
 
 
 def _ordered_feeds(plan, feeds):
-    return [
-        np.asfortranarray(f) if plan.slot_orders[spec.slot] == "F"
-        else np.ascontiguousarray(f)
-        for spec, f in zip(plan.inputs, feeds)
-    ]
+    """Feeds laid out as every slot accepts: C-contiguous."""
+    return [np.ascontiguousarray(f) for f in feeds]
 
 
 class TestPinnedBinding:
@@ -123,11 +121,11 @@ class TestPinnedBinding:
         bad_shape = [np.ones((3, 3), dtype=np.float32), *feeds[1:]]
         with pytest.raises(GraphError, match="shape"):
             plan.bind_pinned(bad_shape, arena)
-        # Dispatch inputs are all F slots; C-only arrays fail the layout
+        # Dispatch inputs are all C slots; F-only arrays fail the layout
         # check by name.
-        c_ordered = [np.ascontiguousarray(f) for f in feeds]
+        f_ordered = [np.asfortranarray(f) for f in feeds]
         with pytest.raises(ValueError, match="contiguous"):
-            plan.bind_pinned(c_ordered, arena)
+            plan.bind_pinned(f_ordered, arena)
 
 
 class TestGeneratedServingPass:
@@ -204,7 +202,7 @@ class TestGeneratedServingPass:
             num_slots=4,
             signature=(),
         )
-        feeds = [np.asfortranarray(np.eye(2, dtype=np.float32))] * 2
+        feeds = [np.eye(2, dtype=np.float32)] * 2
         binding = plan.bind_pinned(feeds, plan.new_arena())
         binding.execute()
         assert np.array_equal(binding.execute()[0], -2 * np.eye(2))
@@ -227,12 +225,13 @@ class TestSlotOrdersAndPinning:
         graph, _ = _structured_workload()
         plan = compile_plan(graph, fusion=True)
         by_slot = dict(enumerate(plan.slot_orders))
-        # TRMM reads its triangle as a matrix: F.  The tridiagonal matrix
-        # is read through its bands and the RHS row by row — neither
-        # kernel's layout depends on them, so they bind as they come —
-        # and the tridiagonal result + scratch are C-ordered destinations.
+        # TRMM reads its triangle as a matrix, through the Fortran view
+        # of a C buffer: C.  The tridiagonal matrix is read through its
+        # bands and the RHS row by row — neither kernel's layout depends
+        # on them, so they bind as they come — and the tridiagonal
+        # result + scratch are C-ordered destinations like every other.
         l_slot, t_slot, b_slot = (spec.slot for spec in plan.inputs)
-        assert by_slot[l_slot] == "F"
+        assert by_slot[l_slot] == "C"
         assert by_slot[t_slot] == "A"
         assert by_slot[b_slot] == "A"
         tri = next(i for i in plan.instructions if "tridiag" in
@@ -240,10 +239,10 @@ class TestSlotOrdersAndPinning:
         assert plan.slot_orders[tri.out_slot] == "C"
         assert plan.slot_orders[tri.scratch] == "C"
 
-    def test_dispatch_plan_stays_fortran(self):
+    def test_dispatch_plan_is_c_ordered(self):
         graph, _ = _dispatch_workload()
         plan = compile_plan(graph, fusion=True)
-        assert set(plan.slot_orders) == {"F"}
+        assert set(plan.slot_orders) == {"C"}
 
     def test_binding_rule_respects_slot_order(self):
         graph, feeds = _structured_workload()
@@ -256,10 +255,10 @@ class TestSlotOrdersAndPinning:
             assert np.array_equal(outs[0], out_ref[0])
         assert arena.bytes_copied == 0
         # The tridiagonal RHS slot takes any contiguous layout; TRMM's
-        # triangle is an F slot: a C-only array there is the one that
+        # triangle is a C slot: an F-only array there is the one that
         # gets staged.
         wrong = list(ordered)
-        wrong[0] = np.ascontiguousarray(feeds[0])
+        wrong[0] = np.asfortranarray(feeds[0])
         wrong[2] = np.asfortranarray(feeds[2])
         outs, _ = plan.execute(wrong, record=False, arena=arena)
         assert np.array_equal(outs[0], out_ref[0])
@@ -268,8 +267,8 @@ class TestSlotOrdersAndPinning:
     def test_unordered_slot_aliases_default_tensor(self):
         """A tridiagonal input's slot demands no order, so the
         C-contiguous array a ``Tensor`` carries by default is aliased,
-        not staged — while the same tensor against TRMM's F slot is
-        copied."""
+        not staged — and so is the same tensor against TRMM's C slot:
+        nothing is copied."""
         graph, feeds = _structured_workload()
         plan = compile_plan(graph, fusion=True)
         tensors = [Tensor(f) for f in feeds]
@@ -279,16 +278,15 @@ class TestSlotOrdersAndPinning:
         l_spec, t_spec, b_spec = plan.inputs
         assert arena.buffers[t_spec.slot] is None
         assert arena.buffers[b_spec.slot] is None
-        assert arena.buffers[l_spec.slot] is not None
-        assert arena.bytes_copied == feeds[0].nbytes
+        assert arena.buffers[l_spec.slot] is None
+        assert arena.bytes_copied == 0
 
     def test_pin_slot_writes_through_external_buffer(self):
         graph, feeds = _dispatch_workload()
         plan = compile_plan(graph, fusion=True)
         arena = plan.new_arena()
         out_slot = plan.output_slots[0]
-        external = np.empty(plan.slot_shape(out_slot), dtype=np.float32,
-                            order="F")
+        external = np.empty(plan.slot_shape(out_slot), dtype=np.float32)
         plan.pin_slot(arena, out_slot, external)
         outs, _ = plan.execute(feeds, record=False, arena=arena)
         assert outs[0] is external
@@ -300,7 +298,7 @@ class TestSlotOrdersAndPinning:
         out_slot = plan.output_slots[0]
         with pytest.raises(ValueError, match="shape"):
             plan.pin_slot(arena, out_slot,
-                          np.empty((2, 2), dtype=np.float32, order="F"))
+                          np.empty((2, 2), dtype=np.float32))
         with pytest.raises(ValueError, match="contiguous"):
             plan.pin_slot(
                 arena, out_slot,
@@ -312,8 +310,7 @@ class TestSlotOrdersAndPinning:
         plan = compile_plan(graph, fusion=True)
         arena = plan.new_arena()
         out_slot = plan.output_slots[0]
-        external = np.empty(plan.slot_shape(out_slot), dtype=np.float64,
-                            order="F")
+        external = np.empty(plan.slot_shape(out_slot), dtype=np.float64)
         plan.pin_slot(arena, out_slot, external)
         # float32 execution needs a float32 buffer; the pin makes the
         # mismatch loud instead of silently dropping the external buffer.
@@ -329,8 +326,8 @@ class TestSlotOrdersAndPinning:
         assert [d.name for d in inputs] == [p.name for p in plan.inputs]
         assert len(outputs) == len(plan.output_slots)
         for d in descs:
-            # The allocation order: an "A" slot is laid out in C.
-            assert d.order == ("F" if plan.slot_orders[d.slot] == "F" else "C")
+            # Every slot is laid out in C, an "A" slot included.
+            assert d.order == "C"
             assert d.nbytes == int(np.prod(d.shape)) * 4
 
 
@@ -340,7 +337,7 @@ class TestSessionPin:
             t1 = s.pin("x", (8, 8))
             t2 = s.pin("x", (8, 8))
             assert t1 is t2
-            assert t1.data.flags.f_contiguous
+            assert t1.data.flags.c_contiguous
             assert not t1.data.any()
             with pytest.raises(ConfigError, match="already exists"):
                 s.pin("x", (4, 4))
