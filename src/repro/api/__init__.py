@@ -11,7 +11,7 @@ plan cache.  This package redesigns that surface around an explicit
   compile/run surface: ``session.compile(fn, backend=...)``,
   ``session.run(...)``, ``session.run_batch(feeds)``, ``session.stats()``.
 * :class:`Options` — pipeline choice, cache capacity, validation level,
-  constant folding, kernel fusion, sharding, plan store and autotuning
+  constant folding, kernel fusion, sharding and plan store
   (``Options(fusion=True)`` turns on the fused kernels without touching
   any call site).  Every compiled function runs through its own
   preallocated arena whatever the options.

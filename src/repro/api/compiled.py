@@ -78,18 +78,10 @@ class Concrete:
     #: Guards the binding: one buffer set supports one execution at a
     #: time, so concurrent calls through one concrete serialize.
     lock: threading.Lock = dataclasses.field(default_factory=threading.Lock)
-    #: Autotune bookkeeping (set by ``Session._build`` when the session
-    #: tunes): the plan-cache key hotness is tracked under, the plan-
-    #: store trace key promotions re-alias, and whether this concrete is
-    #: done tuning (raced, restored from the store, or claimed by a
-    #: concurrent race).
-    cache_key: "tuple | None" = None
-    trace_key: "str | None" = None
-    autotune_done: bool = False
 
     def install(self, plan: Plan) -> None:
-        """Swap in ``plan`` (an autotune winner, or the same plan when
-        the session closes) over fresh, empty buffers.  Caller holds
+        """Bind ``plan`` over fresh, empty buffers (``Session.close``
+        reinstalls the same plan to drop the old arena).  Caller holds
         :attr:`lock`."""
         self.plan = plan
         self.binding = PinnedBinding(plan, plan.new_arena())
@@ -229,11 +221,9 @@ class Compiled:
 
     def _call_in(self, session, args: Sequence[Tensor]):
         concrete = self._concrete_in(session, args)
-        datas = [a.data for a in args]
         start = time.perf_counter()
-        outputs, report = concrete.execute(datas)
+        outputs, report = concrete.execute([a.data for a in args])
         session._record_exec(concrete.plan, time.perf_counter() - start)
-        session._maybe_autotune(concrete, datas)
         self.last_report = report
         return self._wrap(outputs)
 

@@ -106,16 +106,6 @@ class Options:
         ``REPRO_FAULTS`` grammar), or ``None``.  Installed
         process-wide when the session is constructed — chaos testing
         only, never production.
-    autotune:
-        Online plan autotuning (``None``/``False`` off, ``True`` for
-        defaults, a dict of :class:`~repro.runtime.AutotuneConfig`
-        fields, or an ``AutotuneConfig``).  Hot signatures race 2–4
-        candidate plans — rewrite derivations plus compile-knob
-        variants — on the caller's real feeds; a winner that is
-        bit-identical to the canonical outputs and beats them by the
-        configured margin is atomically promoted into the plan cache
-        and (with ``plan_store``) persisted with its derivation
-        record, so restarts serve the tuned plan with zero re-tuning.
     """
 
     backend: str = "tfsim"
@@ -130,7 +120,6 @@ class Options:
     shard_wave_deadline: float | None = None
     shard_fallback: str = "error"
     faults: object = None
-    autotune: object = None
 
     def validate(self) -> None:
         """Raise :class:`ConfigError` if any field is out of range."""
@@ -197,10 +186,6 @@ class Options:
                     "faults must be a FaultPlan, FaultSpec, spec string, or "
                     f"None, got {type(self.faults).__name__}"
                 )
-        if self.autotune is not None:
-            from ..runtime.autotune import AutotuneConfig
-
-            AutotuneConfig.normalize(self.autotune)  # raises ConfigError
 
     def replace(self, **overrides: object) -> "Options":
         """A validated copy with ``overrides`` applied."""

@@ -44,9 +44,7 @@ from ..runtime import (
     ShardWorkerError,
 )
 from ..runtime import cache as _cache_module
-from ..runtime.autotune import Autotuner, AutotuneConfig, AutotuneStats
 from ..runtime.plan import Plan
-from ..runtime.signature import graph_signature
 from ..tensor.tensor import Tensor
 from .compiled import Compiled, Concrete
 from .options import Options
@@ -137,11 +135,11 @@ class SessionStats:
     store_corrupt_evicted: int = 0
     store_bytes_mapped: int = 0
     store_seconds_saved: float = 0.0
-    #: Online autotuning (PR 10): the session autotuner's counters —
-    #: signatures tuned, candidates raced/rejected, promotions (live and
-    #: restored from the store), tuning wall time and the last measured
-    #: speedup.  ``None`` when the session doesn't tune.
-    autotune: "AutotuneStats | None" = None
+    #: Always ``None``: online autotuning is gone.  A class attribute,
+    #: not a field, kept only because the frozen e2e benchmark probes it
+    #: (``benchmarks/e2e/laab_e2e/serve_mixed.py:345``); ROADMAP item 1
+    #: deletes that probe, and this attribute with it.
+    autotune = None
 
     @property
     def fused_sites(self) -> int:
@@ -206,8 +204,6 @@ class SessionStats:
                 f"~{self.store_seconds_saved:.4f}s saved "
                 f"({self.plan_store})"
             )
-        if self.autotune is not None:
-            lines.append(self.autotune.render())
         if self.plans:
             lw = max(12, max(len(p.label) for p in self.plans))
             bw = max(7, max(len(p.backend) for p in self.plans))
@@ -265,13 +261,6 @@ class Session:
             PlanStore(self.options.plan_store)
             if self.options.plan_store is not None
             else None
-        )
-        #: Online autotuner (``Options(autotune=...)``); ``None`` when
-        #: off.  Per-session like the plan cache — serve tenants tuning
-        #: through their own sessions get independent budgets.
-        autotune_config = AutotuneConfig.normalize(self.options.autotune)
-        self._autotuner: Autotuner | None = (
-            Autotuner(autotune_config) if autotune_config is not None else None
         )
         # Weak keys: accounting must not pin plans the LRU has evicted
         # and nothing else references — a stats row lives as long as its
@@ -413,9 +402,6 @@ class Session:
         self._record_exec(
             concrete.plan, time.perf_counter() - start, count=len(feed_sets)
         )
-        self._maybe_autotune(
-            concrete, [t.data for t in feed_sets[0]], count=len(feed_sets)
-        )
         return result
 
     # -- sharded + pinned serving ------------------------------------------------
@@ -513,9 +499,6 @@ class Session:
         self._record_exec(
             concrete.plan, time.perf_counter() - start, count=len(feed_sets)
         )
-        self._maybe_autotune(
-            concrete, [t.data for t in feed_sets[0]], count=len(feed_sets)
-        )
         return result
 
     def _shard_pool(
@@ -579,8 +562,6 @@ class Session:
         instead of rebuilding worker processes nobody would tear down.
         """
         self._closed = True
-        if self._autotuner is not None:
-            self._autotuner.close()
         self.close_shard_pools()
         with self._lock:
             concretes = list(self._concretes)
@@ -654,11 +635,6 @@ class Session:
             store_seconds_saved=(
                 self.plan_store.stats.seconds_saved if self.plan_store else 0.0
             ),
-            autotune=(
-                self._autotuner.stats()
-                if self._autotuner is not None
-                else None
-            ),
         )
 
     # -- internals ---------------------------------------------------------------
@@ -693,34 +669,17 @@ class Session:
         # build and write the artifact back.
         optimized = None
         trace_key = None
-        alias_record = None
         if store is not None:
             trace_key = store.trace_key(
                 graph, backend=profile.name, pipeline=pipeline_choice,
                 fold_constants=fold, fusion=fusion,
             )
-            optimized, alias_record = store.load_graph_with_record(trace_key)
+            optimized = store.load_graph(trace_key)
         warm_start = optimized is not None
-        # A promoted autotune winner re-aliased this trace: the stored
-        # graph is the *winner's* (possibly a rewrite derivation), and
-        # the record carries the knobs it raced with — a fusion-flip
-        # winner must recompile with its own fusion setting, not the
-        # session's.  Restored winners never re-tune.
-        restored_promotion = (
-            warm_start
-            and isinstance(alias_record, dict)
-            and "winner" in alias_record
-        )
-        build_fold, build_fusion = fold, fusion
-        if restored_promotion:
-            build_fold = bool(alias_record.get("fold_constants", fold))
-            build_fusion = bool(alias_record.get("fusion", fusion))
         if warm_start:
             pipeline_log = (
                 f"plan store warm start ({pipeline_choice} passes skipped)"
             )
-            if restored_promotion:
-                pipeline_log += " | autotuned winner restored"
         else:
             pipeline = profile.pipeline(pipeline_choice)
             optimized = pipeline.run(graph)
@@ -729,8 +688,8 @@ class Session:
             validate_graph(optimized)
         plan, compiled_here = self.plan_cache.get_with_info(
             optimized,
-            fold_constants=build_fold,
-            fusion=build_fusion,
+            fold_constants=fold,
+            fusion=fusion,
             via_store=warm_start,
         )
         elapsed = time.perf_counter() - start
@@ -770,21 +729,9 @@ class Session:
             # One arena per concrete specialization: executions of this
             # function in this session reuse its preallocated buffers.
             binding=PinnedBinding(plan, plan.new_arena()),
-            cache_key=(
-                (graph_signature(optimized), build_fold, build_fusion)
-                if self._autotuner is not None
-                else None
-            ),
-            trace_key=trace_key,
         )
         with self._lock:
             self._concretes.add(concrete)
-        if restored_promotion:
-            # The tuned plan is already in hand — no hotness tracking,
-            # no race, zero tuning seconds this process.
-            concrete.autotune_done = True
-            if self._autotuner is not None:
-                self._autotuner.mark_restored(concrete.cache_key)
         return concrete
 
     def _record_exec(self, plan: Plan, seconds: float, *, count: int = 1) -> None:
@@ -796,86 +743,6 @@ class Session:
                 )
             rec.executions += count
             rec.exec_seconds += seconds
-
-    # -- autotuning ----------------------------------------------------------------
-
-    def _maybe_autotune(
-        self, concrete: Concrete, datas: Sequence[np.ndarray], *,
-        count: int = 1,
-    ) -> None:
-        """Hotness bookkeeping + race trigger — called after every
-        execution through ``concrete``.
-
-        Sub-microsecond when the session doesn't tune or the concrete is
-        already tuned; otherwise folds ``count`` executions into the
-        plan-cache stats row and, on crossing the threshold, claims the
-        key (exactly one racer per key, across threads) and races on
-        *these* feeds — the real traffic that made the signature hot.
-        """
-        tuner = self._autotuner
-        if tuner is None or concrete.autotune_done \
-                or concrete.cache_key is None:
-            return
-        hotness = self.plan_cache.note_execution(
-            concrete.cache_key, count=count
-        )
-        if hotness < tuner.config.hot_threshold:
-            return
-        if not tuner.claim(concrete.cache_key):
-            concrete.autotune_done = True  # raced (or racing) elsewhere
-            return
-        concrete.autotune_done = True
-        if tuner.config.mode == "worker":
-            # The race outlives this call — snapshot the feeds so pinned
-            # buffers rewritten in place can't skew the measurement.
-            feeds = [np.array(d) for d in datas]
-        else:
-            feeds = list(datas)
-        tuner.tune(self, concrete, feeds)
-
-    def _apply_promotion(
-        self, concrete: Concrete, winner, record: dict
-    ) -> None:
-        """Install a race winner: plan cache, live concrete, plan store.
-
-        Called by the autotuner (possibly from its worker-driving
-        thread).  The cache swap makes every *future* build of this
-        signature resolve to the winner; the concrete swap (under its
-        lock, paired with fresh buffers and the winner's report) moves
-        the live serving path over atomically; the store
-        re-alias persists the winner plus its derivation record so a
-        restarted process warm-starts straight onto it.
-        """
-        winner_plan = winner.plan
-        if winner_plan is None:
-            return
-        canonical_plan = concrete.plan
-        if concrete.cache_key is not None:
-            self.plan_cache.promote(concrete.cache_key, winner_plan)
-        with concrete.lock:
-            concrete.install(winner_plan)
-        with self._lock:
-            old = self._plan_stats.get(canonical_plan)
-            if winner_plan not in self._plan_stats:
-                self._plan_stats[winner_plan] = PlanStats(
-                    labels=old.labels if old else ("<autotuned>",),
-                    backends=old.backends if old else ("?",),
-                    pipelines=tuple(
-                        dict.fromkeys(
-                            (old.pipelines if old else ())
-                            + ("autotuned",)
-                        )
-                    ),
-                    plan_compile_seconds=winner_plan.compile_seconds,
-                )
-        store = self.plan_store
-        if store is not None and concrete.trace_key is not None:
-            plan_key = store.put_plan(winner_plan)
-            if plan_key is not None:
-                store.put_alias(
-                    concrete.trace_key, plan_key,
-                    record=record, overwrite=True,
-                )
 
     # -- context management -------------------------------------------------------
 

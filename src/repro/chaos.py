@@ -4,8 +4,7 @@
 that into a *verdict*.  :func:`chaos_run` executes a fixed schedule of
 fault scenarios — worker crash, SIGTERM-ignoring hang, garbled wave
 reply, in-worker exception, serve-dispatch failure, torn store artifact,
-mid-run pool loss with inline fallback, a mid-compile fault during
-autotune candidate generation — against one known workload and
+mid-run pool loss with inline fallback — against one known workload and
 checks, for every phase, the only two outcomes robustness allows:
 
 * **bit-correct answers** (``np.array_equal`` against the in-process
@@ -384,41 +383,6 @@ def chaos_run(
             wrong or "broken pool downgraded inline, batch bit-correct",
         )
 
-    # -- phase 9: mid-compile fault during autotune candidate generation -------
-    def phase_autotune():
-        from . import api
-
-        with api.Session(api.Options(autotune={
-            "hot_threshold": 3, "max_candidates": 2,
-            "budget_seconds": 0.05, "knob_variants": False,
-        })) as session:
-            args = [random_general(n, seed=s) for s in (31, 32, 33)]
-            want = (args[0].data @ args[1].data) @ args[2].data
-
-            f = session.compile(lambda x, y, z: (x @ y) @ z)
-            out = f(*args)  # canonical build lands before the fault
-            # Every pipeline run from here on dies mid-compile — which
-            # is exactly where derivation candidates normalize.  The
-            # drill passes iff the race degrades to canonical-only: no
-            # promotion, no tuning error, answers still bit-correct.
-            faults.install("optimize.pass:error@1x999")
-            for _ in range(6):
-                out = f(*args)
-            at = session.stats().autotune
-            wrong = None
-            if not np.array_equal(out.data, want):
-                wrong = "post-fault autotune answer diverged"
-            if not wrong and at.signatures_tuned != 1:
-                wrong = f"signatures_tuned={at.signatures_tuned}, expected 1"
-            if not wrong and at.promotions != 0:
-                wrong = f"promotions={at.promotions}, expected 0 (fallback)"
-            if not wrong and at.tuning_errors != 0:
-                wrong = f"tuning_errors={at.tuning_errors}, expected 0"
-        return ChaosPhase(
-            "autotune", wrong is None,
-            wrong or "faulted candidate derivation dropped, canonical served",
-        )
-
     run_phase("clean", phase_clean)
     run_phase("crash", phase_crash)
     run_phase("hang", phase_hang)
@@ -427,7 +391,6 @@ def chaos_run(
     run_phase("serve", phase_serve)
     run_phase("store", phase_store)
     run_phase("fallback", phase_fallback)
-    run_phase("autotune", phase_autotune)
 
     return ChaosReport(
         phases=phases, shards=shards, feeds=feeds, start_method=start_method

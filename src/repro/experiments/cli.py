@@ -13,8 +13,6 @@ Examples::
     laab graphs                     # print Fig. 3 / Fig. 4 DAGs
     laab serve-bench --shards 2     # async serving front-end under load
     laab chaos --shards 2           # scripted fault-injection drill
-    laab run exp1 --autotune        # race candidate plans on hot signatures
-    laab autotune --store DIR       # autotune demo: race, promote, persist
     laab store-gc DIR --max-bytes N # bound a plan store (LRU eviction)
 
 Every ``run`` executes inside its own :class:`repro.api.Session`, so the
@@ -127,38 +125,6 @@ def _build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--threads", type=int, default=1,
                        help="BLAS threads (paper: 1)")
 
-    autotune = sub.add_parser(
-        "autotune",
-        help="online-autotuning demo: drive a structured matrix chain "
-             "until it crosses the hotness threshold, race rewrite "
-             "derivations against the canonical plan on the real feeds, "
-             "and report the promotion (persisted when --store is given)",
-    )
-    autotune.add_argument("--n", type=int, default=256,
-                          help="matrix dimension of the chain workload")
-    autotune.add_argument("--calls", type=int, default=12,
-                          help="executions to drive (>= hotness threshold)")
-    autotune.add_argument("--hot-threshold", type=int, default=8,
-                          help="executions before the signature tunes")
-    autotune.add_argument("--budget", type=float, default=0.25,
-                          help="racing budget, seconds "
-                               "(REPRO_AUTOTUNE_BUDGET overrides)")
-    autotune.add_argument("--mode", choices=("inline", "worker"),
-                          default="inline",
-                          help="race in the triggering call, or in a "
-                               "dedicated worker process off the hot path")
-    autotune.add_argument("--seed", type=int, default=0,
-                          help="feed-content seed (integer-valued feeds "
-                               "keep chain reassociation bit-exact)")
-    autotune.add_argument(
-        "--store", metavar="DIR", default=None,
-        help="persistent plan store: the promoted winner (plus its "
-             "derivation record) survives restarts — re-run with the "
-             "same DIR to see promotions_restored with zero tuning",
-    )
-    autotune.add_argument("--threads", type=int, default=1,
-                          help="BLAS threads (paper: 1)")
-
     store_gc = sub.add_parser(
         "store-gc",
         help="garbage-collect a persistent plan store: remove orphan "
@@ -208,14 +174,6 @@ def _add_mode_flags(parser: argparse.ArgumentParser) -> None:
              "optimization passes and the cold compile), write misses "
              "back, and report store size, hit/miss/write counts and "
              "the build seconds warm starts saved",
-    )
-    parser.add_argument(
-        "--autotune",
-        action="store_true",
-        help="online plan autotuning: hot signatures race rewrite "
-             "derivations and compile-knob variants on real feeds and "
-             "promote bit-identical winners into the plan cache (and "
-             "the --store, when given)",
     )
 
 
@@ -276,7 +234,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         fusion=getattr(args, "fusion", False),
         shards=getattr(args, "shards", None),
         plan_store=getattr(args, "store", None),
-        autotune=getattr(args, "autotune", False) or None,
     ) as session:
         for name in names:
             info = get_experiment(name)
@@ -352,60 +309,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_autotune(args: argparse.Namespace) -> int:
-    limit_threads(args.threads)
-    import time
-
-    import numpy as np
-
-    from ..api import Options, Session
-    from ..tensor.tensor import Tensor
-
-    n = args.n
-    # Integer-valued feeds: chain reassociation stays bit-exact (float32
-    # sums of small integers are exact), so derivation candidates can
-    # pass the bit-identity gate and the demo shows a real promotion.
-    rng = np.random.default_rng(args.seed)
-    a = Tensor(rng.integers(0, 4, (n, n)).astype(np.float32))
-    b = Tensor(rng.integers(0, 4, (n, n)).astype(np.float32))
-    x = Tensor(rng.integers(0, 4, (n, 1)).astype(np.float32))
-    want = (a.data @ b.data) @ x.data
-    calls = max(args.calls, args.hot_threshold + 1)
-    print(f">>> autotune demo: (A @ B) @ x chain, n = {n}, "
-          f"{calls} calls, threshold {args.hot_threshold}, "
-          f"budget {args.budget:g}s, mode {args.mode}")
-    with Session(Options(
-        autotune={
-            "hot_threshold": args.hot_threshold,
-            "budget_seconds": args.budget,
-            "mode": args.mode,
-        },
-        plan_store=args.store,
-    )) as session:
-        chain = session.compile(lambda p, q, v: (p @ q) @ v)
-        out = None
-        for _ in range(calls):
-            out = chain(a, b, x)
-        if args.mode == "worker":
-            # The race runs off the hot path; give it a moment to land.
-            deadline = time.time() + max(args.budget * 4 + 30.0, 5.0)
-            while time.time() < deadline:
-                if session.stats().autotune.signatures_tuned >= 1:
-                    break
-                time.sleep(0.05)
-        ok = out is not None and np.array_equal(out.data, want)
-        print("answers bit-correct:", "yes" if ok else "NO")
-        print()
-        print(session.stats().render())
-        if session.plan_store is not None:
-            print()
-            print(session.plan_store.render())
-        tuned = session.stats().autotune
-    if not ok:
-        return 1
-    return 0 if tuned.signatures_tuned or tuned.promotions_restored else 1
-
-
 def _cmd_store_gc(args: argparse.Namespace) -> int:
     import os
 
@@ -437,7 +340,6 @@ def _cmd_cache_stats(args: argparse.Namespace) -> int:
         fusion=args.fusion,
         shards=args.shards,
         store=args.store,
-        autotune=args.autotune,
     ))
 
 
@@ -457,8 +359,6 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_serve_bench(args)
     if args.command == "chaos":
         return _cmd_chaos(args)
-    if args.command == "autotune":
-        return _cmd_autotune(args)
     if args.command == "store-gc":
         return _cmd_store_gc(args)
     raise AssertionError("unreachable")  # pragma: no cover

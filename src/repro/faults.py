@@ -19,9 +19,6 @@ site                      where it fires
 ``pipe.recv``             pool parent, after receiving a wave reply
 ``store.load``            :meth:`PlanStore._load_artifact`, before reading
 ``serve.dispatch``        :meth:`Server._run_wave_sync`, before the batch run
-``optimize.pass``         :meth:`PassPipeline.run`, before each pass — a
-                          mid-compile crash (also hits autotune candidate
-                          normalization, which must fall back to canonical)
 ========================  ====================================================
 
 Actions

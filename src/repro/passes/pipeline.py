@@ -40,8 +40,6 @@ class PassPipeline:
         self.history: list[PassStats] = []
 
     def run(self, graph: Graph) -> Graph:
-        from .. import faults
-
         self.history = []
         # Nodes validated so far in *this* run.  Holds the nodes
         # themselves so a rewritten-away node's address cannot be reused
@@ -50,12 +48,6 @@ class PassPipeline:
         if self.validate:
             validate_graph(graph, checked=checked)
         for p in self.passes:
-            # Chaos site: a deterministic mid-compile failure.  An
-            # "error" spec raises InjectedFault out of the optimize
-            # stage — on the session build path that surfaces to the
-            # caller; on the autotune candidate-generation path it must
-            # be swallowed and the canonical plan kept.
-            faults.fire("optimize.pass")
             before = graph
             try:
                 graph = p.run(graph)

@@ -30,7 +30,6 @@ from .cost import expr_flops
 from .rules import DEFAULT_RULES, Rule, RuleApplication
 from .derivation import DerivationGraph, DerivationResult
 from .generator import best_variant, variants
-from .bridge import BRIDGED_OPS, expr_to_graph, graph_to_expr
 
 __all__ = [
     "Expr",
@@ -49,7 +48,4 @@ __all__ = [
     "DerivationResult",
     "variants",
     "best_variant",
-    "graph_to_expr",
-    "expr_to_graph",
-    "BRIDGED_OPS",
 ]

@@ -55,13 +55,8 @@ This package is that compile-once / execute-many layer:
                and shard workers warm-start instead of recompiling.
                Bounded by :meth:`PlanStore.gc` (LRU-by-atime eviction,
                orphan and dangling-alias sweeps — ``laab store-gc``).
-``autotune``   Online plan autotuning — hot signatures race rewrite
-               derivations and compile-knob variants on real feeds,
-               bit-identity-gated, and promote the winner into the
-               cache and the store (``Options(autotune=...)``).
 """
 
-from .autotune import AutotuneConfig, AutotuneStats, Autotuner
 from .cache import CacheStats, PlanCache
 from .compiler import compile_plan
 from .fusion import FusionStats, fuse_instructions
@@ -79,9 +74,6 @@ from .signature import graph_signature
 from .store import GCStats, PlanStore, StoreStats, runtime_fingerprint
 
 __all__ = [
-    "AutotuneConfig",
-    "AutotuneStats",
-    "Autotuner",
     "BatchResult",
     "CacheStats",
     "FusionStats",

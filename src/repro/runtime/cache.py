@@ -45,8 +45,6 @@ class CacheStats:
     #: either — ``misses`` stays the count of *full* compiles, which is
     #: what "a warm store compiles zero plans" is measured against.
     store_hits: int = 0
-    #: Autotune winners swapped in via :meth:`PlanCache.promote`.
-    promotions: int = 0
 
     @property
     def lookups(self) -> int:
@@ -66,10 +64,6 @@ class PlanCache:
         self.maxsize = maxsize
         self.stats = CacheStats()
         self._plans: OrderedDict[tuple, Plan] = OrderedDict()
-        #: Per-key hotness that *survives eviction*: key → [lookup
-        #: hits, executions] — what :meth:`note_execution` reports to
-        #: the autotuner.
-        self._key_stats: dict[tuple, list] = {}
         self._lock = threading.Lock()
         #: Single-flights concurrent compiles of one key (shares _lock so
         #: its callbacks mutate the LRU/stats in the election's critical
@@ -127,9 +121,6 @@ class PlanCache:
             plan = self._plans.get(key)
             if plan is not None:
                 self.stats.hits += 1
-                rec = self._key_stats.get(key)
-                if rec is not None:
-                    rec[0] += 1
                 self._plans.move_to_end(key)
             return plan
 
@@ -151,47 +142,11 @@ class PlanCache:
             if self._epoch != leader_epoch[0]:
                 return  # clear() happened mid-compile — don't repopulate
             self._plans[key] = plan
-            self._key_stats.setdefault(key, [0, 0])
             while len(self._plans) > self.maxsize:
                 self._plans.popitem(last=False)
                 self.stats.evictions += 1
 
         return self._flight.run(key, probe, build, publish, on_leader)
-
-    # -- autotune hooks --------------------------------------------------------
-
-    def note_execution(self, key: tuple, *, count: int = 1) -> int:
-        """Fold ``count`` plan executions into ``key``'s stats row.
-
-        Returns the key's *hotness* — cumulative lookup hits plus
-        executions — which is what the autotuner compares against its
-        threshold.  ``key`` is the full cache key tuple
-        ``(graph_signature(optimized), fold_constants, fusion)``; a
-        Concrete caches its plan and never re-looks it up per call, so
-        the execution count, not the hit count, is what actually grows
-        with serving traffic.
-        """
-        with self._lock:
-            rec = self._key_stats.setdefault(key, [0, 0])
-            rec[1] += count
-            return rec[0] + rec[1]
-
-    def promote(self, key: tuple, plan: Plan) -> None:
-        """Atomically swap ``plan`` in as the cached entry for ``key``.
-
-        The autotune promotion point: future lookups that resolve to
-        ``key`` (the *canonical* optimized graph and knobs) receive the
-        winning plan, even though the winner was compiled from a rewrite
-        of that graph and carries its own signature.  Re-inserts when
-        the key was evicted; respects LRU capacity.
-        """
-        with self._lock:
-            self._plans[key] = plan
-            self._plans.move_to_end(key)
-            self.stats.promotions += 1
-            while len(self._plans) > self.maxsize:
-                self._plans.popitem(last=False)
-                self.stats.evictions += 1
 
     def contains(
         self,
@@ -214,7 +169,6 @@ class PlanCache:
         with self._lock:
             self._plans.clear()
             self.stats = CacheStats()
-            self._key_stats.clear()
             self._epoch += 1
             self._flight.abandon_all_locked()
 

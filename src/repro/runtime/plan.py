@@ -15,8 +15,8 @@ one — and an :class:`~repro.ir.interpreter.ExecutionReport` equal to the
 Interpreter's field for field (kernel-call list, FLOPs, peak/live
 bytes).  Every Session call runs through its ``Concrete``'s arena; the
 arena-less ``Plan.execute(feeds)`` is the plan-level reference the
-parity suites, autotune's bit-identity gate and the benchmark's
-``runtime.plan.exec_percall_us`` probe call.
+parity suites and the benchmark's ``runtime.plan.exec_percall_us``
+probe call.
 
 The report holds by construction: every quantity in it is fixed by the
 input dtypes, so nothing that executes accounts.  The compiler hands the

@@ -78,10 +78,12 @@ __all__ = ["PlanStore", "StoreStats", "GCStats", "runtime_fingerprint",
 
 #: Artifact layout version — bumped on any change to the on-disk shape,
 #: and on any change to what a stored plan computes.  2: BLAS calls are
-#: row-major (:mod:`repro.kernels.blas3`), so artifacts and autotune
-#: alias records proven bitwise under the column-major calls must miss,
-#: not serve other bits.
-STORE_FORMAT_VERSION = 2
+#: row-major (:mod:`repro.kernels.blas3`), so artifacts proven bitwise
+#: under the column-major calls must miss, not serve other bits.  3: no
+#: alias carries a derivation record any more; a format-2 alias may
+#: point at a rewrite that was only checked bit-identical on the feeds
+#: it raced on, so it must miss rather than serve as the canonical plan.
+STORE_FORMAT_VERSION = 3
 
 #: Const payloads at or above this many bytes leave the artifact body
 #: for an ``.npy`` sidecar (mmap-loaded).  Below it, a file-per-array
@@ -350,35 +352,23 @@ class PlanStore:
                 self.gc(max_bytes=self.max_bytes)
         return key
 
-    def put_alias(
-        self, trace_key: str, plan_key: str, *,
-        record: "dict | None" = None, overwrite: bool = False,
-    ) -> None:
-        """Point ``aliases/<trace_key>`` at ``plan_key`` (idempotent).
-
-        ``record`` attaches a JSON-able dict to the alias — the autotune
-        promotion path stores the winner's derivation record and
-        measured cost here, which is how a warm restart knows the plan
-        it loaded was a tuned winner.  ``overwrite=True`` repoints an
-        existing alias (promotion re-aliases the trace to the winning
-        artifact); the default keeps the first write, as before.
-        """
+    def put_alias(self, trace_key: str, plan_key: str) -> None:
+        """Point ``aliases/<trace_key>`` at ``plan_key`` (idempotent:
+        the first write wins)."""
         path = os.path.join(self._aliases, trace_key)
-        if os.path.exists(path) and not overwrite:
+        if os.path.exists(path):
             return
         spec = {
             "format": STORE_FORMAT_VERSION,
             "fingerprint": runtime_fingerprint(),
             "target": plan_key,
         }
-        if record is not None:
-            spec["record"] = record
         blob = json.dumps(spec).encode()
         self._publish(path, lambda fh: fh.write(blob))
 
     # -- loads (never raise) ---------------------------------------------------
 
-    def _load_alias_spec(self, trace_key: str) -> "dict | None":
+    def _load_alias(self, trace_key: str) -> str | None:
         path = os.path.join(self._aliases, trace_key)
         try:
             with open(path, "rb") as fh:
@@ -389,7 +379,7 @@ class PlanStore:
             target = spec["target"]
             if not isinstance(target, str):
                 raise ValueError("bad alias target")
-            return spec
+            return target
         except FileNotFoundError:
             return None
         except Exception:
@@ -401,10 +391,6 @@ class PlanStore:
             with self._lock:
                 self.stats.corrupt_evicted += 1
             return None
-
-    def _load_alias(self, trace_key: str) -> str | None:
-        spec = self._load_alias_spec(trace_key)
-        return None if spec is None else spec["target"]
 
     def _load_artifact(self, key: str) -> "tuple[Graph, dict] | None":
         """Artifact ``key`` → (optimized graph, header) with hit/miss/
@@ -470,30 +456,12 @@ class PlanStore:
         if (trace_key is None) == (plan_key is None):
             raise TypeError("pass exactly one of trace_key/plan_key")
         if plan_key is None:
-            return self.load_graph_with_record(trace_key)[0]
+            plan_key = self._load_alias(trace_key)
+            if plan_key is None:
+                self._miss()
+                return None
         loaded = self._load_artifact(plan_key)
         return None if loaded is None else loaded[0]
-
-    def load_graph_with_record(
-        self, trace_key: str
-    ) -> "tuple[Graph | None, dict | None]":
-        """Like :meth:`load_graph` (trace-alias form), also returning the
-        alias's attached ``record``.
-
-        The record is how restarted sessions recognize an autotuned
-        winner: a promotion re-aliased this trace key to the winning
-        artifact and attached its derivation record, so a warm start
-        that sees one restores the promotion with zero re-tuning.
-        """
-        spec = self._load_alias_spec(trace_key)
-        if spec is None:
-            self._miss()
-            return None, None
-        loaded = self._load_artifact(spec["target"])
-        if loaded is None:
-            return None, None
-        record = spec.get("record")
-        return loaded[0], record if isinstance(record, dict) else None
 
     def load_plan(self, plan_key: str) -> "Plan | None":
         """Artifact → compiled :class:`Plan` (the shard-worker path).

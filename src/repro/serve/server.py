@@ -90,18 +90,6 @@ class ServerStats:
                 f"{ps['bytes_mapped'] / 1024:.1f} KiB mapped | "
                 f"~{ps['seconds_saved']:.4f}s saved"
             )
-        if self.autotune is not None:
-            at = self.autotune
-            line = (
-                f"autotune (fleet): {at['candidates_raced']} candidate(s) "
-                f"raced | {at['promotions']} promotion(s)"
-            )
-            if at["promotions"]:
-                line += f" (last +{at['speedup_pct']:.1f}%)"
-            line += f" | {at['tuning_seconds']:.4f}s tuning"
-            if at["promotions_restored"]:
-                line += f" | {at['promotions_restored']} restored from store"
-            lines.append(line)
         if self.breakers:
             parts = []
             for key, b in self.breakers.items():
@@ -127,10 +115,6 @@ class ServerStats:
     #: (closed/open/half-open) and ``consecutive_failures`` — the
     #: shedding surface operators watch in ``laab serve-bench``.
     breakers: dict = dataclasses.field(default_factory=dict)
-    #: Fleet-wide autotune counters aggregated over every tenant session
-    #: (each tenant tunes on its own budget); ``None`` when the server's
-    #: Options template doesn't autotune.
-    autotune: dict | None = None
 
 
 class Server:
@@ -418,29 +402,6 @@ class Server:
                     st.store_seconds_saved for st in tenants.values()
                 ),
             }
-        autotune_agg = None
-        if self.options.autotune:
-            rows = [
-                st.autotune for st in tenants.values()
-                if st.autotune is not None
-            ]
-            autotune_agg = {
-                "tenants": len(rows),
-                "signatures_tuned": sum(r.signatures_tuned for r in rows),
-                "candidates_raced": sum(r.candidates_raced for r in rows),
-                "candidates_rejected": sum(
-                    r.candidates_rejected for r in rows
-                ),
-                "promotions": sum(r.promotions for r in rows),
-                "promotions_restored": sum(
-                    r.promotions_restored for r in rows
-                ),
-                "tuning_seconds": sum(r.tuning_seconds for r in rows),
-                "speedup_pct": max(
-                    (r.speedup_pct for r in rows), default=0.0
-                ),
-                "tuning_errors": sum(r.tuning_errors for r in rows),
-            }
         names = {id(c): c.__name__ for c in self._compiled.values()}
         breakers = {
             f"{tenant}/{names.get(cid, hex(cid))}": {
@@ -456,7 +417,6 @@ class Server:
             tenants_render={t: st.render() for t, st in tenants.items()},
             plan_store=store_agg,
             breakers=breakers,
-            autotune=autotune_agg,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

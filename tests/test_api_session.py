@@ -82,17 +82,18 @@ class TestOptions:
             api.Options(**overrides).validate()
 
     def test_retired_mode_knobs_are_gone(self):
-        """One call path: 13 fields, none selecting an execution mode
+        """One call path: 12 fields, none selecting an execution mode
         beyond ``fusion``."""
         import dataclasses
         import inspect
 
         names = [f.name for f in dataclasses.fields(api.Options)]
-        assert len(names) == 13
-        assert not {"donate_feeds", "pin", "batch_workers", "arena"} \
-            & set(names)
+        assert len(names) == 12
+        assert not {"donate_feeds", "pin", "batch_workers", "arena",
+                    "autotune"} & set(names)
         for gone in ({"donate_feeds": True}, {"pin": True},
-                     {"batch_workers": 2}, {"arena": "preallocated"}):
+                     {"batch_workers": 2}, {"arena": "preallocated"},
+                     {"autotune": True}):
             with pytest.raises(TypeError):
                 api.Options(**gone)
         assert list(inspect.signature(api.Session.run_batch).parameters) == [

@@ -201,6 +201,10 @@ class TestBenchmarkProbeSurface:
             importlib.import_module("repro.runtime.persist")
         with pytest.raises(ImportError):
             importlib.import_module("repro.runtime.batch")
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.runtime.autotune")
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.rewrite.bridge")
 
 
 class TestOptionsSurface:
@@ -210,7 +214,7 @@ class TestOptionsSurface:
     FIELDS = [
         "backend", "pipeline", "cache_capacity", "validation",
         "fold_constants", "fusion", "shards", "plan_store", "shard_respawn",
-        "shard_wave_deadline", "shard_fallback", "faults", "autotune",
+        "shard_wave_deadline", "shard_fallback", "faults",
     ]
 
     def test_exact_field_names(self):
@@ -228,3 +232,11 @@ class TestOptionsSurface:
         with pytest.raises(errors.ConfigError, match="arena"):
             api.Options().replace(arena="per-call")
         assert not hasattr(api, "ARENA_MODES")
+
+    def test_autotune_is_not_an_option(self):
+        from repro import api
+
+        with pytest.raises(errors.ConfigError, match="autotune"):
+            api.Session(autotune=True)
+        with pytest.raises(errors.ConfigError, match="autotune"):
+            api.Options().replace(autotune={"budget_seconds": 0.1})

@@ -2,9 +2,8 @@
 
 One :func:`chaos_run` covers every recovery path end to end — worker
 crash, SIGTERM-ignoring hang (kill escalation), garbled wave reply,
-in-worker exception, serve-dispatch failure, torn store artifact,
-mid-run inline fallback and a mid-compile fault during autotune
-candidate generation — asserting bit-correct answers or typed errors,
+in-worker exception, serve-dispatch failure, torn store artifact and
+mid-run inline fallback — asserting bit-correct answers or typed errors,
 exact health counters, and zero leaked processes or shared-memory
 segments.
 
@@ -53,8 +52,7 @@ class TestChaosRun:
         assert report.ok, report.render()
         names = [p.name for p in report.phases]
         assert names == ["clean", "crash", "hang", "protocol",
-                         "exec-error", "serve", "store", "fallback",
-                         "autotune"]
+                         "exec-error", "serve", "store", "fallback"]
         by_name = {p.name: p for p in report.phases}
         # Exact recovery accounting, not just "it passed".
         assert by_name["clean"].respawns == 0

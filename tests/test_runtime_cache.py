@@ -199,6 +199,26 @@ class TestPlanCache:
         assert not cache.contains(graphs[0])  # oldest evicted
         assert cache.contains(graphs[1]) and cache.contains(graphs[2])
 
+    def test_per_key_tables_stay_bounded_by_maxsize(self):
+        """A long-lived cache (a ``Server``'s, say) sees unboundedly many
+        signatures: nothing it keeps per key may outlive LRU eviction."""
+        cache = PlanCache(maxsize=4)
+        for n in range(1, 65):
+            a = builder.input_node((n, n), "float32", name="a")
+            plan = cache.get(Graph([builder.matmul(a, a)], inputs=[a]))
+            cache.get(Graph([builder.matmul(a, a)], inputs=[a]))  # a hit
+            assert plan is not None
+        assert cache.stats.misses == 64 and cache.stats.evictions == 60
+        owners = (cache, cache._flight)
+        tables = {
+            f"{type(owner).__name__}.{name}": value
+            for owner in owners for name, value in vars(owner).items()
+            if isinstance(value, dict)
+        }
+        assert "PlanCache._plans" in tables
+        for name, table in tables.items():
+            assert len(table) <= 4, f"{name} holds {len(table)} keys"
+
     def test_lru_order_refreshed_by_hits(self):
         cache = PlanCache(maxsize=2)
         g4 = trace(lambda a: a @ a, [random_general(4, seed=1)])
