@@ -55,7 +55,7 @@ def _build_and_run(store_dir: str):
     """Compile + execute every workload fn in one session; returns
     (session stats, build wall seconds, output digests)."""
     feeds = [random_general(16, seed=s) for s in (1, 2, 3)]
-    session = api.Session(plan_store=store_dir, fusion=True)
+    session = api.Session(plan_store=store_dir)
     digests = []
     t0 = time.perf_counter()
     for fn in WORKLOAD:

@@ -11,9 +11,8 @@ plan cache.  This package redesigns that surface around an explicit
   compile/run surface: ``session.compile(fn, backend=...)``,
   ``session.run(...)``, ``session.run_batch(feeds)``, ``session.stats()``.
 * :class:`Options` — pipeline choice, cache capacity, validation level,
-  constant folding, kernel fusion, sharding and plan store
-  (``Options(fusion=True)`` turns on the fused kernels without touching
-  any call site).  Every compiled function runs through its own
+  constant folding, sharding and plan store, set once per session without
+  touching any call site.  Every compiled function runs through its own
   preallocated arena whatever the options.
 * Backend registry — ``backend("tfsim")`` / ``backend("pytsim")`` resolve
   the registered :class:`FrameworkProfile` s; new front-ends plug in via

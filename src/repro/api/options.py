@@ -44,18 +44,13 @@ class Options:
         Default optimization pipeline: ``"default"`` (the TF/PyT-faithful
         passes) or ``"aware"`` (the paper's linear-algebra-aware set).
     cache_capacity:
-        Max entries of the session-owned :class:`~repro.runtime.PlanCache`.
+        Max entries of the session-owned :class:`~repro.runtime.PlanCache`
+        (an ``int`` >= 1).
     validation:
         Graph-validation level, one of :data:`VALIDATION_LEVELS`.
     fold_constants:
-        Whether plans are compiled with constant folding (keys the plan
-        cache separately, exactly like ``compile_plan``).
-    fusion:
-        Whether plans are compiled with the post-schedule kernel-fusion
-        stage (elementwise-chain collapsing + GEMM alpha folding; keys
-        the plan cache separately).  Outputs and reports are identical
-        either way: a plan's report is derived from its schedule before
-        fusion.
+        Whether plans are compiled with constant folding (a ``bool``;
+        keys the plan cache separately, exactly like ``compile_plan``).
 
         Whatever the options, every compiled function executes through
         a per-``Concrete`` :class:`~repro.runtime.PlanArena`: repeated
@@ -113,7 +108,6 @@ class Options:
     cache_capacity: int = 256
     validation: str = "off"
     fold_constants: bool = False
-    fusion: bool = False
     shards: int | None = None
     plan_store: str | None = None
     shard_respawn: bool = False
@@ -129,17 +123,23 @@ class Options:
             raise ConfigError(
                 f"pipeline must be one of {PIPELINES}, got {self.pipeline!r}"
             )
-        if self.cache_capacity < 1:
+        if (
+            not isinstance(self.cache_capacity, int)
+            or isinstance(self.cache_capacity, bool)
+            or self.cache_capacity < 1
+        ):
             raise ConfigError(
-                f"cache_capacity must be >= 1, got {self.cache_capacity}"
+                f"cache_capacity must be an int >= 1, got {self.cache_capacity!r}"
             )
         if self.validation not in VALIDATION_LEVELS:
             raise ConfigError(
                 f"validation must be one of {VALIDATION_LEVELS}, "
                 f"got {self.validation!r}"
             )
-        if not isinstance(self.fusion, bool):
-            raise ConfigError(f"fusion must be a bool, got {self.fusion!r}")
+        if not isinstance(self.fold_constants, bool):
+            raise ConfigError(
+                f"fold_constants must be a bool, got {self.fold_constants!r}"
+            )
         if self.shards is not None and (
             not isinstance(self.shards, int)
             or isinstance(self.shards, bool)

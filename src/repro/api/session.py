@@ -77,9 +77,6 @@ class PlanStats:
     plan_compile_seconds: float = 0.0
     executions: int = 0
     exec_seconds: float = 0.0
-    #: Fused sites in the plan (elementwise chains + GEMM alpha folds);
-    #: 0 when the session compiles with ``fusion=False``.
-    fused_sites: int = 0
 
     @property
     def label(self) -> str:
@@ -104,9 +101,8 @@ class SessionStats:
     entries: int
     capacity: int
     plans: tuple[PlanStats, ...]
-    #: The session's execution-mode knobs, echoed so ``laab cache-stats``
-    #: renders them next to the counters they explain.
-    fusion: bool = False
+    #: The session's shard count, echoed so ``laab cache-stats`` renders
+    #: it next to the counters it explains.
     shards: int | None = None
     #: Shard activity (satellite of the serving PR): live pools cached on
     #: the session, worker processes those pools own, and worker-waves
@@ -142,11 +138,6 @@ class SessionStats:
     autotune = None
 
     @property
-    def fused_sites(self) -> int:
-        """Total fused sites across this session's plans."""
-        return sum(p.fused_sites for p in self.plans)
-
-    @property
     def lookups(self) -> int:
         return self.hits + self.misses
 
@@ -162,18 +153,13 @@ class SessionStats:
         Graph→Plan compile time actually paid by this session (0 for
         pure cache hits).
         """
-        fusion = (
-            f"on ({self.fused_sites} fused sites)" if self.fusion else "off"
-        )
-        exec_line = f"execution: fusion {fusion}"
-        if self.shards is not None:
-            exec_line += f" | {self.shards} shard processes"
         lines = [
             f"plan cache: {self.entries}/{self.capacity} plans | "
             f"{self.hits} hits / {self.misses} misses / "
             f"{self.evictions} evictions (hit rate {self.hit_rate:.1%})",
-            exec_line,
         ]
+        if self.shards is not None:
+            lines.append(f"execution: {self.shards} shard processes")
         if (self.shards is not None or self.shard_pools_open
                 or self.shard_waves_served):
             shard_line = (
@@ -604,7 +590,6 @@ class Session:
             entries=len(self.plan_cache),
             capacity=self.plan_cache.maxsize,
             plans=plans,
-            fusion=self.options.fusion,
             shards=self.options.shards,
             shard_pools_open=shard_pools_open,
             shard_workers=shard_workers,
@@ -655,7 +640,6 @@ class Session:
         """
         validation = self.options.validation
         fold = self.options.fold_constants
-        fusion = self.options.fusion
         store = self.plan_store
         start = time.perf_counter()
         graph = trace(fn, list(args))
@@ -672,7 +656,7 @@ class Session:
         if store is not None:
             trace_key = store.trace_key(
                 graph, backend=profile.name, pipeline=pipeline_choice,
-                fold_constants=fold, fusion=fusion,
+                fold_constants=fold,
             )
             optimized = store.load_graph(trace_key)
         warm_start = optimized is not None
@@ -689,7 +673,6 @@ class Session:
         plan, compiled_here = self.plan_cache.get_with_info(
             optimized,
             fold_constants=fold,
-            fusion=fusion,
             via_store=warm_start,
         )
         elapsed = time.perf_counter() - start
@@ -716,8 +699,6 @@ class Session:
                     rec.pipelines += (pipeline_choice,)
             rec.traces += 1
             rec.trace_seconds += elapsed
-            if plan.fusion_stats is not None:
-                rec.fused_sites = plan.fusion_stats.sites
             if compiled_here:
                 rec.plan_compile_seconds += plan.compile_seconds
         concrete = Concrete(

@@ -170,7 +170,7 @@ def chaos_run(
         start_method = "fork" if "fork" in methods else methods[0]
 
     graph, feed_list = _workload(n, loops)
-    plan = compile_plan(graph, fusion=True)
+    plan = compile_plan(graph)
     ref, _ = plan.execute(feed_list, record=False)
     feed_sets = [feed_list] * feeds
 
@@ -286,7 +286,7 @@ def chaos_run(
 
         async def drill():
             async with serve.Server(
-                api.Options(fusion=True),
+                api.Options(),
                 coalesce=serve.CoalesceConfig(max_wave=4, max_delay=0.001),
             ) as server:
                 def model(a, b, c):
@@ -355,7 +355,6 @@ def chaos_run(
         from . import api
 
         with api.Session(
-            fusion=True,
             shards=shards,
             shard_fallback="inline",
             faults=f"worker.exec:crash@{per_worker + 1}w0",

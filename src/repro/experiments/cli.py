@@ -151,12 +151,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def _add_mode_flags(parser: argparse.ArgumentParser) -> None:
     """Execution-mode knobs shared by ``run`` and ``cache-stats``."""
     parser.add_argument(
-        "--fusion",
-        action="store_true",
-        help="compile plans with the kernel-fusion stage (elementwise "
-             "chains collapse, trailing scales fold into GEMM alpha)",
-    )
-    parser.add_argument(
         "--shards",
         type=int,
         default=None,
@@ -231,7 +225,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     # Session-level knobs reach every decorated function without touching
     # a single experiment: the decorators compile into the ambient session.
     with Session(
-        fusion=getattr(args, "fusion", False),
         shards=getattr(args, "shards", None),
         plan_store=getattr(args, "store", None),
     ) as session:
@@ -337,7 +330,6 @@ def _cmd_cache_stats(args: argparse.Namespace) -> int:
         markdown=None,
         cache_stats=True,
         quiet_tables=True,
-        fusion=args.fusion,
         shards=args.shards,
         store=args.store,
     ))

@@ -15,9 +15,9 @@ def script(fn: Callable | None = None, *, aware: bool = False):
     versus ≈6e-4 s for tf.function — footnote 4).  ``aware=True`` opts into
     the linear-algebra-aware pipeline for ablation benchmarks.
 
-    Like ``tfsim.function``, execution-engine knobs (kernel fusion)
-    come from the ambient :class:`repro.api.Session` —
-    ``Session(fusion=True)`` — not from the decorator.
+    Like ``tfsim.function``, execution-engine knobs (sharding, the plan
+    store) come from the ambient :class:`repro.api.Session` —
+    ``Session(plan_store=DIR)`` — not from the decorator.
     """
     if fn is None:
         return lambda f: CompiledFunction(f, PYT_PROFILE, aware=aware)

@@ -24,9 +24,10 @@ def function(fn: Callable | None = None, *, aware: bool = False):
     property dispatch, distributivity, partial access) for ablations.
 
     Execution-engine knobs are session-level, not decorator-level: run
-    decorated functions inside ``with repro.api.Session(fusion=True):``
-    to get fused kernels without changing any call site.  Every call
-    runs through the function's preallocated arena either way.
+    decorated functions inside ``with repro.api.Session(shards=2):`` (or
+    any other :class:`repro.api.Options`) to change how they execute
+    without changing any call site.  Every call runs through the
+    function's preallocated arena either way.
     """
     if fn is None:
         return lambda f: CompiledFunction(f, TF_PROFILE, aware=aware)

@@ -140,9 +140,7 @@ def gemm(
     ``AᵀB`` costs no explicit transpose — exactly how the paper's reference
     "MKL-C" implementation computes the Table I expressions.  The scaling
     ``alpha`` rides along for free, which is why the frameworks' CSE rewrite
-    of ``AᵀB + AᵀB`` into ``2·(AᵀB)`` has negligible overhead (Experiment 1),
-    and why the runtime's fusion pass can fold a trailing ``scale`` into the
-    product at no cost.
+    of ``AᵀB + AᵀB`` into ``2·(AᵀB)`` has negligible overhead (Experiment 1).
 
     ``out`` is the destination-aware mode: the result is written into the
     caller's buffer (the Fortran view of it is BLAS's own ``C`` argument,

@@ -1,4 +1,4 @@
-"""Compiled execution runtime: plans, plan cache, fusion, sharded execution.
+"""Compiled execution runtime: plans, plan cache, plan store, sharded execution.
 
 The reference :class:`~repro.ir.interpreter.Interpreter` re-walks the
 graph on *every* call — recomputing topological order and liveness and
@@ -16,11 +16,6 @@ This package is that compile-once / execute-many layer:
                FLOP/report records and buffer liveness all resolved at
                compile time.  Slot recycling is shape-aware, so every
                slot has one static shape.
-``fusion``     Opt-in post-schedule rewrite (``compile_plan(...,
-               fusion=True)``): adjacent elementwise chains collapse into
-               single fused closures and trailing scales fold into GEMM's
-               alpha — fewer kernel launches, no materialized
-               intermediates; reports, derived before fusion, unchanged.
 ``plan``       The :class:`Plan` object and its executor, plus
                :class:`PlanArena` — preallocated per-slot ndarray storage
                driven through the kernels' destination-aware (``out=``)
@@ -28,11 +23,11 @@ This package is that compile-once / execute-many layer:
                warmup — with feeds bound by one rule (alias when
                contiguous in the slot's order, else copy) through
                :class:`PinnedBinding` slot tables.  Execution is output-
-               and report-parity with the Interpreter with fusion on
-               or off, through an arena or without one (verified by
+               and report-parity with the Interpreter through an arena
+               or without one (verified by
                ``tests/test_runtime_plans.py``).
 ``cache``      :class:`PlanCache` — signature-keyed LRU of compiled
-               plans (the fold/fusion knobs key separately) with
+               plans (the constant-folding knob keys separately) with
                hit/miss/eviction stats and single-flight concurrent
                compilation.  Caches are instance-scoped and owned by
                :class:`repro.api.Session`; the process-wide default
@@ -59,7 +54,6 @@ This package is that compile-once / execute-many layer:
 
 from .cache import CacheStats, PlanCache
 from .compiler import compile_plan
-from .fusion import FusionStats, fuse_instructions
 from .plan import (
     BatchResult,
     Instruction,
@@ -76,7 +70,6 @@ from .store import GCStats, PlanStore, StoreStats, runtime_fingerprint
 __all__ = [
     "BatchResult",
     "CacheStats",
-    "FusionStats",
     "GCStats",
     "Instruction",
     "PinnedBinding",
@@ -90,7 +83,6 @@ __all__ = [
     "StoreStats",
     "compile_plan",
     "default_shards",
-    "fuse_instructions",
     "graph_from_payload",
     "graph_signature",
     "graph_to_payload",

@@ -31,13 +31,6 @@ call:
   values of one shape — what lets an arena back each slot with a single
   preallocated buffer; inputs, constants and graph outputs stay live for
   the whole run, matching the interpreter's memory model).
-* **Fusion** (opt-in, ``fusion=True``) — a post-schedule pass over the
-  finished instruction stream (:mod:`repro.runtime.fusion`): adjacent
-  single-consumer elementwise chains collapse into one fused closure, and
-  a ``scale``/``neg`` trailing a dense GEMM folds into the GEMM's alpha.
-  Outputs stay bit-identical, and reports are untouched: the plan
-  derives them from the pre-fusion schedule (the parity contract in
-  :mod:`repro.runtime.plan`).
 * **Constant preloading** — ``const`` payloads are captured into the
   instruction at compile time; with ``fold_constants=True`` the
   :class:`~repro.passes.constant_folding.ConstantFolding` pass
@@ -83,11 +76,11 @@ class _Op:
     fn: ExecFn
     calls: tuple[KernelCall, ...]
     fn_out: OutFn | None = None
-    kind: str | None = None
-    params: tuple = ()
-    #: Arena-aware loop executor + its compiled body (``loop`` ops only).
+    #: Arena-aware loop executor, its compiled body and its trip count
+    #: (``loop`` ops only).
     fn_loop: "LoopFn | None" = None
     sub_plan: "Plan | None" = None
+    trip_count: int = 0
     #: The destination-aware kernel needs a result-shaped workspace; the
     #: scheduler assigns a shared per-shape scratch slot.
     needs_scratch: bool = False
@@ -114,7 +107,7 @@ def _compile_const(node: Node) -> _Op:
     def run(args):
         return value
 
-    return _Op(run, (), kind="const")
+    return _Op(run, ())
 
 
 def _compile_transpose(node: Node) -> _Op:
@@ -139,8 +132,6 @@ def _compile_add(node: Node) -> _Op:
         run,
         (_call("add", node.inputs[0].shape, node.op),),
         run_out,
-        kind="ew",
-        params=("add",),
         c_args=(0, 1),
     )
 
@@ -156,8 +147,6 @@ def _compile_sub(node: Node) -> _Op:
         run,
         (_call("sub", node.inputs[0].shape, node.op),),
         run_out,
-        kind="ew",
-        params=("sub",),
         c_args=(0, 1),
     )
 
@@ -173,8 +162,6 @@ def _compile_neg(node: Node) -> _Op:
         run,
         (_call("scale", node.inputs[0].shape, node.op),),
         run_out,
-        kind="ew",
-        params=("neg",),
         c_args=(0,),
     )
 
@@ -193,8 +180,6 @@ def _compile_scale(node: Node) -> _Op:
         run,
         (_call("scale", node.inputs[0].shape, node.op),),
         run_out,
-        kind="ew",
-        params=("scale", alpha),
         c_args=(0,),
     )
 
@@ -277,13 +262,13 @@ def _compile_tridiagonal_matmul(node: Node) -> _Op:
     )
 
 
-def _compile_loop(node: Node, fusion: bool) -> _Op:
+def _compile_loop(node: Node) -> _Op:
     body: Graph = node.attrs["body"]
     trip: int = node.attrs["trip_count"]
     # The body's feeds are outer-arena values handed over trip after
     # trip, all C-ordered: the loop wants C of exactly the operands whose
     # body slot does, so every trip aliases.
-    sub_plan = _compile(body, fusion=fusion)
+    sub_plan = compile_plan(body)
     c_args = tuple(
         pos for pos, spec in enumerate(sub_plan.inputs[1:])
         if sub_plan.slot_orders[spec.slot] == "C"
@@ -335,19 +320,15 @@ def _compile_loop(node: Node, fusion: bool) -> _Op:
         return out
 
     return _Op(
-        run, (), params=(trip,), fn_loop=run_loop, sub_plan=sub_plan,
+        run, (), fn_loop=run_loop, sub_plan=sub_plan, trip_count=trip,
         c_args=c_args,
     )
 
 
-def make_gemm_fns(
-    trans_a: bool, trans_b: bool, alpha: float = 1.0
-) -> tuple[ExecFn, OutFn]:
-    """Executor pair for a dense GEMM with folded ``alpha``.
+def _gemm_fns(trans_a: bool, trans_b: bool) -> tuple[ExecFn, OutFn]:
+    """Executor pair for a dense GEMM.
 
-    Shared with the fusion pass, which rebuilds GEMM closures when it
-    folds a trailing ``scale``/``neg`` into the product.  The
-    destination-aware closure gets the Fortran views of both operands
+    The destination-aware closure gets the Fortran views of both operands
     and of the destination (``Instruction.views``) and issues the kernel
     layer's row-major call, ``Cᵀ = op(B)ᵀ op(A)ᵀ``, on the
     dtype-dispatched f2py routine directly: shapes and flags were
@@ -362,9 +343,7 @@ def make_gemm_fns(
     routines = blas3._GEMM
 
     def run(args):
-        return blas3.gemm(
-            args[0], args[1], alpha=alpha, trans_a=trans_a, trans_b=trans_b
-        )
+        return blas3.gemm(args[0], args[1], trans_a=trans_a, trans_b=trans_b)
 
     def run_out(args, out, out_t):
         a_t, b_t = args
@@ -376,11 +355,8 @@ def make_gemm_fns(
             # the (wrong-dtype) arena buffer — the executor stores
             # whatever fn_out returns.
             return run([a_t.T, b_t.T])
-        # alpha passes as a python float: f2py casts it to the routine's
-        # scalar type in C — same value, same bits as pre-building a
-        # numpy scalar, without allocating one per call.
         routine(
-            alpha, b_t, a_t, beta=0.0, c=out_t, overwrite_c=1,
+            1.0, b_t, a_t, beta=0.0, c=out_t, overwrite_c=1,
             trans_a=ta, trans_b=tb,
         )
         return out
@@ -421,77 +397,6 @@ def _gemv_fns(mat: int, vec: int, trans: bool) -> tuple[ExecFn, OutFn]:
     return run, run_out
 
 
-def make_gemm_beta_fns(
-    trans_a: bool, trans_b: bool, alpha: float, beta: float, g_first: bool,
-    ew_op: str,
-) -> tuple[ExecFn, OutFn]:
-    """Executor pair for a GEMM with a folded trailing ``add``/``sub``.
-
-    Built by the fusion pass when a single-consumer elementwise combine
-    of the product with a *dead* addend merges into the BLAS call's
-    C-accumulate: ``C := alpha·op(A)op(B) + beta·C`` with the addend as
-    ``C``.  ``alpha``/``beta`` are restricted to ±1 by the caller —
-    sign flips are exact in IEEE arithmetic (and exact under FMA
-    contraction too), so every variant is bit-identical to the separate
-    GEMM-then-ufunc sequence:
-
-    * ``add``:            ``alpha=1,  beta=1``   (either operand order)
-    * ``sub``, ``G - C``: ``alpha=1,  beta=-1``
-    * ``sub``, ``C - G``: ``alpha=-1, beta=1``
-
-    ``args`` is ``[a, b, addend]`` — the destination-aware closure reads
-    ``a`` and ``b`` through their Fortran views and accumulates into the
-    view of its destination, the row-major call of
-    :func:`make_gemm_fns`.  The arena-less closure lets f2py copy
-    the addend into the accumulate destination (``overwrite_c=0``):
-    slot-level liveness is not object-level ownership — an upstream op
-    can pass an *input array* through unchanged (e.g. a ``fori_loop``
-    identity body), so writing into the addend object in place could
-    corrupt a caller-owned feed.  The destination-aware closure stages
-    the addend into the arena destination (arena-owned by construction)
-    and accumulates there, allocation-free.  A non-BLAS dtype, a
-    mixed-dtype operand pair, or a promoted addend falls back to the
-    validating wrapper plus the original ufunc — raising or promoting
-    exactly like the unfused plan.
-    """
-    ta = 1 if trans_b else 0
-    tb = 1 if trans_a else 0
-    routines = blas3._GEMM
-    ufunc = np.add if ew_op == "add" else np.subtract
-
-    def _fallback(args):
-        a, b, c = args
-        g = blas3.gemm(a, b, trans_a=trans_a, trans_b=trans_b)
-        return ufunc(g, c) if g_first else ufunc(c, g)
-
-    def run(args):
-        a, b, c = args
-        routine = routines.get(a.dtype)
-        if routine is None or b.dtype != a.dtype or c.dtype != a.dtype:
-            return _fallback(args)
-        return routine(
-            alpha, b.T, a.T, beta=beta, c=c.T,
-            overwrite_c=0, trans_a=ta, trans_b=tb,
-        ).T
-
-    def run_out(args, out, out_t):
-        a_t, b_t, c = args
-        routine = routines.get(a_t.dtype)
-        if routine is None or b_t.dtype != a_t.dtype or c.dtype != a_t.dtype:
-            return _fallback([a_t.T, b_t.T, c])
-        if c is not out:
-            np.copyto(out, c)
-        # alpha/beta (±1) pass as python floats: f2py's C-side cast is
-        # exact, and no per-call numpy scalar is allocated.
-        routine(
-            alpha, b_t, a_t, beta=beta, c=out_t,
-            overwrite_c=1, trans_a=ta, trans_b=tb,
-        )
-        return out
-
-    return run, run_out
-
-
 def _compile_matmul(node: Node) -> _Op:
     a_node, b_node = node.inputs
     trans_a = bool(node.attrs.get("trans_a"))
@@ -523,14 +428,9 @@ def _compile_matmul(node: Node) -> _Op:
             views=(1,),
         )
 
-    run, run_out = make_gemm_fns(trans_a, trans_b)
+    run, run_out = _gemm_fns(trans_a, trans_b)
     return _Op(
-        run,
-        (_call("gemm", (m, k, n), node.op),),
-        run_out,
-        kind="gemm",
-        params=(trans_a, trans_b, 1.0),
-        views=(0, 1),
+        run, (_call("gemm", (m, k, n), node.op),), run_out, views=(0, 1)
     )
 
 
@@ -741,18 +641,10 @@ def compile_plan(
     fold_constants: bool = False,
     fusion: bool = False,
 ) -> Plan:
-    """Compile ``graph`` into an executable :class:`Plan`.
-
-    ``fusion=True`` runs the post-schedule fusion stage (see
-    :mod:`repro.runtime.fusion`): elementwise chains collapse into single
-    fused instructions and trailing scales fold into GEMM's alpha.
-    """
-    return _compile(graph, fold_constants=fold_constants, fusion=fusion)
-
-
-def _compile(
-    graph: Graph, *, fold_constants: bool = False, fusion: bool = False
-) -> Plan:
+    """Compile ``graph`` into an executable :class:`Plan`."""
+    # ``fusion`` is ignored: the frozen e2e benchmark still passes it
+    # (benchmarks/e2e/laab_e2e/cold_compile.py and layers.py); ROADMAP
+    # item 1 drops those calls, and this keyword with them.
     start = time.perf_counter()
     # Cached on the graph: free when the plan cache already keyed on it.
     signature = graph_signature(graph)
@@ -773,7 +665,7 @@ def _compile(
         if node.op == "input":
             continue
         if node.op == "loop":
-            op = _compile_loop(node, fusion)
+            op = _compile_loop(node)
         else:
             compiler = _COMPILERS.get(node.op)
             if compiler is None:
@@ -829,7 +721,7 @@ def _compile(
         op = ops[key]
         # A constant is staged once, so never into a recycled slot: the
         # temporary that owned it would overwrite the payload every call.
-        out_slot = take_slot(node.shape, pooled=op.kind != "const")
+        out_slot = take_slot(node.shape, pooled=node.op != "const")
         slot_of[key] = out_slot
         frees: list[int] = []
         seen: set[int] = set()
@@ -858,34 +750,22 @@ def _compile(
                 label=node.name,
                 out_shape=node.shape,
                 fn_out=op.fn_out,
-                kind=op.kind,
-                params=op.params,
                 scratch=scratch,
                 fn_loop=op.fn_loop,
                 sub_plan=op.sub_plan,
+                trip_count=op.trip_count,
                 views=op.views,
             )
         )
 
-    # The pre-fusion list is the Interpreter's schedule: the plan derives
-    # its report from it, whatever fusion reorders or merges below.
-    schedule = fused = tuple(instructions)
-    fusion_stats = None
-    if fusion:
-        from .fusion import fuse_instructions
-
-        fused, fusion_stats = fuse_instructions(schedule)
-
     return Plan(
-        instructions=fused,
+        instructions=tuple(instructions),
         inputs=tuple(inputs),
         output_slots=tuple(slot_of[id(o)] for o in graph.outputs),
         num_slots=len(slot_orders),
         signature=signature,
         compile_seconds=time.perf_counter() - start,
-        fusion_stats=fusion_stats,
         slot_orders=tuple(slot_orders),
-        source=(graph, fold_constants, fusion),
-        schedule=schedule,
+        source=(graph, fold_constants),
         input_dtypes=tuple(node.dtype for node in graph.inputs),
     )

@@ -10,27 +10,22 @@ rebuilds.
 Parity contract
 ---------------
 ``Plan.execute`` produces bit-identical outputs to ``Interpreter.run`` on
-the same graph and feeds — fusion on or off, through an arena or without
-one — and an :class:`~repro.ir.interpreter.ExecutionReport` equal to the
-Interpreter's field for field (kernel-call list, FLOPs, peak/live
-bytes).  Every Session call runs through its ``Concrete``'s arena; the
+the same graph and feeds — through an arena or without one — and an
+:class:`~repro.ir.interpreter.ExecutionReport` equal to the Interpreter's
+field for field (kernel-call list, FLOPs, peak/live bytes).  Every Session call runs through its ``Concrete``'s arena; the
 arena-less ``Plan.execute(feeds)`` is the plan-level reference the
 parity suites and the benchmark's ``runtime.plan.exec_percall_us``
 probe call.
 
 The report holds by construction: every quantity in it is fixed by the
-input dtypes, so nothing that executes accounts.  The compiler hands the
-plan its *pre-fusion* schedule — the Interpreter's topological order and
+input dtypes, so nothing that executes accounts.  The plan's instruction
+stream *is* the Interpreter's schedule — its topological order and
 free-at-last-use rule — and :meth:`Plan.report_for` walks it once per
 input-dtype tuple: the kernel calls, then alloc the result, then free
 the operands whose last consumer this was (inputs and constants stay
 live); a loop replays its body once per trip.
-:attr:`Plan.report` is the walk at the traced dtypes, done at build.
-Fusion, the fold-aware reordering and the arena change none of it.
-Fused instructions still carry one combined
-:class:`~repro.ir.interpreter.KernelCall` each (``"fused(gemm+scale)"``,
-``flops`` the members' sum) for :attr:`Plan.flops` and
-:meth:`Plan.describe`; reports never see them.
+:attr:`Plan.report` is the walk at the traced dtypes, done at build;
+the arena changes none of it.
 
 Arena-mode outputs alias the arena's buffers — the next execution
 through the same arena overwrites them; keep what you need via
@@ -160,12 +155,14 @@ class Instruction:
     #: The compiled executor for this op (kernel already selected).
     fn: ExecFn
     #: The op's kernel-call records (dims and FLOPs are static, so they
-    #: are built once and shared) — one combined record for a fused site.
+    #: are built once and shared).
     calls: tuple[KernelCall, ...]
     #: Slots whose value dies here (last consumer): cleared from the slot
     #: table so the slot can be reused.
     free_slots: tuple[int, ...]
-    #: Source node's op and name — for introspection/debugging only.
+    #: Source node's op and name.  ``op == "const"`` marks a result that
+    #: is an aliased compile-time payload; beyond that, both are for
+    #: introspection and debugging only.
     op: str
     label: str
     #: Static result shape (slot shapes are static; this is what lets a
@@ -174,21 +171,9 @@ class Instruction:
     #: Destination-aware executor (``None`` → compute-then-copy in arena
     #: mode).
     fn_out: OutFn | None = None
-    #: Semantic tag the fusion pass dispatches on: "ew" (add/sub/neg/
-    #: scale), "gemm" (plain dense matmul, alpha-foldable), "const"
-    #: (result is an aliased compile-time payload), or ``None`` (opaque).
-    kind: str | None = None
-    #: Fusion-relevant parameters: ``("add",)``/``("sub",)``/``("neg",)``/
-    #: ``("scale", alpha)`` for "ew"; ``(trans_a, trans_b, alpha)`` for
-    #: "gemm"; ``(trip_count,)`` for a ``loop``.
-    params: tuple = ()
-    #: Slot of a guaranteed alias-free staging buffer for arena execution
-    #: — used by fused sites whose destination slot recycles one of their
-    #: own operand slots (the fused site's dead intermediate slot is
-    #: repurposed: provably disjoint from every operand, so compute lands
-    #: there and one copy moves it home), and by destination-aware
-    #: kernels that need a result-shaped workspace (the tridiagonal
-    #: row-scaling products).
+    #: Slot of a result-shaped workspace for the destination-aware
+    #: kernels that need one (the tridiagonal row-scaling products):
+    #: ``fn_out(args, out, scratch)``.
     scratch: int | None = None
     #: Arena-aware loop executor (``loop`` ops only); arena-less
     #: execution and cold arenas keep using ``fn``.
@@ -196,11 +181,11 @@ class Instruction:
     #: The compiled loop-body plan (``loop`` ops only) — what a
     #: :class:`LoopState` builds its child arenas from.
     sub_plan: "Plan | None" = None
+    #: Iterations of a ``loop`` op's body.
+    trip_count: int = 0
     #: Operand positions ``fn_out`` reads through their Fortran views
     #: (the matrices of a BLAS call, see *Slot layouts*).  Non-empty also
-    #: hands it its destination's view: ``fn_out(args, out, out_t)``, and
-    #: with a scratch slot ``fn_out(args, out, out_t, staging,
-    #: staging_t)``.
+    #: hands it its destination's view: ``fn_out(args, out, out_t)``.
     views: tuple[int, ...] = ()
 
 
@@ -258,7 +243,7 @@ def _result_dtype(inst: Instruction, dtypes: list) -> np.dtype:
     """The dtype of ``inst``'s result on operands of ``dtypes``: the
     constant's own, else numpy's promotion (of the cast operands, for a
     float-only kernel)."""
-    if inst.kind == "const":
+    if inst.op == "const":
         return inst.fn(dtypes).dtype
     if inst.calls[0].kernel in _FLOAT_KERNELS:
         dtypes = [d if d in _FLOATS else as_ndarray(np.empty(0, d), "").dtype
@@ -424,11 +409,9 @@ class Plan:
         "num_slots",
         "signature",
         "compile_seconds",
-        "fusion_stats",
         "slot_orders",
         "report",
         "_source",
-        "_schedule",
         "_reports",
         "_slot_shapes",
         "_by_name",
@@ -451,10 +434,8 @@ class Plan:
         num_slots: int,
         signature: tuple,
         compile_seconds: float = 0.0,
-        fusion_stats: "object | None" = None,
         slot_orders: tuple[str, ...] | None = None,
         source: tuple | None = None,
-        schedule: tuple[Instruction, ...] | None = None,
         input_dtypes: tuple | None = None,
     ) -> None:
         self.instructions = instructions
@@ -463,19 +444,14 @@ class Plan:
         self.num_slots = num_slots
         self.signature = signature
         self.compile_seconds = compile_seconds
-        #: :class:`~repro.runtime.fusion.FusionStats` when the plan was
-        #: compiled with ``fusion=True``, else ``None``.
-        self.fusion_stats = fusion_stats
         #: Per-slot memory order (*Slot layouts* in the module
         #: docstring): "C" — plus, for input slots only, "A": no
         #: kernel's layout depends on the feed, any contiguous array binds.
         self.slot_orders = slot_orders or ("C",) * num_slots
-        # (graph, fold_constants, fusion) — what pickling reconstructs
-        # the plan from (see __reduce__).  None for hand-built plans.
+        # (graph, fold_constants) — what pickling reconstructs the plan
+        # from (see __reduce__).  None for hand-built plans.
         self._source = source
-        # The pre-fusion instruction list the report is derived from
-        # (see report_for), and the derivations so far by input dtypes.
-        self._schedule = instructions if schedule is None else schedule
+        # The report derivations so far, by input dtypes (see report_for).
         self._reports: dict[tuple, tuple] = {}
         # Static per-slot shapes: inputs + instruction outputs + scratch
         # workspaces (scratch shares the out shape of its requester).
@@ -494,7 +470,7 @@ class Plan:
         # PinnedBinding.hand_off).  Passed-through feeds and constants
         # (staged once, never rewritten) are not among them.
         self._written_slots = frozenset(
-            inst.out_slot for inst in instructions if inst.kind != "const"
+            inst.out_slot for inst in instructions if inst.op != "const"
         ).intersection(output_slots)
         # Slots some BLAS closure reads through a Fortran view: a value
         # there must be its slot's buffer for a certified pass to read
@@ -522,9 +498,9 @@ class Plan:
 
     @property
     def source(self) -> "tuple | None":
-        """``(graph, fold_constants, fusion)`` this plan was compiled
-        from — what pickling and the persistent plan store reconstruct;
-        ``None`` for hand-built plans (which neither can ship)."""
+        """``(graph, fold_constants)`` this plan was compiled from — what
+        pickling and the persistent plan store reconstruct; ``None`` for
+        hand-built plans (which neither can ship)."""
         return self._source
 
     # -- pickling -------------------------------------------------------------
@@ -543,24 +519,21 @@ class Plan:
             )
         from .serialize import graph_to_payload  # deferred: cycle-free
 
-        graph, fold_constants, fusion = self._source
-        return (
-            _rebuild_plan,
-            (graph_to_payload(graph), fold_constants, fusion),
-        )
+        graph, fold_constants = self._source
+        return _rebuild_plan, (graph_to_payload(graph), fold_constants)
 
     # -- the report -----------------------------------------------------------
 
     def report_for(self, dtypes: Sequence[np.dtype]) -> ExecutionReport:
         """The report of one execution on feeds of ``dtypes`` (one per
-        input), derived from the pre-fusion schedule (module docstring)
+        input), derived from the instruction stream (module docstring)
         and memoized: every call with these dtypes gets the same object,
         which callers must not mutate."""
         return self._account(tuple(dtypes))[0]
 
     def _account(self, dtypes: tuple) -> tuple[ExecutionReport, tuple]:
         """``(report, output dtypes)`` at input ``dtypes``: the
-        Interpreter's accounting protocol, walked over the schedule."""
+        Interpreter's accounting protocol, walked over the instructions."""
         known = self._reports.get(dtypes)
         if known is not None:
             return known
@@ -568,7 +541,7 @@ class Plan:
         live = peak = 0
         dtype_of = {p.slot: d for p, d in zip(self.inputs, dtypes)}
         size_of: dict[int, int] = {}
-        for inst in self._schedule:
+        for inst in self.instructions:
             args = [dtype_of[s] for s in inst.arg_slots]
             if inst.sub_plan is None:
                 calls.extend(inst.calls)
@@ -577,7 +550,7 @@ class Plan:
                 # A body's outputs are never freed, so live bytes grow
                 # trip by trip; each trip's output dtype feeds the next.
                 dtype, *captured = args
-                for _ in range(inst.params[0]):
+                for _ in range(inst.trip_count):
                     body, outs = inst.sub_plan._account(
                         (dtype, dtype, *captured)
                     )
@@ -753,13 +726,13 @@ class Plan:
     ) -> np.ndarray:
         """Run one instruction with its result in the arena's slot buffer.
 
-        This is the general path (constants, staged fused sites, ops
-        without an in-place kernel, cold buffers); the executor loop
-        inlines the common warm case — ``fn_out`` straight into the
+        This is the general path (constants, loops, ops without an
+        in-place kernel, cold buffers); the executor loop inlines the
+        common warm case — ``fn_out`` straight into the
         slot's existing buffer — to keep per-instruction overhead below
         what a fresh allocation would cost.
         """
-        if inst.kind == "const":
+        if inst.op == "const":
             # Constant payloads never change: stage them into arena
             # storage (the order their consumers read) once, when the
             # slot buffer is first created.
@@ -788,8 +761,6 @@ class Plan:
                 dests.append(arena.views[inst.out_slot])
             if inst.scratch is not None:
                 dests.append(arena.buffer(inst.scratch, inst.out_shape, dtype))
-                if inst.views:
-                    dests.append(arena.views[inst.scratch])
             return inst.fn_out(args, *dests)
         if mixed:
             # Ufunc promotion must win over in-place destinations; also
@@ -841,7 +812,7 @@ class Plan:
         body = []
         for i, inst in enumerate(self.instructions):
             out = inst.out_slot
-            if inst.fn_out is not None and inst.kind != "const":
+            if inst.fn_out is not None:
                 namespace[f"f{i}"] = inst.fn_out
                 viewed = bool(inst.views)
                 args = ", ".join(
@@ -849,7 +820,7 @@ class Plan:
                     for pos, s in enumerate(inst.arg_slots)
                 )
                 scratch = "" if inst.scratch is None \
-                    else ", " + dest(inst.scratch, viewed)
+                    else ", " + load("bufs", inst.scratch)
                 call = f"f{i}([{args}], {dest(out, viewed)}{scratch})"
             else:
                 namespace[f"i{i}"] = inst
@@ -928,8 +899,7 @@ class Plan:
         take the general path.
         """
         fn_out = inst.fn_out
-        if fn_out is not None and inst.scratch is None and not inst.views \
-                and inst.kind != "const":
+        if fn_out is not None and inst.scratch is None and not inst.views:
             buf = bufs[inst.out_slot]
             if buf is not None:
                 bd = buf.dtype
@@ -957,8 +927,6 @@ class Plan:
             f"plan: {len(self.instructions)} instructions, "
             f"{len(self.inputs)} inputs, {self.num_slots} slots"
         ]
-        if self.fusion_stats is not None:
-            lines[0] += f" | {self.fusion_stats.describe()}"
         for i, inst in enumerate(self.instructions):
             kernels = ",".join(c.kernel for c in inst.calls) or "-"
             frees = f" free{list(inst.free_slots)}" if inst.free_slots else ""
@@ -977,16 +945,14 @@ class Plan:
         )
 
 
-def _rebuild_plan(payload: dict, fold_constants: bool, fusion: bool) -> Plan:
+def _rebuild_plan(payload: dict, fold_constants: bool) -> Plan:
     """Unpickle hook: reconstruct the graph and recompile (module-level so
     pickle can address it)."""
     from .compiler import compile_plan
     from .serialize import graph_from_payload
 
     return compile_plan(
-        graph_from_payload(payload),
-        fold_constants=fold_constants,
-        fusion=fusion,
+        graph_from_payload(payload), fold_constants=fold_constants
     )
 
 

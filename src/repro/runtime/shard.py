@@ -10,7 +10,7 @@ the contention path entirely:
   (a structural graph payload plus the compile knobs — see
   :mod:`repro.runtime.serialize`; under the ``fork`` start method the
   compiled plan is inherited directly) and executing through its own
-  fused :class:`~repro.runtime.plan.PlanArena`;
+  :class:`~repro.runtime.plan.PlanArena`;
 * **shared-memory ring buffers** (:mod:`multiprocessing.shared_memory`)
   laid out from the plan's own
   :meth:`~repro.runtime.plan.Plan.buffer_descriptors` — every input and
@@ -280,9 +280,8 @@ class ShardPool:
     ----------
     plan:
         A :func:`~repro.runtime.compiler.compile_plan` product (anything
-        else cannot be shipped across the process boundary).  Compile it
-        with ``fusion=True`` for the fused/arena fast path — each worker
-        recompiles the same graph with the same knobs.
+        else cannot be shipped across the process boundary).  Each
+        worker recompiles the same graph with the same knobs.
     shards:
         Worker-process count (``None`` → :func:`default_shards`).
     ring_slots:

@@ -17,7 +17,7 @@ Loading therefore re-lowers (one ``compile_plan``), but skips the trace
 bench workload is ~3/4 of a cold build.  Artifacts are addressed two
 ways:
 
-* ``objects/<digest>-<fold><fuse>.plan`` — the canonical artifact,
+* ``objects/<digest>-<fold>.plan`` — the canonical artifact,
   keyed by :func:`~repro.runtime.signature.signature_digest` of the
   *optimized* graph's signature (exactly the :class:`PlanCache` key),
   holding a header (format version, runtime fingerprint, knobs, the
@@ -83,7 +83,9 @@ __all__ = ["PlanStore", "StoreStats", "GCStats", "runtime_fingerprint",
 #: alias carries a derivation record any more; a format-2 alias may
 #: point at a rewrite that was only checked bit-identical on the feeds
 #: it raced on, so it must miss rather than serve as the canonical plan.
-STORE_FORMAT_VERSION = 3
+#: 4: kernel fusion is gone, and with it the fusion component of every
+#: key and header; a format-3 alias keyed with fusion on must miss.
+STORE_FORMAT_VERSION = 4
 
 #: Const payloads at or above this many bytes leave the artifact body
 #: for an ``.npy`` sidecar (mmap-loaded).  Below it, a file-per-array
@@ -225,29 +227,27 @@ class PlanStore:
 
     # -- keys ------------------------------------------------------------------
 
-    def plan_key(
-        self, signature: tuple, *, fold_constants: bool, fusion: bool
-    ) -> str:
-        """Artifact key of a plan: optimized-signature digest + knobs —
+    def plan_key(self, signature: tuple, *, fold_constants: bool) -> str:
+        """Artifact key of a plan: optimized-signature digest + knob —
         the on-disk spelling of the :class:`PlanCache` key."""
-        return (
-            f"{signature_digest(signature)}-"
-            f"{int(bool(fold_constants))}{int(bool(fusion))}"
-        )
+        return f"{signature_digest(signature)}-{int(bool(fold_constants))}"
 
     def trace_key(
         self, graph: Graph, *, backend: str, pipeline: str,
-        fold_constants: bool, fusion: bool,
+        fold_constants: bool, fusion: bool = False,
     ) -> str:
         """Alias key of a *traced* (pre-optimization) graph.
 
         Pipeline identity takes part: the same trace optimized by the
         ``default`` and ``aware`` pipelines yields different plans, so
-        each (backend, pipeline, knobs) combination aliases separately.
+        each (backend, pipeline, knob) combination aliases separately.
         """
+        # ``fusion`` is ignored: the frozen e2e benchmark still passes it
+        # (benchmarks/e2e/laab_e2e/cold_compile.py and layers.py); ROADMAP
+        # item 1 drops those calls, and this keyword with them.
         return signature_digest((
             "trace", graph_signature(graph), str(backend), str(pipeline),
-            bool(fold_constants), bool(fusion),
+            bool(fold_constants),
         ))
 
     def _plan_path(self, key: str) -> str:
@@ -312,10 +312,8 @@ class PlanStore:
         """
         if plan.source is None:
             return None
-        graph, fold_constants, fusion = plan.source
-        key = self.plan_key(
-            plan.signature, fold_constants=fold_constants, fusion=fusion
-        )
+        graph, fold_constants = plan.source
+        key = self.plan_key(plan.signature, fold_constants=fold_constants)
         path = self._plan_path(key)
         if os.path.exists(path):
             return key
@@ -336,7 +334,6 @@ class PlanStore:
             "fingerprint": runtime_fingerprint(),
             "key": key,
             "fold_constants": bool(fold_constants),
-            "fusion": bool(fusion),
             "payload": stripped,
             "consts": consts,
             "cold_seconds": float(cold_seconds),
@@ -476,9 +473,7 @@ class PlanStore:
         graph, artifact = loaded
         try:
             return compile_plan(
-                graph,
-                fold_constants=artifact["fold_constants"],
-                fusion=artifact["fusion"],
+                graph, fold_constants=artifact["fold_constants"]
             )
         except Exception:
             # The hit was already counted; reclassify as an eviction.

@@ -1,7 +1,7 @@
 """repro.serve — the async serving front-end over the compiled runtime.
 
-PRs 1–5 built the engine: compile-once plans, fused allocation-free
-arenas, alias-else-copy feed binding and GIL-free multi-process
+PRs 1–5 built the engine: compile-once plans, allocation-free arenas,
+alias-else-copy feed binding and GIL-free multi-process
 sharding.  This package is the *service* on top — the layer that turns
 independent caller requests into the feed waves that engine is fast at:
 
@@ -37,7 +37,7 @@ Quickstart::
 
     async def main():
         async with serve.Server(
-            api.Options(fusion=True, shards=2),
+            api.Options(),
             coalesce=serve.CoalesceConfig(max_wave=8, max_delay=0.002),
             admission=serve.AdmissionConfig(max_inflight=64),
         ) as server:

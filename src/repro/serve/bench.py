@@ -110,7 +110,7 @@ def serve_bench(
             f"requests ({requests}) should be >= 2x concurrency "
             f"({concurrency}) for waves to reach steady state"
         )
-    options = Options(fusion=True, shards=shards if shards else None)
+    options = Options(shards=shards if shards else None)
     admission = AdmissionConfig(max_inflight=max_inflight)
     model, feeds = _workload(loops)
 

@@ -28,7 +28,7 @@ Usage::
     from repro import api, serve, tensor as T
 
     async def main():
-        async with serve.Server(api.Options(fusion=True, shards=2)) as server:
+        async with serve.Server(api.Options()) as server:
             y = await server.submit(fn, [A, B], tenant="alice")
 
 The server is event-loop-confined: construct and use it from one
@@ -124,8 +124,7 @@ class Server:
     ----------
     options:
         The :class:`~repro.api.Options` template every tenant session is
-        built from.  Defaults to the serving configuration the engine
-        is fastest in: ``Options(fusion=True)`` (add ``shards=N`` to
+        built from.  Defaults to ``Options()`` (add ``shards=N`` to
         dispatch waves through worker processes).
     admission:
         :class:`AdmissionConfig` depth limits / overload policy.
@@ -153,7 +152,7 @@ class Server:
         breaker: BreakerConfig | None = None,
     ) -> None:
         if options is None:
-            options = Options(fusion=True)
+            options = Options()
         options.validate()
         if not isinstance(dispatch_workers, int) or dispatch_workers < 1:
             raise ValueError(

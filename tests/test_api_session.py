@@ -75,6 +75,10 @@ class TestOptions:
             {"cache_capacity": 0},
             {"validation": "paranoid"},
             {"backend": ""},
+            {"fold_constants": "no"},
+            {"cache_capacity": "8"},
+            {"cache_capacity": 2.5},
+            {"cache_capacity": True},
         ],
     )
     def test_bad_values_rejected(self, overrides):
@@ -82,18 +86,17 @@ class TestOptions:
             api.Options(**overrides).validate()
 
     def test_retired_mode_knobs_are_gone(self):
-        """One call path: 12 fields, none selecting an execution mode
-        beyond ``fusion``."""
+        """One call path: 11 fields, none selecting an execution mode."""
         import dataclasses
         import inspect
 
         names = [f.name for f in dataclasses.fields(api.Options)]
-        assert len(names) == 12
+        assert len(names) == 11
         assert not {"donate_feeds", "pin", "batch_workers", "arena",
-                    "autotune"} & set(names)
+                    "autotune", "fusion"} & set(names)
         for gone in ({"donate_feeds": True}, {"pin": True},
                      {"batch_workers": 2}, {"arena": "preallocated"},
-                     {"autotune": True}):
+                     {"autotune": True}, {"fusion": True}):
             with pytest.raises(TypeError):
                 api.Options(**gone)
         assert list(inspect.signature(api.Session.run_batch).parameters) == [
@@ -230,7 +233,7 @@ class TestSessionCompileRun:
         feeds = [a32, Tensor(a32.data.astype(np.float64), dtype=np.float64),
                  random_general(9, seed=2)]
         want = [t.data @ t.data + t.data for t in feeds]
-        sessions = [api.Session(fusion=True), api.Session()]
+        sessions = [api.Session(), api.Session()]
         rounds, errors = 60, []
         barrier = threading.Barrier(len(sessions))
 
@@ -639,17 +642,17 @@ class TestSessionStats:
 
 
 class TestFusionArenaOptions:
-    """`Options(fusion=...)` — the execution-engine knob lands at session
-    level, touching no call site (the PR-2 design intent).  There is no
-    arena knob: every Session call runs through its ``Concrete``'s arena.
-    Where a test is parametrized by ``reference``, the Session's answers
-    are also checked against that plan-level execution of the same plan:
-    the arena-less ``"per-call"`` reference (``Plan.execute(feeds)``) or a
-    fresh ``"preallocated"`` arena."""
+    """Both execution knobs are gone — ``fusion`` and ``arena`` are not
+    options: every Session call runs through its ``Concrete``'s arena,
+    whatever the options.  Where a test is parametrized by ``reference``,
+    the Session's answers are also checked against that plan-level
+    execution of the same plan: the arena-less ``"per-call"`` reference
+    (``Plan.execute(feeds)``) or a fresh ``"preallocated"`` arena; where
+    by ``fold_constants``, with constant folding off and on."""
 
     def test_defaults_are_backward_compatible(self):
         opts = api.Options()
-        assert opts.fusion is False
+        assert not hasattr(opts, "fusion")
         assert not hasattr(opts, "arena")
 
     @pytest.mark.parametrize(
@@ -658,19 +661,21 @@ class TestFusionArenaOptions:
         ids=["fusion-nonbool", "arena-unknown", "arena-empty"],
     )
     def test_bad_mode_values_rejected(self, overrides):
+        """A retired knob is an unknown field, whatever its value."""
         with pytest.raises(ConfigError):
             api.Options().replace(**overrides)
 
-    @pytest.mark.parametrize("fusion", [False, True])
+    @pytest.mark.parametrize("fold_constants", [False, True])
     @pytest.mark.parametrize("reference", ["per-call", "preallocated"])
-    def test_all_mode_combinations_match_interpreter(self, operands, fusion,
+    def test_all_mode_combinations_match_interpreter(self, operands,
+                                                     fold_constants,
                                                      reference):
         """Outputs bit-identical on every call, and the report — the
         plan's, derived when it was built — the same object after calls
-        1, 2 and 5, equal to the interpreter's field for field, fusion on
-        or off, and equal to the plan-level ``reference`` execution's."""
+        1, 2 and 5, equal to the interpreter's field for field, and equal
+        to the plan-level ``reference`` execution's."""
         a, b = operands["A"], operands["B"]
-        session = api.Session(fusion=fusion)
+        session = api.Session(fold_constants=fold_constants)
         f = session.compile(gram)
         outs, reports = [], []
         for _ in range(5):
@@ -689,10 +694,10 @@ class TestFusionArenaOptions:
         assert set(outs) == {plan_outs[0].tobytes()}
         assert report == plan_report
 
-    @pytest.mark.parametrize("fusion", [False, True])
+    @pytest.mark.parametrize("fold_constants", [False, True])
     @pytest.mark.parametrize("reference", ["per-call", "preallocated"])
     def test_only_the_first_call_accounts(self, operands, monkeypatch,
-                                          fusion, reference):
+                                          fold_constants, reference):
         """No call accounts: the plan's report is derived when the plan
         is built, so calls 1…N (single and batched) never touch the
         report's memory model, and neither does a plan-level
@@ -701,7 +706,7 @@ class TestFusionArenaOptions:
         from repro.ir.interpreter import ExecutionReport
 
         a, b = operands["A"], operands["B"]
-        session = api.Session(fusion=fusion)
+        session = api.Session(fold_constants=fold_constants)
         f = session.compile(gram)
         plan = f.get_concrete(a, b).plan  # builds, deriving the report
         events = []
@@ -755,46 +760,35 @@ class TestFusionArenaOptions:
         assert f.last_report is concrete.plan.report
         assert f.last_report.calls
 
-    def test_fusion_keys_plan_cache_separately(self, operands):
-        a, b = operands["A"], operands["B"]
-        fused_session = api.Session(fusion=True)
-        plain_session = api.Session(fusion=False)
-        p1 = plain_session.compile(gram)
-        p2 = fused_session.compile(gram)
-        p1(a, b)
-        p2(a, b)
-        # separate sessions -> separate caches; within one session the
-        # fused and unfused plan of one graph would key differently too:
-        g = p1.optimized_graph(a, b)
-        plain_plan = plain_session.plan_cache.get(g)
-        fused_plan = plain_session.plan_cache.get(g, fusion=True)
-        assert plain_plan is not fused_plan
-        assert fused_plan.fusion_stats is not None
-
     def test_stats_surface_fusion_and_arena(self, operands):
-        """Stats echo the one execution knob; no arena mode is left to
-        report."""
+        """Stats surface neither retired knob: no fusion or arena field,
+        no fused-site count, and neither word in the rendering."""
         a, b, c = operands["A"], operands["B"], operands["C"]
-        session = api.Session(fusion=True)
+        session = api.Session()
         f = session.compile(lambda p, q, r: 2.0 * p + q - r)
         f(a, b, c)
         stats = session.stats()
-        assert stats.fusion is True
-        assert not hasattr(stats, "arena")
-        assert stats.fused_sites >= 1
+        assert not hasattr(stats, "fusion") and not hasattr(stats, "arena")
+        assert not hasattr(stats, "fused_sites")
         text = stats.render()
-        assert "fusion on" in text and "arena" not in text
+        assert "fusion" not in text and "arena" not in text
 
     def test_stats_render_defaults_mention_modes(self, operands):
+        """The one execution mode left is sharding: a default session
+        renders no execution line, a sharded one names its processes."""
+        import dataclasses
+
         session = api.Session()
         session.run(gram, operands["A"], operands["B"])
-        text = session.stats().render()
-        assert "execution: fusion off" in text
+        stats = session.stats()
+        assert "execution:" not in stats.render()
+        sharded = dataclasses.replace(stats, shards=2).render()
+        assert "execution: 2 shard processes" in sharded
 
     def test_run_batch_through_arena_session(self, operands):
         """Batches through the one executor equal the interpreter."""
         a, b = operands["A"], operands["B"]
-        session = api.Session(fusion=True)
+        session = api.Session()
         f = session.compile(gram)
         feed_sets = [
             [random_general(a.shape[0], seed=100 + i),
@@ -805,15 +799,16 @@ class TestFusionArenaOptions:
         for feeds, outs in zip(feed_sets, got.outputs):
             assert outs[0].tobytes() == f.interpret(*feeds).numpy().tobytes()
 
-    def test_ambient_decorators_inherit_session_modes(self, operands):
+    def test_ambient_decorators_inherit_session_modes(self, operands,
+                                                      tmp_path):
         a, b = operands["A"], operands["B"]
 
         @tfsim.function
         def f(p, q):
             return 2.0 * (p @ q)
 
-        with api.Session(fusion=True) as session:
+        with api.Session(plan_store=str(tmp_path)) as session:
             f(a, b)
             stats = session.stats()
-        assert stats.fusion is True
-        assert stats.fused_sites == 1  # the gemm+scale alpha fold
+        assert stats.plan_store == str(tmp_path)
+        assert stats.store_writes == 1

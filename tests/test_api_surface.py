@@ -139,11 +139,21 @@ class TestPublicExports:
 class TestBenchmarkProbeSurface:
     """``benchmarks/e2e/laab_e2e/layers.py`` attributes a call's time to
     layers by calling these runtime entry points with these keywords; a
-    later collapse must not silently null the per-layer metrics."""
+    later collapse must not silently null the per-layer metrics.  The
+    bench still passes ``fusion=True`` to three of them, which accept and
+    ignore it."""
 
     @staticmethod
     def _params(fn):
         return inspect.signature(fn).parameters
+
+    @staticmethod
+    def _graph():
+        from repro.ir import trace
+        from repro.tensor import random_general
+
+        ops = [random_general(8, seed=s) for s in (1, 2)]
+        return trace(lambda a, b: 2.0 * (a @ b) + b - a, ops)
 
     def _assert_keywords(self, fn, positional, keywords):
         params = self._params(fn)
@@ -156,6 +166,12 @@ class TestBenchmarkProbeSurface:
 
         self._assert_keywords(compile_plan, ["graph"], ["fusion"])
         self._assert_keywords(PlanCache.get, ["self", "graph"], ["fusion"])
+        graph = self._graph()
+        assert compile_plan(graph, fusion=True).describe() \
+            == compile_plan(graph).describe()
+        cache = PlanCache()
+        assert cache.get(graph, fusion=True) is cache.get(graph)
+        assert cache.stats.misses == 1
 
     def test_plan_execution(self):
         from repro.runtime import PinnedBinding, Plan, PlanArena
@@ -170,13 +186,18 @@ class TestBenchmarkProbeSurface:
         assert "slot_orders" in Plan.__slots__
         assert "bytes_copied" in PlanArena.__slots__
 
-    def test_plan_store(self):
+    def test_plan_store(self, tmp_path):
         from repro.runtime import PlanStore
 
         self._assert_keywords(
             PlanStore.trace_key, ["self", "graph"],
             ["backend", "pipeline", "fold_constants", "fusion"],
         )
+        knobs = dict(backend="tfsim", pipeline="default",
+                     fold_constants=False)
+        graph, store = self._graph(), PlanStore(tmp_path)
+        assert store.trace_key(graph, **knobs, fusion=True) \
+            == store.trace_key(graph, **knobs, fusion=False)
         assert list(self._params(PlanStore.put_plan))[:2] == ["self", "plan"]
         assert list(self._params(PlanStore.put_alias))[:3] == [
             "self", "trace_key", "plan_key"
@@ -205,6 +226,10 @@ class TestBenchmarkProbeSurface:
             importlib.import_module("repro.runtime.autotune")
         with pytest.raises(ImportError):
             importlib.import_module("repro.rewrite.bridge")
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.runtime.fusion")
+        for name in ("FusionStats", "fuse_instructions"):
+            assert not hasattr(repro.runtime, name)
 
 
 class TestOptionsSurface:
@@ -213,7 +238,7 @@ class TestOptionsSurface:
 
     FIELDS = [
         "backend", "pipeline", "cache_capacity", "validation",
-        "fold_constants", "fusion", "shards", "plan_store", "shard_respawn",
+        "fold_constants", "shards", "plan_store", "shard_respawn",
         "shard_wave_deadline", "shard_fallback", "faults",
     ]
 
@@ -240,3 +265,11 @@ class TestOptionsSurface:
             api.Session(autotune=True)
         with pytest.raises(errors.ConfigError, match="autotune"):
             api.Options().replace(autotune={"budget_seconds": 0.1})
+
+    def test_fusion_is_not_an_option(self):
+        from repro import api
+
+        with pytest.raises(errors.ConfigError, match="fusion"):
+            api.Session(fusion=True)
+        with pytest.raises(errors.ConfigError, match="fusion"):
+            api.Options().replace(fusion=True)

@@ -3,14 +3,13 @@
 A Hypothesis strategy draws DAGs over the ops the compiler supports —
 matmul with and without transposes and with the ``diag`` / ``tridiagonal``
 / ``trmm`` / ``symm`` / ``syrk`` kernel hints, GEMV, add/sub/neg/scale,
-transpose, slices, the opt-in tridiagonal op and a ``fori_loop`` — a memory
-layout per feed (C, F, or a non-contiguous strided view) and ``fusion``
-on/off.  For every draw:
+transpose, slices, the opt-in tridiagonal op and a ``fori_loop`` — and a
+memory layout per feed (C, F, or a non-contiguous strided view).  For every
+draw:
 
 * the reference Interpreter, per-call plan execution and preallocated
   (arena) execution agree bit for bit, and their reports field for field
-  — fusion on or off, loops and sunk folds included, on float32 feeds and
-  on float64 ones into the float32-built graph (the plan derives one
+  — loops included, on float32 feeds and on float64 ones into the float32-built graph (the plan derives one
   report per input-dtype tuple);
 * the bytes a warm arena call copies equal the figure *predicted from the
   slot orders alone*: every feed whose layout its slot's order does not
@@ -49,10 +48,10 @@ MATS, VECS = 3, 1  # graph inputs: three N×N matrices, one N×1 vector
 HINTS = (None, None, "diag_matmul", "tridiagonal_matmul", "trmm",
          "trmm_right", "symm")
 LAYOUTS = ("C", "F", "S")
-#: A program whose fused plan sinks a GEMM (fold-aware scheduling) below
-#: the scaled addend of the second accumulate: in executed order its
-#: memory high-water mark is 432 bytes, the Interpreter's 576.  Pinned so
-#: a report can never again follow the executed order.
+#: Two GEMM accumulates over a vector add: a program whose memory
+#: high-water mark moves with the schedule (432 bytes with the second GEMM
+#: sunk below its addend, the Interpreter's 576).  Pinned so a report can
+#: only ever follow the Interpreter's order.
 SUNK_FOLD = (
     [("vadd", 0, 0), ("acc", 0, 0, 0, False, False, "add"),
      ("acc", 0, 0, 3, False, False, "add")],
@@ -71,7 +70,7 @@ def programs(draw):
 
     def mat():
         # Mostly a recent value, so that the steps chain (dead
-        # temporaries are what fusion and slot recycling act on).
+        # temporaries are what slot recycling acts on).
         low = draw(st.sampled_from((0, max(0, mats - 2), max(0, mats - 3))))
         return draw(st.integers(low, mats - 1))
 
@@ -112,8 +111,8 @@ def programs(draw):
                           draw(st.integers(0, 3))))
             mats += 1
         elif kind == "acc":
-            # scaled temporary ± GEMM: the shape the fusion pass folds
-            # into the BLAS call's C-accumulate.
+            # scaled temporary ± GEMM: an accumulate into a dead
+            # temporary.
             steps.append((kind, mat(), mat(), mat(), draw(st.booleans()),
                           draw(st.booleans()),
                           draw(st.sampled_from(("add", "sub", "rsub")))))
@@ -250,7 +249,7 @@ def predicted_copy_bytes(plan, layouts, feeds) -> int:
             total += feed.nbytes
     for inst in plan.instructions:
         landed = (inst.fn_out is None and inst.fn_loop is None
-                  and inst.kind != "const")
+                  and inst.op != "const")
         if landed:
             total += math.prod(inst.out_shape) * feeds[0].itemsize
     return total
@@ -268,16 +267,14 @@ def assert_same(outs, ref) -> None:
 @given(
     program=programs(),
     layouts=st.tuples(*[st.sampled_from(LAYOUTS)] * (MATS + VECS)),
-    fusion=st.booleans(),
     dtype=st.sampled_from((np.float32, np.float64)),
 )
-@example(program=SUNK_FOLD, layouts=ALL_C, fusion=True, dtype=np.float32)
-def test_interpreter_percall_preallocated_agree(program, layouts, fusion,
-                                                dtype):
+@example(program=SUNK_FOLD, layouts=ALL_C, dtype=np.float32)
+def test_interpreter_percall_preallocated_agree(program, layouts, dtype):
     graph = build_graph(program)  # float32 inputs, whatever is fed
     feeds = make_feeds(layouts, seed=1, dtype=dtype)
     ref, rep_i = Interpreter(record=True).run(graph, feeds)
-    plan = compile_plan(graph, fusion=fusion)
+    plan = compile_plan(graph)
     if dtype is np.float32:
         assert plan.report == rep_i
 
@@ -305,14 +302,13 @@ def test_interpreter_percall_preallocated_agree(program, layouts, fusion,
         st.tuples(*[st.sampled_from(LAYOUTS)] * (MATS + VECS)),
         st.sampled_from((np.float32, np.float64)),
     )] * 3),
-    fusion=st.booleans(),
 )
-def test_one_binding_across_layout_and_dtype_changes(program, rounds, fusion):
+def test_one_binding_across_layout_and_dtype_changes(program, rounds):
     """Each round redraws layouts and dtype and runs two passes through
     the same binding: the first warms (or re-warms) and certifies, the
     second is the generated serving pass."""
     graph = build_graph(program)
-    plan = compile_plan(graph, fusion=fusion)
+    plan = compile_plan(graph)
     binding = PinnedBinding(plan, plan.new_arena())
     arena = binding.arena
     for seed, (layouts, dtype) in enumerate(rounds):
@@ -333,12 +329,11 @@ def test_one_binding_across_layout_and_dtype_changes(program, rounds, fusion):
 @given(
     program=programs(),
     layouts=st.tuples(*[st.sampled_from(LAYOUTS)] * (MATS + VECS)),
-    fusion=st.booleans(),
 )
-@example(program=SUNK_FOLD, layouts=ALL_C, fusion=True)
-def test_hand_off_results_are_the_callers(program, layouts, fusion):
+@example(program=SUNK_FOLD, layouts=ALL_C)
+def test_hand_off_results_are_the_callers(program, layouts):
     graph = build_graph(program)
-    plan = compile_plan(graph, fusion=fusion)
+    plan = compile_plan(graph)
     concrete = Concrete(
         graph=graph, optimized=graph, plan=plan, trace_seconds=0.0,
         pipeline_log="", binding=PinnedBinding(plan, plan.new_arena()),

@@ -297,8 +297,7 @@ class TestDestinationAware:
 
     def test_gemm_alpha_fold_is_bit_identical(self, rng):
         """alpha rides along after accumulation: scaling inside the BLAS
-        call equals an elementwise post-scale, bit for bit (the fusion
-        pass's alpha-fold contract)."""
+        call equals an elementwise post-scale, bit for bit."""
         a = _mat(rng, 16, 16)
         b = _mat(rng, 16, 16)
         folded = blas3.gemm(a, b, alpha=2.5)

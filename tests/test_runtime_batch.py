@@ -38,7 +38,7 @@ def _run_reference(plan, feeds, reference):
 
 
 def _expected(feed_sets, reference="per-call"):
-    with api.Session(fusion=True) as s:
+    with api.Session() as s:
         plan = s.compile(gram).get_concrete(*feed_sets[0]).plan
     return [_run_reference(plan, feeds, reference)[0][0].tobytes()
             for feeds in feed_sets]
@@ -51,7 +51,7 @@ def reference(request):
 
 @pytest.fixture
 def session():
-    with api.Session(fusion=True) as s:
+    with api.Session() as s:
         yield s
 
 
@@ -125,7 +125,7 @@ def test_failure_inside_execution_releases_the_executor(monkeypatch):
     free and the buffers reusable."""
     feed_sets = _feed_sets()
     expected = _expected(feed_sets)
-    with api.Session(fusion=True) as s:
+    with api.Session() as s:
         f = s.compile(gram)
         f(*feed_sets[0])  # the warming pass; later calls serve
         real = PinnedBinding.execute

@@ -79,7 +79,7 @@ def _ordered_feeds(plan, feeds):
 class TestPinnedBinding:
     def test_binding_matches_execute_bit_for_bit(self):
         graph, feeds = _dispatch_workload()
-        plan = compile_plan(graph, fusion=True)
+        plan = compile_plan(graph)
         ref, _ = plan.execute(feeds)
         binding = plan.bind_pinned(
             _ordered_feeds(plan, feeds), plan.new_arena()
@@ -91,7 +91,7 @@ class TestPinnedBinding:
 
     def test_contents_reread_each_call(self):
         graph, feeds = _dispatch_workload()
-        plan = compile_plan(graph, fusion=True)
+        plan = compile_plan(graph)
         bound = _ordered_feeds(plan, feeds)
         binding = plan.bind_pinned(bound, plan.new_arena())
         binding.execute()
@@ -104,7 +104,7 @@ class TestPinnedBinding:
 
     def test_structured_binding_parity(self):
         graph, feeds = _structured_workload()
-        plan = compile_plan(graph, fusion=True)
+        plan = compile_plan(graph)
         interp_out, _ = Interpreter(record=False).run(graph, feeds)
         binding = plan.bind_pinned(
             _ordered_feeds(plan, feeds), plan.new_arena()
@@ -114,7 +114,7 @@ class TestPinnedBinding:
 
     def test_validation(self):
         graph, feeds = _dispatch_workload()
-        plan = compile_plan(graph, fusion=True)
+        plan = compile_plan(graph)
         arena = plan.new_arena()
         with pytest.raises(GraphError, match="inputs"):
             plan.bind_pinned(feeds[:2], arena)
@@ -130,9 +130,9 @@ class TestPinnedBinding:
 
 class TestGeneratedServingPass:
     def test_chain_source_is_one_call_line_per_instruction(self):
-        """The benchmark's 53-node chain (12 rounds, n=16), fused."""
+        """The benchmark's 53-node chain (12 rounds, n=16)."""
         graph, feeds = _dispatch_workload(loops=12)
-        plan = compile_plan(graph, fusion=True)
+        plan = compile_plan(graph)
         binding = PinnedBinding(plan, plan.new_arena())
         binding.rebind(feeds)
         warm = [o.copy() for o in binding.execute()]
@@ -141,7 +141,7 @@ class TestGeneratedServingPass:
         assert np.array_equal(served[0], warm[0])
         lines = plan.generated_source.splitlines()
         calls = [ln for ln in lines if "(" in ln.split("#")[0]][1:]  # - def
-        assert len(calls) == len(plan.instructions) == 38
+        assert len(calls) == len(plan.instructions) == 50
         for line, inst in zip(calls, plan.instructions):
             assert line.endswith(f"# {inst.op} {inst.label}")
         words = {w for ln in lines for w in ln.split("#")[0].split()}
@@ -149,7 +149,7 @@ class TestGeneratedServingPass:
 
     def test_source_is_shared_by_every_binding_of_the_plan(self):
         graph, feeds = _dispatch_workload()
-        plan = compile_plan(graph, fusion=True)
+        plan = compile_plan(graph)
         for _ in range(2):
             plan.execute(feeds, record=False, arena=plan.new_arena())
         assert plan.generated_source is None  # two bindings, one pass each
@@ -165,7 +165,7 @@ class TestGeneratedServingPass:
 
     def test_nothing_is_generated_by_a_single_session_call(self):
         a, b = random_general(8, seed=1), random_general(8, seed=2)
-        with api.Session(fusion=True) as session:
+        with api.Session() as session:
             f = session.compile(lambda p, q: (p @ q + p) @ q)
             first = f(a, b)
             plan = f.get_concrete(a, b).plan
@@ -223,7 +223,7 @@ class TestGeneratedServingPass:
 class TestSlotOrdersAndPinning:
     def test_structured_plan_orders(self):
         graph, _ = _structured_workload()
-        plan = compile_plan(graph, fusion=True)
+        plan = compile_plan(graph)
         by_slot = dict(enumerate(plan.slot_orders))
         # TRMM reads its triangle as a matrix, through the Fortran view
         # of a C buffer: C.  The tridiagonal matrix is read through its
@@ -241,12 +241,12 @@ class TestSlotOrdersAndPinning:
 
     def test_dispatch_plan_is_c_ordered(self):
         graph, _ = _dispatch_workload()
-        plan = compile_plan(graph, fusion=True)
+        plan = compile_plan(graph)
         assert set(plan.slot_orders) == {"C"}
 
     def test_binding_rule_respects_slot_order(self):
         graph, feeds = _structured_workload()
-        plan = compile_plan(graph, fusion=True)
+        plan = compile_plan(graph)
         arena = plan.new_arena()
         ordered = _ordered_feeds(plan, feeds)
         out_ref, _ = plan.execute(feeds, record=False)
@@ -270,7 +270,7 @@ class TestSlotOrdersAndPinning:
         not staged — and so is the same tensor against TRMM's C slot:
         nothing is copied."""
         graph, feeds = _structured_workload()
-        plan = compile_plan(graph, fusion=True)
+        plan = compile_plan(graph)
         tensors = [Tensor(f) for f in feeds]
         assert all(t.data.flags.c_contiguous for t in tensors)
         arena = plan.new_arena()
@@ -283,7 +283,7 @@ class TestSlotOrdersAndPinning:
 
     def test_pin_slot_writes_through_external_buffer(self):
         graph, feeds = _dispatch_workload()
-        plan = compile_plan(graph, fusion=True)
+        plan = compile_plan(graph)
         arena = plan.new_arena()
         out_slot = plan.output_slots[0]
         external = np.empty(plan.slot_shape(out_slot), dtype=np.float32)
@@ -293,7 +293,7 @@ class TestSlotOrdersAndPinning:
 
     def test_pin_slot_validates(self):
         graph, _ = _dispatch_workload()
-        plan = compile_plan(graph, fusion=True)
+        plan = compile_plan(graph)
         arena = plan.new_arena()
         out_slot = plan.output_slots[0]
         with pytest.raises(ValueError, match="shape"):
@@ -307,7 +307,7 @@ class TestSlotOrdersAndPinning:
 
     def test_pinned_slot_refuses_silent_reallocation(self):
         graph, feeds = _dispatch_workload()
-        plan = compile_plan(graph, fusion=True)
+        plan = compile_plan(graph)
         arena = plan.new_arena()
         out_slot = plan.output_slots[0]
         external = np.empty(plan.slot_shape(out_slot), dtype=np.float64)
@@ -319,7 +319,7 @@ class TestSlotOrdersAndPinning:
 
     def test_buffer_descriptors(self):
         graph, _ = _structured_workload()
-        plan = compile_plan(graph, fusion=True)
+        plan = compile_plan(graph)
         descs = plan.buffer_descriptors(np.float32)
         inputs = [d for d in descs if d.role == "input"]
         outputs = [d for d in descs if d.role == "output"]
@@ -352,7 +352,7 @@ class TestSessionPin:
             g = plain.compile(fn)
             ref, ref2 = g(A, B, C), g(C, B, C)
 
-        with api.Session(fusion=True) as s:
+        with api.Session() as s:
             f = s.compile(fn)
             a = s.pin("a", (16, 16))
             b = s.pin("b", (16, 16))
@@ -380,7 +380,7 @@ class TestSessionPin:
         def fn(a, b):
             return a @ b + a
 
-        with api.Session(fusion=True) as s:
+        with api.Session() as s:
             f = s.compile(fn)
             strided = Tensor(wide[:, ::2])
             assert not strided.data.flags.c_contiguous

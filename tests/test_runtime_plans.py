@@ -1,17 +1,20 @@
 """Parity and behaviour of the compiled runtime (repro.runtime).
 
 The acceptance contract: ``Plan.execute`` must produce **bit-identical**
-outputs to the reference ``Interpreter`` in **all four mode combinations**
-(fusion on/off × through an arena or arena-less) — on raw traced graphs,
-default-optimized graphs and aware-optimized graphs alike, across the
-expression shapes the existing experiment workloads use.  The report is
-equal field-for-field (kernel call list, FLOPs, peak bytes) with fusion
-off; with fusion on the call list uses the documented combined fused-call
-representation while total FLOPs and peak/live bytes stay equal.
+outputs to the reference ``Interpreter`` through an arena and arena-less
+— on raw traced graphs, default-optimized graphs and aware-optimized
+graphs alike, across the expression shapes the existing experiment
+workloads use — and a report equal field-for-field (kernel call list,
+FLOPs, peak bytes).
+
+The ``fused`` modes reach the plan through the ``fusion=True`` keyword
+the frozen e2e benchmark still passes to ``compile_plan`` and
+``PlanCache.get``.  Kernel fusion is deleted and the keyword is inert:
+it must hand back the very plan a bare call does.
 
 The Session has one executor (each ``Concrete``'s arena binding); its
 suite checks it against the Interpreter and against the same plan run at
-plan level in each of the four combinations.
+plan level in each of the four modes.
 """
 
 from __future__ import annotations
@@ -74,8 +77,9 @@ def _graphs(case, operands):
     return graph, feeds
 
 
-#: The four plan-level execution combinations of the acceptance contract:
-#: (fusion, through an arena) — arena-less is the per-call reference.
+#: The four plan-level execution modes of the acceptance contract:
+#: (reached through the inert ``fusion=True`` keyword, through an arena)
+#: — arena-less is the per-call reference.
 MODES = {
     "plain": (False, False),
     "fused": (True, False),
@@ -86,9 +90,12 @@ MODES = {
 
 def assert_parity(graph, feeds, *, fusion=False, use_arena=False):
     """Interpreter vs compiled plan: bit-identical outputs, and reports
-    equal field for field, fusion on or off."""
+    equal field for field.  With ``fusion`` the plan is compiled through
+    the inert keyword and must describe exactly the bare call's plan."""
     outs_i, rep_i = Interpreter(record=True).run(graph, feeds)
     plan = compile_plan(graph, fusion=fusion)
+    if fusion:
+        assert plan.describe() == compile_plan(graph).describe()
     arena = plan.new_arena() if use_arena else None
     outs_p, rep_p = plan.execute(feeds, arena=arena)
     assert len(outs_i) == len(outs_p)
@@ -218,6 +225,26 @@ def test_feed_errors(operands):
         plan.execute([a.data, random_general(5, seed=3).data])  # shape
 
 
+def test_mixed_operand_dtypes_raise():
+    """A GEMM never silently downcasts a mismatched operand: a float64
+    constant against float32 feeds raises ``DTypeError``, arena-less and
+    through an arena, like the kernel layer."""
+    from repro.errors import DTypeError
+    from repro.tensor import Tensor
+
+    ab = [random_general(12, seed=1), random_general(12, seed=2)]
+    k64 = np.ones((12, 12), dtype=np.float64)
+    # Traced uniformly in float64 (tracing rejects mixed dtypes), then
+    # fed float32: the float64 const makes ``a @ K`` mixed at execution.
+    graph = trace(lambda a, b: b @ a + a @ tfsim.constant(k64),
+                  [Tensor(t.data.astype(np.float64)) for t in ab])
+    plan = compile_plan(graph)
+    feeds32 = [t.data for t in ab]
+    for arena in (None, plan.new_arena()):
+        with pytest.raises(DTypeError):
+            plan.execute(feeds32, record=False, arena=arena)
+
+
 def test_fold_constants_precomputes_const_subdags():
     # Built via the IR builder: tracing would eagerly evaluate a
     # Tensor-Tensor product before it ever reached the graph.
@@ -266,9 +293,16 @@ def _as_bytes(result) -> list[bytes]:
     return [t.numpy().tobytes() for t in tensors]
 
 
-def _plan_level(plan, args, use_arena):
-    """``plan`` run at plan level on ``args``: through a fresh arena or
-    arena-less."""
+def _plan_level(session, f, args, mode):
+    """The plan ``f`` runs on ``args``, run at plan level in ``mode``:
+    through a fresh arena or arena-less.  The ``fused`` modes fetch it
+    from the session's cache as the e2e benchmark does, through the inert
+    ``fusion=True`` keyword, and it must be the ``Concrete``'s own plan."""
+    fusion, use_arena = MODES[mode]
+    plan = f.get_concrete(*args).plan
+    if fusion:
+        graph = f.optimized_graph(*args)
+        assert session.plan_cache.get(graph, fusion=True) is plan
     arena = plan.new_arena() if use_arena else None
     return plan.execute([a.data for a in args], arena=arena)
 
@@ -283,8 +317,7 @@ def test_session_call_path_matches_interpreter(case, pipe, mode, operands):
     its plan run at plan level in ``mode``."""
     fn, keys = CASES[case]
     args = [operands[k] for k in keys]
-    fusion, use_arena = MODES[mode]
-    with api.Session(pipeline=pipe, fusion=fusion) as session:
+    with api.Session(pipeline=pipe) as session:
         f = session.compile(fn)
         want = _as_bytes(f.interpret(*args))
         rep_i = f.last_report
@@ -292,9 +325,7 @@ def test_session_call_path_matches_interpreter(case, pipe, mode, operands):
             assert _as_bytes(f(*args)) == want
         rep = f.last_report
         batch = session.run_batch(f, [args] * 2)
-        plan_outs, plan_rep = _plan_level(
-            f.get_concrete(*args).plan, args, use_arena
-        )
+        plan_outs, plan_rep = _plan_level(session, f, args, mode)
     for outs in batch.outputs + [plan_outs]:
         assert [np.ascontiguousarray(o).tobytes() for o in outs] == want
     assert all(r is rep for r in batch.reports)
@@ -314,16 +345,13 @@ def test_session_loop_parity(mode, operands):
     def fn(p, q):
         return tfsim.fori_loop(3, body, tfsim.zeros(*p.shape), [p, q])
 
-    fusion, use_arena = MODES[mode]
-    with api.Session(fusion=fusion) as session:
+    with api.Session() as session:
         f = session.compile(fn)
         want = _as_bytes(f.interpret(a, b))
         rep_i = f.last_report
         for _ in range(4):
             assert _as_bytes(f(a, b)) == want
         assert f.last_report == rep_i
-        plan_outs, plan_rep = _plan_level(
-            f.get_concrete(a, b).plan, [a, b], use_arena
-        )
+        plan_outs, plan_rep = _plan_level(session, f, [a, b], mode)
     assert [o.tobytes() for o in plan_outs] == want
     assert f.last_report == plan_rep

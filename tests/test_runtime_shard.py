@@ -76,7 +76,7 @@ def workload():
 @pytest.fixture(scope="module")
 def plan(workload):
     graph, _ = workload
-    return compile_plan(graph, fusion=True)
+    return compile_plan(graph)
 
 
 # -- serialization ------------------------------------------------------------
@@ -145,7 +145,7 @@ class TestPlanPickling:
         _, feeds = workload
         clone = pickle.loads(pickle.dumps(plan))
         assert clone.signature == plan.signature
-        assert clone.fusion_stats.sites == plan.fusion_stats.sites
+        assert clone.describe() == plan.describe()
         out_a, _ = plan.execute(feeds)
         out_b, _ = clone.execute(feeds)
         for a, b in zip(out_a, out_b):
@@ -317,7 +317,7 @@ class TestWorkerFailure:
         self, fault_plan, workload
     ):
         graph, feeds = workload
-        plan = compile_plan(graph, fusion=True)
+        plan = compile_plan(graph)
         ref, _ = plan.execute(feeds, record=False)
 
         # Each worker raises InjectedFault on its second ring entry.
@@ -343,7 +343,7 @@ class TestWorkerFailure:
         self, fault_plan, workload
     ):
         graph, feeds = workload
-        plan = compile_plan(graph, fusion=True)
+        plan = compile_plan(graph)
 
         # The worker's second ring entry explodes inside the worker.
         fault_plan("worker.exec:error@2")
@@ -366,7 +366,7 @@ class TestWorkerFailure:
         # fires on exec hit 3 (second run): the replayed wave's fresh
         # worker counts 1..2 and stays under it.
         graph, feeds = workload
-        plan = compile_plan(graph, fusion=True)
+        plan = compile_plan(graph)
         ref, _ = plan.execute(feeds, record=False)
         fault_plan("worker.exec:hang(60)@3")
         with ShardPool(plan, shards=1, start_method="fork",
@@ -390,7 +390,7 @@ class TestWorkerFailure:
         self, fault_plan, workload
     ):
         graph, feeds = workload
-        plan = compile_plan(graph, fusion=True)
+        plan = compile_plan(graph)
         fault_plan("worker.exec:hang(60)@1")
         with ShardPool(plan, shards=1, start_method="fork",
                        dtype=np.float32, wave_deadline=0.5) as pool:
@@ -408,7 +408,7 @@ class TestWorkerFailure:
         # classified "protocol"; the worker is reaped and the wave
         # replayed on a replacement with correct results.
         graph, feeds = workload
-        plan = compile_plan(graph, fusion=True)
+        plan = compile_plan(graph)
         ref, _ = plan.execute(feeds, record=False)
         fault_plan("pipe.send:corrupt@2")
         with ShardPool(plan, shards=1, start_method="fork",
@@ -435,7 +435,7 @@ class TestSessionSharding:
         def fn(a, b, c):
             return (a @ b + c) @ a.T
 
-        with api.Session(fusion=True) as s:
+        with api.Session() as s:
             f = s.compile(fn)
             ref = s.run_batch(f, [[A, B, C]] * 5)
             sharded = s.run_sharded(f, [[A, B, C]] * 5, shards=2)
@@ -457,7 +457,7 @@ class TestSessionSharding:
                   "faults": "worker.exec:crash@1w0"})
         flops = []
         for opts in paths:
-            with api.Session(fusion=True, **opts) as s:
+            with api.Session(**opts) as s:
                 f = s.compile(fn)
                 batch = s.run_batch(f, [[A, B, C]] * 4)
                 report = f.get_concrete(A, B, C).plan.report

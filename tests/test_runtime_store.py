@@ -3,10 +3,10 @@
 Contracts under test (the PR-8 perf tentpole):
 
 * **Bit identity** — a plan rebuilt from a store artifact produces
-  outputs, FLOP reports and fusion stats identical to a fresh compile,
-  across all four fusion × arena option combinations, both at the
-  runtime layer (``put_plan``/``load_plan``) and through a cold
-  ``Session`` warm-starting from disk.
+  outputs, FLOP reports and instructions identical to a fresh compile,
+  through an arena or arena-less, both at the runtime layer
+  (``put_plan``/``load_plan``) and through a cold ``Session``
+  warm-starting from disk.
 * **Accounting** — artifacts are content-addressed (re-put is a no-op),
   store hits/misses/writes and the plan cache's ``via_store`` channel
   keep ``misses`` meaning "cold compiles performed": a fully warm
@@ -149,13 +149,13 @@ class TestConstSplit:
 
 
 class TestArtifactRoundTrip:
-    @pytest.mark.parametrize("fusion", [False, True])
+    @pytest.mark.parametrize("fold_constants", [False, True])
     @pytest.mark.parametrize("arena", [None, "preallocated"])
     def test_load_plan_parity_all_combos(
-        self, tmp_path, optimized, fusion, arena
+        self, tmp_path, optimized, fold_constants, arena
     ):
         graph, feeds = optimized
-        fresh = compile_plan(graph, fusion=fusion)
+        fresh = compile_plan(graph, fold_constants=fold_constants)
         store = PlanStore(tmp_path)
         key = store.put_plan(fresh, cold_seconds=0.01)
         assert key is not None and store.stats.writes == 1
@@ -165,11 +165,7 @@ class TestArtifactRoundTrip:
         assert warm is not None
         assert reader.stats.hits == 1 and reader.stats.misses == 0
         assert warm.signature == fresh.signature
-
-        def sites(p):
-            return p.fusion_stats.sites if p.fusion_stats else None
-
-        assert sites(warm) == sites(fresh)
+        assert warm.describe() == fresh.describe()
 
         kw = {}
         if arena is not None:
@@ -189,7 +185,7 @@ class TestArtifactRoundTrip:
 
     def test_content_addressing_skips_existing(self, tmp_path, optimized):
         graph, _ = optimized
-        plan = compile_plan(graph, fusion=True)
+        plan = compile_plan(graph)
         store = PlanStore(tmp_path)
         key1 = store.put_plan(plan)
         key2 = store.put_plan(plan)
@@ -198,12 +194,12 @@ class TestArtifactRoundTrip:
         plans, nbytes = store.disk_stats()
         assert plans == 1 and nbytes > 0
 
-    def test_fold_and_fusion_key_separately(self, tmp_path, optimized):
+    def test_fold_constants_keys_separately(self, tmp_path, optimized):
         graph, _ = optimized
         store = PlanStore(tmp_path)
         k_plain = store.put_plan(compile_plan(graph))
-        k_fused = store.put_plan(compile_plan(graph, fusion=True))
-        assert k_plain != k_fused
+        k_folded = store.put_plan(compile_plan(graph, fold_constants=True))
+        assert k_plain != k_folded
         assert store.disk_stats()[0] == 2
 
     def test_alias_jump_returns_optimized_graph(
@@ -213,10 +209,9 @@ class TestArtifactRoundTrip:
         graph, _ = optimized
         store = PlanStore(tmp_path)
         tkey = store.trace_key(
-            raw, backend="tfsim", pipeline="default",
-            fold_constants=False, fusion=True,
+            raw, backend="tfsim", pipeline="default", fold_constants=False,
         )
-        pkey = store.put_plan(compile_plan(graph, fusion=True))
+        pkey = store.put_plan(compile_plan(graph))
         store.put_alias(tkey, pkey)
         store.put_alias(tkey, store.put_plan(compile_plan(graph)))
         assert store._load_alias(tkey) == pkey  # the first write wins
@@ -230,13 +225,12 @@ class TestArtifactRoundTrip:
     def test_trace_key_varies_with_pipeline_identity(self, tmp_path, traced):
         raw, _ = traced
         store = PlanStore(tmp_path)
-        base = dict(backend="tfsim", pipeline="default",
-                    fold_constants=False, fusion=False)
+        base = dict(backend="tfsim", pipeline="default", fold_constants=False)
         keys = {
             store.trace_key(raw, **base),
             store.trace_key(raw, **{**base, "pipeline": "aware"}),
             store.trace_key(raw, **{**base, "backend": "pytsim"}),
-            store.trace_key(raw, **{**base, "fusion": True}),
+            store.trace_key(raw, **{**base, "fold_constants": True}),
         }
         assert len(keys) == 4
 
@@ -299,9 +293,9 @@ class TestMmapConsts:
     def test_mapped_plan_executes_with_parity(self, tmp_path):
         graph, feeds = _big_const_graph()
         store = PlanStore(tmp_path)
-        key = store.put_plan(compile_plan(graph, fusion=True))
+        key = store.put_plan(compile_plan(graph))
         warm = PlanStore(tmp_path).load_plan(key)
-        out_a, _ = compile_plan(graph, fusion=True).execute(feeds)
+        out_a, _ = compile_plan(graph).execute(feeds)
         out_b, _ = warm.execute(feeds)
         assert np.array_equal(out_a[0], out_b[0])
 
@@ -318,10 +312,10 @@ class TestMmapConsts:
 
 
 class TestCorruption:
-    def _stored(self, tmp_path, fusion=True):
+    def _stored(self, tmp_path):
         graph, feeds = _big_const_graph()
         store = PlanStore(tmp_path)
-        key = store.put_plan(compile_plan(graph, fusion=fusion))
+        key = store.put_plan(compile_plan(graph))
         return key, str(tmp_path / "objects" / f"{key}.plan")
 
     def test_truncated_artifact_evicted(self, tmp_path):
@@ -351,10 +345,12 @@ class TestCorruption:
         assert not os.path.exists(path)
 
     # Format 2, whose aliases may name a rewrite gated bit-identical only
-    # on its race feeds, and a format no release writes (constants, so
+    # on its race feeds; format 3, whose keys and headers carry a kernel
+    # fusion component; and a format no release writes (constants, so
     # the test ids do not move when STORE_FORMAT_VERSION is bumped).
     @pytest.mark.parametrize("field,value", [
         ("format", 2),
+        ("format", 3),
         ("format", 1000),
         ("fingerprint", "f" * 40),
     ])
@@ -417,21 +413,20 @@ class TestSessionWarmStart:
         assert np.array_equal(out.data, ref.data)
         warm.close()
 
-    @pytest.mark.parametrize("fusion", [False, True])
+    @pytest.mark.parametrize("fold_constants", [False, True])
     @pytest.mark.parametrize("reference", ["per-call", "preallocated"])
     def test_warm_session_parity_all_combos(self, tmp_path, feeds,
-                                            fusion, reference):
+                                            fold_constants, reference):
         """A warm start answers like the cold session, and like the
         restored plan executed at plan level — arena-less
-        (``"per-call"``) or through a fresh arena."""
-        root = tmp_path / str(int(fusion))
-        opts = dict(fusion=fusion, plan_store=str(root))
-
+        (``"per-call"``) or through a fresh arena — with constant folding
+        off and on."""
+        opts = dict(fold_constants=fold_constants, plan_store=str(tmp_path))
         cold = api.Session(**opts)
         f = cold.compile(_model)
         ref = f(*feeds)
         ref_report = f.last_report
-        ref_sites = cold.stats().fused_sites
+        ref_plan = f.get_concrete(*feeds).plan.describe()
         cold.close()
 
         warm = api.Session(**opts)
@@ -443,8 +438,8 @@ class TestSessionWarmStart:
         assert g.last_report.total_flops == ref_report.total_flops
         assert g.last_report.peak_bytes == ref_report.peak_bytes
         assert g.last_report.calls == ref_report.calls
-        assert st.fused_sites == ref_sites
         plan = g.get_concrete(*feeds).plan
+        assert plan.describe() == ref_plan
         arena = plan.new_arena() if reference == "preallocated" else None
         outs, report = plan.execute([t.data for t in feeds], arena=arena)
         assert np.array_equal(outs[0], out.data)
@@ -485,9 +480,7 @@ class TestShardWarmStart:
     @pytest.fixture(scope="class")
     def plan_and_feeds(self):
         graph, feeds = _traced()
-        return (
-            compile_plan(default_pipeline().run(graph), fusion=True), feeds
-        )
+        return compile_plan(default_pipeline().run(graph)), feeds
 
     @pytest.mark.skipif(not HAVE_FORK, reason="fork unavailable")
     def test_fork_workers_warm_start(self, tmp_path, plan_and_feeds):
@@ -529,9 +522,7 @@ class TestShardWarmStart:
         plan, feeds = plan_and_feeds
         ref, _ = plan.execute(feeds, record=False)
         store = PlanStore(tmp_path)
-        key = store.plan_key(
-            plan.signature, fold_constants=False, fusion=True
-        )
+        key = store.plan_key(plan.signature, fold_constants=False)
         # Content addressing makes the pool's own put_plan skip the
         # existing (garbage) file — every worker's load fails and the
         # pickle-blob path must carry the pool.
@@ -650,16 +641,16 @@ class TestGC:
         assert not os.path.exists(self._alias(store, "dangling"))
         assert not os.path.exists(self._alias(store, "garbage"))
 
-    def test_size_cap_evicts_lru_by_atime(self, tmp_path, optimized):
+    def test_size_cap_evicts_lru_by_atime(self, tmp_path, traced, optimized):
         import time
 
+        raw, _ = traced
         graph, _ = optimized
         store = PlanStore(tmp_path)
         keys = [
-            store.put_plan(compile_plan(graph, fold_constants=fold,
-                                        fusion=fusion))
-            for fold, fusion in ((False, False), (False, True),
-                                 (True, False))
+            store.put_plan(compile_plan(graph)),
+            store.put_plan(compile_plan(raw)),
+            store.put_plan(compile_plan(graph, fold_constants=True)),
         ]
         store.put_alias("hot-alias", keys[2])
         store.put_alias("cold-alias", keys[0])
@@ -690,7 +681,7 @@ class TestGC:
         _age(self._obj(store, f"{first}.plan"))
         _, one_artifact = store.disk_stats()
         store.max_bytes = one_artifact
-        second = store.put_plan(compile_plan(graph, fusion=True))
+        second = store.put_plan(compile_plan(graph, fold_constants=True))
         plans, nbytes = store.disk_stats()
         assert plans == 1
         assert not os.path.exists(self._obj(store, f"{first}.plan"))

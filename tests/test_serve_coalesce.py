@@ -280,7 +280,7 @@ class TestIncompatibleFeedsSplitWaves:
                 return a @ b + a
 
             async with serve.Server(
-                api.Options(fusion=True),
+                api.Options(),
                 coalesce=serve.CoalesceConfig(max_wave=2, max_delay=0.5),
             ) as server:
                 outs = await asyncio.gather(
@@ -307,7 +307,7 @@ class TestIncompatibleFeedsSplitWaves:
                 return a @ b + a
 
             async with serve.Server(
-                api.Options(fusion=True),
+                api.Options(),
                 coalesce=serve.CoalesceConfig(max_wave=2, max_delay=0.5),
             ) as server:
                 outs = await asyncio.gather(

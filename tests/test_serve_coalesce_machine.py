@@ -251,7 +251,7 @@ def model(a, b, c):
     "options, clients",
     [
         (None, 8),
-        (api.Options(fusion=True, shards=1), 8),
+        (api.Options(shards=1), 8),
         # Fewer clients than the cap: the finishing wave's hand-off,
         # not max_wave, is what flushes each refill.
         (None, 4),

@@ -216,7 +216,7 @@ class TestLifecycle:
 class TestShardedDispatch:
     def test_waves_run_through_the_shard_pool(self, feeds):
         async def main():
-            opts = api.Options(fusion=True, shards=2)
+            opts = api.Options(shards=2)
             async with serve.Server(
                 opts, coalesce=serve.CoalesceConfig(max_wave=4,
                                                     max_delay=0.005)
