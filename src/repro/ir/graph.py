@@ -63,19 +63,22 @@ class Graph:
         seen: set[int] = set()
         order: list[Node] = []
         for root in self.outputs:
-            stack: list[tuple[Node, bool]] = [(root, False)]
+            if id(root) in seen:
+                continue
+            seen.add(id(root))
+            # Each entry is a node and the iterator over its inputs still
+            # to visit: a node is emitted once that iterator runs out.
+            stack = [(root, iter(root.inputs))]
             while stack:
-                node, expanded = stack.pop()
-                if expanded:
-                    order.append(node)
-                    continue
-                if id(node) in seen:
-                    continue
-                seen.add(id(node))
-                stack.append((node, True))
-                for inp in reversed(node.inputs):
+                node, pending = stack[-1]
+                for inp in pending:
                     if id(inp) not in seen:
-                        stack.append((inp, False))
+                        seen.add(id(inp))
+                        stack.append((inp, iter(inp.inputs)))
+                        break
+                else:
+                    stack.pop()
+                    order.append(node)
         self._topo_cache = tuple(order)
         return self._topo_cache
 
@@ -116,7 +119,11 @@ class Graph:
         ``fn(node, new_inputs)`` is called for every reachable node in
         topological order, with its inputs already replaced.  It returns the
         replacement node, or ``None`` to mean "rebuild as-is" (a new node is
-        only allocated when inputs actually changed).
+        only allocated when inputs actually changed).  A rebuild as-is is
+        :meth:`Node.with_inputs`: when the new inputs keep the shapes and
+        dtypes of the ones they replace — the usual case, since passes
+        preserve values' shapes — it reuses the node's validated shape and
+        dtype instead of re-running the op's validation and inference.
 
         Identity contract: when *every* reachable node maps to itself the
         method returns ``self`` — same object, so the cached topological
@@ -139,9 +146,7 @@ class Graph:
                 ):
                     replacement = node
                 else:
-                    replacement = Node(
-                        node.op, new_inputs, dict(node.attrs), name=node.name
-                    )
+                    replacement = node.with_inputs(new_inputs)
             if replacement is not node:
                 changed = True
             mapping[id(node)] = replacement

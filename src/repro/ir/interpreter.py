@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 from collections.abc import Mapping, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,9 +28,12 @@ from .graph import Graph
 from .node import Node
 
 
-@dataclasses.dataclass(frozen=True)
-class KernelCall:
-    """One executed kernel: name, problem dimensions, modelled FLOPs."""
+class KernelCall(NamedTuple):
+    """One executed kernel: name, problem dimensions, modelled FLOPs.
+
+    An immutable record, built once per op when a plan is lowered and once
+    per executed op here.
+    """
 
     kernel: str
     dims: tuple[int, ...]

@@ -33,10 +33,14 @@ class OpSpec:
 
 
 def _common_dtype(inputs: tuple) -> np.dtype:
-    dtypes = {i.dtype for i in inputs}
-    if len(dtypes) > 1:
-        raise GraphError(f"mixed dtypes in op inputs: {sorted(map(str, dtypes))}")
-    return next(iter(dtypes))
+    first = inputs[0].dtype
+    for node in inputs[1:]:
+        if node.dtype != first:
+            dtypes = {i.dtype for i in inputs}
+            raise GraphError(
+                f"mixed dtypes in op inputs: {sorted(map(str, dtypes))}"
+            )
+    return first
 
 
 def _fixed_arity(n: int, name: str) -> ValidateFn:

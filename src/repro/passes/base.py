@@ -60,8 +60,9 @@ class GraphPass:
 
     @staticmethod
     def rebuild(node: Node, inputs: tuple[Node, ...]) -> Node:
-        """Clone ``node`` with new inputs (attrs preserved)."""
-        return Node(node.op, inputs, dict(node.attrs), name=node.name)
+        """Clone ``node`` with new inputs (attrs preserved); see
+        :meth:`Node.with_inputs` for when that skips re-inference."""
+        return node.with_inputs(inputs)
 
     def transform_loop_bodies(self, graph: Graph) -> Graph:
         """Recurse this pass into every ``loop`` node's body sub-graph.

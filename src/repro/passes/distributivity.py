@@ -19,16 +19,7 @@ from ..ir import builder
 from ..ir.graph import Graph
 from ..ir.node import Node
 from .base import GraphPass
-from .estimate import subtree_flops
-
-
-def _normalized_cost(node: Node) -> int:
-    """FLOPs of the sub-DAG after chain re-association (lazy import to
-    avoid a module cycle with chain_reorder)."""
-    from .chain_reorder import ChainReordering
-
-    optimized = ChainReordering().apply(Graph([node]))
-    return subtree_flops(optimized.outputs[0])
+from .chain_reorder import Pricing, reassociated_flops
 
 
 class DistributivityRewrite(GraphPass):
@@ -36,8 +27,20 @@ class DistributivityRewrite(GraphPass):
 
     name = "distributivity"
 
+    def _current(self, node: Node, new_inputs: tuple[Node, ...]) -> Node:
+        """``node`` over ``new_inputs`` — ``node`` itself while they are its own."""
+        if all(a is b for a, b in zip(new_inputs, node.inputs)):
+            return node
+        return self.rebuild(node, new_inputs)
+
     def apply(self, graph: Graph) -> Graph:
         graph = self.transform_loop_bodies(graph)
+        # The cost tests of one run price sub-DAGs of one graph: they
+        # share what carries over from one to the next.
+        pricing = Pricing()
+
+        def cost(node: Node) -> int:
+            return reassociated_flops(node, pricing)
 
         def try_factor(node: Node, new_inputs: tuple[Node, ...]) -> Node | None:
             """add/sub of two matmuls with a common factor."""
@@ -61,8 +64,8 @@ class DistributivityRewrite(GraphPass):
                 )
             else:
                 return None
-            current = self.rebuild(node, new_inputs)
-            if _normalized_cost(candidate) < _normalized_cost(current):
+            current = self._current(node, new_inputs)
+            if cost(candidate) < cost(current):
                 self._count()
                 return candidate
             return None
@@ -88,8 +91,8 @@ class DistributivityRewrite(GraphPass):
                 )
             if candidate is None:
                 return None
-            current = self.rebuild(node, new_inputs)
-            if _normalized_cost(candidate) < _normalized_cost(current):
+            current = self._current(node, new_inputs)
+            if cost(candidate) < cost(current):
                 self._count()
                 return candidate
             return None

@@ -69,12 +69,12 @@ class TransposeElimination(GraphPass):
                 return Node("dot", tuple(new), dict(node.attrs), name=node.name)
             return None
 
-        # Iterate to fixpoint: fusing a matmul can expose a dangling double
-        # transpose and vice versa.  Two sweeps suffice for any DAG produced
-        # by the tracer (transpose chains have depth <= 2), but loop until
-        # stable for safety.
-        prev_count = -1
-        while self.last_stats.rewrites != prev_count:
-            prev_count = self.last_stats.rewrites
-            graph = graph.rewrite(fn)
-        return graph
+        # One bottom-up sweep reaches the fixpoint.  ``fn`` sees every
+        # input already rewritten, so by induction every transpose the
+        # sweep leaves has a non-transpose input: one it keeps had one
+        # (else it would have cancelled), and one that cancels hands on the
+        # input of a transpose already left.  Every matmul and dot it
+        # leaves therefore reads non-transposes: it folded each transpose
+        # operand into the transpose's own input.  A second sweep would
+        # find nothing to rewrite.
+        return graph.rewrite(fn)

@@ -25,6 +25,26 @@ def _base(*props: Property) -> PropertySet:
     return closure({Property.GENERAL, *props})
 
 
+_TRANSPOSE_SWAP: dict[Property, Property] = {
+    Property.LOWER_TRIANGULAR: Property.UPPER_TRIANGULAR,
+    Property.UPPER_TRIANGULAR: Property.LOWER_TRIANGULAR,
+}
+_TRANSPOSE_KEEP: PropertySet = frozenset({
+    Property.SQUARE,
+    Property.VECTOR,
+    Property.SCALAR,
+    Property.SYMMETRIC,
+    Property.SPD,
+    Property.DIAGONAL,
+    Property.TRIDIAGONAL,
+    Property.ORTHOGONAL,
+    Property.IDENTITY,
+    Property.ZERO,
+    Property.BLOCK_DIAGONAL,
+    Property.UNIT_DIAGONAL,
+})
+
+
 def transpose_props(p: PropertySet) -> PropertySet:
     """Properties of ``Aᵀ`` given properties of ``A``.
 
@@ -32,28 +52,10 @@ def transpose_props(p: PropertySet) -> PropertySet:
     orthogonal/identity/zero are preserved.
     """
     out: set[Property] = {Property.GENERAL}
-    swap = {
-        Property.LOWER_TRIANGULAR: Property.UPPER_TRIANGULAR,
-        Property.UPPER_TRIANGULAR: Property.LOWER_TRIANGULAR,
-    }
-    keep = {
-        Property.SQUARE,
-        Property.VECTOR,
-        Property.SCALAR,
-        Property.SYMMETRIC,
-        Property.SPD,
-        Property.DIAGONAL,
-        Property.TRIDIAGONAL,
-        Property.ORTHOGONAL,
-        Property.IDENTITY,
-        Property.ZERO,
-        Property.BLOCK_DIAGONAL,
-        Property.UNIT_DIAGONAL,
-    }
     for prop in p:
-        if prop in swap:
-            out.add(swap[prop])
-        elif prop in keep:
+        if prop in _TRANSPOSE_SWAP:
+            out.add(_TRANSPOSE_SWAP[prop])
+        elif prop in _TRANSPOSE_KEEP:
             out.add(prop)
     return closure(out)
 

@@ -45,9 +45,9 @@ workload and compares outputs bit-for-bit and reports field-for-field.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from collections.abc import Callable
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,8 +69,7 @@ def _call_free(kernel: str, node_op: str) -> KernelCall:
     return KernelCall(kernel, (), 0, node_op)
 
 
-@dataclasses.dataclass(frozen=True)
-class _Op:
+class _Op(NamedTuple):
     """What one ``_compile_*`` hands back to the scheduling loop."""
 
     fn: ExecFn

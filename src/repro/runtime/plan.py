@@ -97,6 +97,7 @@ import linecache
 import math
 import weakref
 from collections.abc import Callable, Mapping, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -144,9 +145,9 @@ class BatchResult:
         return [outs[0] for outs in self.outputs]
 
 
-@dataclasses.dataclass(frozen=True)
-class Instruction:
-    """One scheduled op with everything pre-resolved."""
+class Instruction(NamedTuple):
+    """One scheduled op with everything pre-resolved (an immutable record;
+    the compiler builds one per executed node of every plan)."""
 
     #: Slot the result is written to.
     out_slot: int

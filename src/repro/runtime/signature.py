@@ -27,7 +27,7 @@ from typing import Any
 import numpy as np
 
 from ..ir.graph import Graph
-from ..ir.node import Node
+from ..ir.node import PLAIN_ATTR_TYPES, Node
 
 
 @functools.cache
@@ -39,6 +39,8 @@ def _dtype_str(dtype: np.dtype) -> str:
 
 def _attr_value_key(value: Any) -> Any:
     """Hashable, structure-respecting encoding of one attr value."""
+    if type(value) in PLAIN_ATTR_TYPES:
+        return value
     if isinstance(value, np.ndarray):
         digest = hashlib.sha1(np.ascontiguousarray(value).tobytes()).hexdigest()
         return ("ndarray", value.shape, str(value.dtype), digest)
@@ -60,7 +62,7 @@ def _node_key(node: Node, index_of: dict[int, int]) -> tuple:
         node.shape,
         _dtype_str(node.dtype),
         attrs,
-        tuple(index_of[id(i)] for i in node.inputs),
+        tuple([index_of[id(i)] for i in node.inputs]),
     )
 
 

@@ -491,14 +491,20 @@ class PlanStore:
     ) -> GCStats:
         """Bound the store: sweep garbage, then evict LRU-by-atime.
 
-        Three phases, all best-effort and multi-process-safe:
+        Four phases, all best-effort and multi-process-safe:
 
         1. **Orphan removal** — abandoned ``.tmp`` files and sidecars
            whose ``.plan`` is gone (a dead publisher, or a previous
            eviction interrupted partway).
-        2. **Dangling-alias sweep** — aliases whose target artifact no
-           longer exists (evicted or corrupt-evicted).
-        3. **Size-cap eviction** — when ``max_bytes`` is set (argument,
+        2. **Stale-artifact eviction** — artifacts whose header names
+           another :data:`STORE_FORMAT_VERSION` or runtime fingerprint,
+           or cannot be read at all.  A load would evict them, but an
+           older format may spell its keys differently, and then no load
+           ever asks for them again.
+        3. **Dangling-alias sweep** — aliases whose target artifact no
+           longer exists (evicted or corrupt-evicted), and aliases of
+           another format or fingerprint.
+        4. **Size-cap eviction** — when ``max_bytes`` is set (argument,
            else the store's ``max_bytes``), whole artifacts (``.plan`` +
            sidecars) are evicted least-recently-*accessed* first until
            ``objects/`` fits; aliases pointing at an evicted artifact
@@ -537,12 +543,16 @@ class PlanStore:
             alias_names = os.listdir(self._aliases)
         except OSError:
             alias_names = []
+        current = (STORE_FORMAT_VERSION, runtime_fingerprint())
         for name in alias_names:
             path = os.path.join(self._aliases, name)
             try:
                 alias_bytes += os.path.getsize(path)
                 with open(path, "rb") as fh:
-                    target = json.loads(fh.read()).get("target")
+                    spec = json.loads(fh.read())
+                target = spec.get("target")
+                if (spec.get("format"), spec.get("fingerprint")) != current:
+                    target = None  # stale → dangling
                 alias_targets[name] = target if isinstance(target, str) else ""
             except OSError:
                 continue
@@ -579,7 +589,23 @@ class PlanStore:
                 if n:
                     del files[name]
 
-        # Phase 2: dangling aliases.
+        # Phase 2: stale artifacts, with their sidecars.  Their aliases
+        # now dangle, and phase 3 sweeps them.
+        for key in sorted(plan_keys):
+            name = f"{key}.plan"
+            st = files.get(name)
+            if st is None or fresh(st) or self._header(name) == current:
+                continue
+            evicted += 1
+            plan_keys.discard(key)
+            for other in list(files):
+                if other == name or (
+                    other.startswith(f"{key}.c") and other.endswith(".npy")
+                ):
+                    unlink(os.path.join(self._objects, other),
+                           files.pop(other).st_size)
+
+        # Phase 3: dangling aliases.
         for name, target in list(alias_targets.items()):
             path = os.path.join(self._aliases, name)
             if target and f"{target}.plan" in files:
@@ -595,7 +621,7 @@ class PlanStore:
             if n:
                 del alias_targets[name]
 
-        # Phase 3: size-cap eviction, LRU by access time.
+        # Phase 4: size-cap eviction, LRU by access time.
         if max_bytes is not None:
             groups: dict[str, list[str]] = {k: [] for k in plan_keys}
             for name in files:
@@ -637,6 +663,16 @@ class PlanStore:
             aliases_swept=aliases_swept,
             orphans_removed=orphans,
         )
+
+    def _header(self, name: str) -> "tuple | None":
+        """``(format, fingerprint)`` of artifact file ``name`` in
+        ``objects/``; ``None`` when it cannot be read."""
+        try:
+            with open(os.path.join(self._objects, name), "rb") as fh:
+                artifact = pickle.loads(fh.read())
+            return (artifact["format"], artifact["fingerprint"])
+        except Exception:
+            return None
 
     # -- reporting -------------------------------------------------------------
 

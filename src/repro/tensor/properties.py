@@ -23,7 +23,19 @@ class Property(enum.Enum):
 
     ``Tensor.props`` holds a frozen set of these; :func:`closure` adds all
     implied properties so consumers can test membership directly.
+
+    Members hash by identity, in C.  ``Enum``'s own ``__hash__`` hashes the
+    member's name in Python, and tracing and property inference test and
+    build these sets hundreds of times per graph.  Members are singletons
+    per process (unpickling returns the existing member) and compare by
+    identity, so the identity hash agrees with equality.  Set iteration
+    order was never stable across processes (string hashes are seeded per
+    process); whatever persists a set sorts it first —
+    :func:`repro.runtime.signature.signature_digest` and the graph payload
+    format both do.
     """
+
+    __hash__ = object.__hash__
 
     GENERAL = "general"
     SQUARE = "square"
@@ -81,6 +93,8 @@ def closure(props: Iterable[Property]) -> PropertySet:
     True
     """
     out: set[Property] = set(props)
+    if out.isdisjoint(IMPLICATIONS):
+        return frozenset(out)
     frontier = list(out)
     while frontier:
         p = frontier.pop()

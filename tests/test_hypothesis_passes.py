@@ -29,6 +29,8 @@ from repro.passes import (
     aware_pipeline,
     default_pipeline,
 )
+from repro.passes.chain_reorder import Pricing, reassociated_flops
+from repro.passes.estimate import subtree_flops
 from repro.tensor import Tensor
 
 N = 6  # tiny operands: hypothesis runs many examples
@@ -181,3 +183,32 @@ def test_aware_flops_never_exceed_default(tree):
     _, rep_default = run_graph(default_pipeline().run(g1), feeds)
     _, rep_aware = run_graph(aware_pipeline().run(g2), feeds)
     assert rep_aware.total_flops <= rep_default.total_flops
+
+
+@given(tree=expressions())
+@settings(max_examples=40, deadline=None)
+def test_one_transpose_sweep_reaches_the_fixpoint(tree):
+    """TransposeElimination makes one rewrite sweep: what it returns has
+    nothing left for a second run to rewrite."""
+    a, b, x = _operands()
+    g = trace(lambda p, q, v: _materialize(tree, p, q, v), [a, b, x])
+    once = TransposeElimination().run(g)
+    again = TransposeElimination()
+    assert again.run(once) is once
+    assert again.last_stats.rewrites == 0
+
+
+@given(tree=expressions())
+@settings(max_examples=40, deadline=None)
+def test_reassociated_flops_counts_what_chain_reordering_builds(tree):
+    """The distributivity cost test prices a sub-DAG's reassociation
+    without building it; it must count what ChainReordering builds, also
+    when one Pricing carries over between the sub-DAGs of a graph."""
+    a, b, x = _operands()
+    g = trace(lambda p, q, v: _materialize(tree, p, q, v), [a, b, x])
+    for graph in (g, default_pipeline().run(g)):
+        pricing = Pricing()
+        for node in graph.topological():
+            built = ChainReordering().apply(Graph([node])).outputs[0]
+            assert reassociated_flops(node) == subtree_flops(built)
+            assert reassociated_flops(node, pricing) == subtree_flops(built)

@@ -687,6 +687,44 @@ class TestGC:
         assert not os.path.exists(self._obj(store, f"{first}.plan"))
         assert os.path.exists(self._obj(store, f"{second}.plan"))
 
+    def test_older_format_artifacts_and_aliases_evicted(
+        self, tmp_path, optimized
+    ):
+        """A format-3 store spelled plan keys ``<digest>-00``: no current
+        load asks for them, so only gc can reclaim them."""
+        import json
+
+        graph, _ = optimized
+        store = PlanStore(tmp_path)
+        key = store.put_plan(compile_plan(graph))
+        store.put_alias("current", key)
+        with open(self._obj(store, f"{key}.plan"), "rb") as fh:
+            artifact = pickle.loads(fh.read())
+        old_key = f"{key.rsplit('-', 1)[0]}-00"
+        artifact.update(format=3, key=old_key)
+        _corrupt(self._obj(store, f"{old_key}.plan"), pickle.dumps(artifact))
+        _corrupt(self._alias(store, "format3"), json.dumps({
+            "format": 3, "fingerprint": artifact["fingerprint"],
+            "target": old_key,
+        }).encode())
+        # A current-format alias still pointing at the old artifact goes
+        # with it; one in the current format but of an older fingerprint
+        # goes although its target is current.
+        store.put_alias("to-old", old_key)
+        _corrupt(self._alias(store, "old-fingerprint"), json.dumps({
+            "format": STORE_FORMAT_VERSION, "fingerprint": "f" * 40,
+            "target": key,
+        }).encode())
+        stats = store.gc(grace_seconds=0)
+        assert stats.artifacts_evicted == 1
+        assert stats.aliases_swept == 3
+        assert not os.path.exists(self._obj(store, f"{old_key}.plan"))
+        for name in ("format3", "to-old", "old-fingerprint"):
+            assert not os.path.exists(self._alias(store, name))
+        assert os.path.exists(self._obj(store, f"{key}.plan"))
+        assert os.path.exists(self._alias(store, "current"))
+        assert store.load_graph("current") is not None
+
     def test_gc_stats_render(self, tmp_path):
         stats = PlanStore(tmp_path).gc()
         assert "store gc:" in stats.render()
